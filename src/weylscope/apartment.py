@@ -127,7 +127,6 @@ class ApartmentContext:
 
     datum: RootDatum
     type_label: TypeLabel
-    origin: str
     prefan: Prefan
     parabolics: Tuple[ParabolicSet, ...]
     charts: Tuple[Tuple[ParabolicSet, Tuple[IntVector, ...]], ...]
@@ -142,7 +141,6 @@ def chart_generators(p: ParabolicSet) -> Tuple[IntVector, ...]:
 def make_context(
     datum: RootDatum,
     t: Iterable[int],
-    origin: str = "o",
     cap: Optional[int] = None,
 ) -> ApartmentContext:
     label = type_geometry._check_type(datum, frozenset(t))
@@ -160,7 +158,6 @@ def make_context(
     return ApartmentContext(
         datum=datum,
         type_label=label,
-        origin=origin,
         prefan=polyfan.make_prefan(cones),
         parabolics=relevant,
         charts=charts,

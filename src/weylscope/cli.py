@@ -8,6 +8,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,16 +32,31 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ENUM_CAP = 3
 
+# Bounds on a rational token from outside: longer tokens or larger decimal
+# exponents would build numbers too large to compute with or to print.
+MAX_TOKEN_CHARS = 100
+MAX_EXPONENT = 100
+
 
 # ---------------------------------------------------------------------------
 # parsing helpers
 
 
 def _parse_fraction(token: str, where: str) -> Fraction:
+    token = token.strip()
+    if len(token) > MAX_TOKEN_CHARS:
+        raise ValidationError(
+            f"{where}: a rational of {len(token)} characters is longer than {MAX_TOKEN_CHARS}"
+        )
+    _, marker, exponent = token.lower().partition("e")
     try:
-        return Fraction(token.strip())
+        if not marker or abs(int(exponent)) <= MAX_EXPONENT:
+            return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{where}: {token.strip()!r} is not a rational")
+        raise ValidationError(f"{where}: {token!r} is not a rational")
+    raise ValidationError(
+        f"{where}: the exponent of {token!r} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
+    )
 
 
 def _parse_vector(text: str, rank: int, flag: str) -> Tuple[Fraction, ...]:
@@ -87,6 +103,8 @@ def _load_json(path: str):
         raise ValidationError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path}: {exc}")
 
 
 def _datum_from_file(path: str) -> RootDatum:
@@ -205,21 +223,21 @@ def _parabolic_from_json(datum: RootDatum, obj, where: str) -> ParabolicSet:
 def _parabolic_id(q: ParabolicSet) -> Dict[str, List]:
     w, y = root_data.standard_position(q)
     return {
-        "label": [f"a{i + 1}" for i in sorted(y)],
+        "label": _type_names(y),
         "word": [i + 1 for i in w.word],
     }
 
 
 def _fmt_parabolic(q: ParabolicSet) -> str:
     w, y = root_data.standard_position(q)
-    base = "{" + ",".join(f"a{i + 1}" for i in sorted(y)) + "}"
+    base = _fmt_type(y)
     if w.word:
         base += " w=" + "".join(f"s{i + 1}" for i in w.word)
     return base
 
 
 def _fmt_type(t) -> str:
-    return "{" + ",".join(f"a{i + 1}" for i in sorted(t)) + "}"
+    return "{" + ",".join(_type_names(t)) + "}"
 
 
 def _type_names(t) -> List[str]:
@@ -235,6 +253,35 @@ def _cone_report(cone: Cone) -> Dict:
         "eqs": [list(phi) for phi in cone.eqs],
         "lineality_dim": len(lin),
         "rays": [[str(c) for c in r] for r in rays],
+    }
+
+
+def _cone_list(parabolics: Sequence[ParabolicSet], cones: Sequence[Cone]) -> List[Dict]:
+    """Report entries of the cones, numbered and labelled by their parabolics."""
+    entries = []
+    for i, (q, c) in enumerate(zip(parabolics, cones)):
+        entry = _cone_report(c)
+        entry["index"] = i
+        entry["parabolic"] = _parabolic_id(q)
+        entries.append(entry)
+    return entries
+
+
+def _dim_counts(cones: Sequence[Cone]) -> Tuple[Dict[str, int], str]:
+    """The number of cones of each dimension, as a report map and as
+    summary text."""
+    counts = sorted(Counter(polyfan.dim(c) for c in cones).items())
+    return {str(k): v for k, v in counts}, ", ".join(f"dim {k}: {v}" for k, v in counts)
+
+
+def _root_groups(stabilizer) -> Dict[str, List]:
+    """Full and filtered root groups of a stabilizer profile or block."""
+    return {
+        "full_unipotent": [list(a) for a in stabilizer.full_unipotent],
+        "full_levi": [list(a) for a in stabilizer.full_levi],
+        "filtered": [
+            {"root": list(a), "level": str(level)} for a, level in stabilizer.filtered
+        ],
     }
 
 
@@ -254,57 +301,37 @@ def _emit(args, report: Dict, summary: List[str]) -> None:
         print(text)
 
 
-def _make_context(datum: RootDatum, t, cap: Optional[int]) -> ApartmentContext:
-    return apartment.make_context(datum, t, cap=cap)
+def _json_vector(values, rank: int, where: str) -> Tuple[Fraction, ...]:
+    if not isinstance(values, list) or len(values) != rank:
+        raise ValidationError(f"{where} must be a list of {rank} rationals")
+    return tuple(_parse_fraction(str(v), f"{where}[{i}]") for i, v in enumerate(values))
 
 
 def _point_from_args(ctx: ApartmentContext, args) -> CompactApartmentPoint:
     datum = ctx.datum
-    sources = [
-        s
-        for s in (
-            getattr(args, "point_file", None),
-            getattr(args, "interior", None),
-            getattr(args, "stratum", None),
-        )
-        if s is not None
-    ]
+    sources = [s for s in (args.point_file, args.interior, args.stratum) if s is not None]
     if len(sources) != 1:
         raise ValidationError(
             "give exactly one of --point-file, --interior, --stratum"
         )
-    if getattr(args, "point_file", None):
+    if args.point_file:
         data = _load_json(args.point_file)
         if not isinstance(data, dict):
             raise ValidationError(f"{args.point_file}: expected a JSON object")
         if "interior" in data:
-            u = tuple(
-                _parse_fraction(str(v), f"{args.point_file}: interior[{i}]")
-                for i, v in enumerate(data["interior"])
-            )
-            if len(u) != datum.rank:
-                raise ValidationError(
-                    f"{args.point_file}: interior vector must have length {datum.rank}"
-                )
+            u = _json_vector(data["interior"], datum.rank, f"{args.point_file}: interior")
             return apartment.interior_point(ctx, u)
         if "stratum" in data:
             q = _parabolic_from_json(datum, data["stratum"], args.point_file)
             residual = data.get("residual", [0] * datum.rank)
-            u = tuple(
-                _parse_fraction(str(v), f"{args.point_file}: residual[{i}]")
-                for i, v in enumerate(residual)
-            )
-            if len(u) != datum.rank:
-                raise ValidationError(
-                    f"{args.point_file}: residual vector must have length {datum.rank}"
-                )
+            u = _json_vector(residual, datum.rank, f"{args.point_file}: residual")
             return apartment.stratum_point(ctx, q, u)
         raise ValidationError(f'{args.point_file}: need "interior" or "stratum"')
-    if getattr(args, "interior", None) is not None:
+    if args.interior is not None:
         u = _parse_vector(args.interior, datum.rank, "--interior")
         return apartment.interior_point(ctx, u)
-    q = _parabolic_from_parts(datum, args.stratum, getattr(args, "word", None))
-    if getattr(args, "residual", None) is not None:
+    q = _parabolic_from_parts(datum, args.stratum, args.word)
+    if args.residual is not None:
         u = _parse_vector(args.residual, datum.rank, "--residual")
     else:
         u = tuple(Fraction(0) for _ in range(datum.rank))
@@ -358,7 +385,7 @@ def _cmd_datum_info(args) -> int:
         "num_roots": len(datum.roots),
         "num_positive_roots": len(datum.positive_roots),
         "weyl_order": len(elements),
-        "simple_roots": [f"a{i + 1}" for i in range(datum.rank)],
+        "simple_roots": _type_names(range(datum.rank)),
     }
     label = datum.name or "datum"
     _emit(
@@ -376,24 +403,16 @@ def _cmd_fan(args) -> int:
     datum = _load_datum(args)
     parabolics = root_data.all_parabolics(datum, args.cap)
     prefan = type_geometry.weyl_fan(datum, args.cap)
-    cones = []
-    for i, (p, c) in enumerate(zip(parabolics, prefan.cones)):
-        entry = _cone_report(c)
-        entry["index"] = i
-        entry["parabolic"] = _parabolic_id(p)
-        cones.append(entry)
-    dims = {}
-    for entry in cones:
-        dims[entry["dim"]] = dims.get(entry["dim"], 0) + 1
+    cones = _cone_list(parabolics, prefan.cones)
+    dims, dim_text = _dim_counts(prefan.cones)
     report = {
         "command": "fan",
         "datum": datum.name,
         "rank": datum.rank,
         "count": len(cones),
-        "dims": {str(k): v for k, v in sorted(dims.items())},
+        "dims": dims,
         "cones": cones,
     }
-    dim_text = ", ".join(f"dim {k}: {v}" for k, v in sorted(dims.items()))
     _emit(
         args,
         report,
@@ -405,27 +424,19 @@ def _cmd_fan(args) -> int:
 def _cmd_prefan(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    ctx = _make_context(datum, t, args.cap)
-    cones = []
-    for i, (q, c) in enumerate(zip(ctx.parabolics, ctx.prefan.cones)):
-        entry = _cone_report(c)
-        entry["index"] = i
-        entry["parabolic"] = _parabolic_id(q)
-        cones.append(entry)
-    dims = {}
-    for entry in cones:
-        dims[entry["dim"]] = dims.get(entry["dim"], 0) + 1
+    ctx = apartment.make_context(datum, t, cap=args.cap)
+    cones = _cone_list(ctx.parabolics, ctx.prefan.cones)
+    dims, dim_text = _dim_counts(ctx.prefan.cones)
     lin = type_geometry.lineality_space(datum, t)
     report = {
         "command": "prefan",
         "datum": datum.name,
         "type": _type_names(t),
         "count": len(cones),
-        "dims": {str(k): v for k, v in sorted(dims.items())},
+        "dims": dims,
         "lineality_dim": len(lin),
         "cones": cones,
     }
-    dim_text = ", ".join(f"dim {k}: {v}" for k, v in sorted(dims.items()))
     _emit(
         args,
         report,
@@ -440,27 +451,16 @@ def _cmd_prefan(args) -> int:
 def _cmd_relevant(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    labels = []
-    full = frozenset(range(datum.rank))
-    subsets = []
-
-    def rec(i, acc):
-        if i == datum.rank:
-            subsets.append(frozenset(acc))
-            return
-        rec(i + 1, acc)
-        rec(i + 1, acc + [i])
-
-    rec(0, [])
-    for y in sorted(subsets, key=lambda s: (len(s), tuple(sorted(s)))):
-        q = root_data.standard_parabolic(datum, y)
-        if type_geometry.is_relevant(q, t):
-            labels.append(sorted(y))
+    labels = [
+        y
+        for y in root_data.type_labels(datum.rank)
+        if type_geometry.is_relevant(root_data.standard_parabolic(datum, y), t)
+    ]
     report = {
         "command": "relevant",
         "datum": datum.name,
         "type": _type_names(t),
-        "standard_relevant": [[f"a{i + 1}" for i in y] for y in labels],
+        "standard_relevant": [_type_names(y) for y in labels],
         "count": len(labels),
     }
     if args.all:
@@ -471,9 +471,7 @@ def _cmd_relevant(args) -> int:
         ]
         report["all_relevant"] = everything
         report["all_count"] = len(everything)
-    shown = ", ".join(
-        "{" + ",".join(f"a{i + 1}" for i in y) + "}" for y in labels
-    )
+    shown = ", ".join(_fmt_type(y) for y in labels)
     summary = [
         f"standard {_fmt_type(t)}-relevant parabolics of "
         f"{datum.name or 'datum'}: {shown}"
@@ -500,7 +498,7 @@ def _cmd_cone(args) -> int:
         extra = {
             "is_relevant": rep.is_relevant,
             "minimal_relevant": _parabolic_id(rep.minimal_relevant),
-            "active_components": [f"a{i + 1}" for i in sorted(rep.active_components)],
+            "active_components": _type_names(rep.active_components),
             "span_equalities": [list(a) for a in rep.span_equalities],
         }
     report = {
@@ -535,24 +533,14 @@ def _cmd_limit(args) -> int:
         data = _load_json(args.ray_file)
         if not isinstance(data, dict) or "u0" not in data or "v" not in data:
             raise ValidationError(f'{args.ray_file}: need "u0" and "v" vectors')
-        u0 = tuple(
-            _parse_fraction(str(x), f"{args.ray_file}: u0[{i}]")
-            for i, x in enumerate(data["u0"])
-        )
-        v = tuple(
-            _parse_fraction(str(x), f"{args.ray_file}: v[{i}]")
-            for i, x in enumerate(data["v"])
-        )
-        if len(u0) != datum.rank or len(v) != datum.rank:
-            raise ValidationError(
-                f"{args.ray_file}: u0 and v must have length {datum.rank}"
-            )
+        u0 = _json_vector(data["u0"], datum.rank, f"{args.ray_file}: u0")
+        v = _json_vector(data["v"], datum.rank, f"{args.ray_file}: v")
     else:
         if args.u0 is None or args.v is None:
             raise ValidationError("give --u0 and --v, or --ray-file")
         u0 = _parse_vector(args.u0, datum.rank, "--u0")
         v = _parse_vector(args.v, datum.rank, "--v")
-    ctx = _make_context(datum, t, args.cap)
+    ctx = apartment.make_context(datum, t, cap=args.cap)
     x = apartment.limit_point(ctx, u0, v)
     coords = apartment.extract_residual(ctx, x)
     sa = apartment.stratum_apartment(ctx, x.stratum_parabolic)
@@ -584,7 +572,7 @@ def _cmd_limit(args) -> int:
 def _cmd_seminorm(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    ctx = _make_context(datum, t, args.cap)
+    ctx = apartment.make_context(datum, t, cap=args.cap)
     f = _polynomial_from_file(args.poly)
     x = _point_from_args(ctx, args)
     if args.chart is not None:
@@ -625,7 +613,7 @@ def _cmd_seminorm(args) -> int:
 def _cmd_stabilizer(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    ctx = _make_context(datum, t, args.cap)
+    ctx = apartment.make_context(datum, t, cap=args.cap)
     x = _point_from_args(ctx, args)
     prof = apartment.stabilizer_profile(ctx, x)
     report = {
@@ -633,11 +621,7 @@ def _cmd_stabilizer(args) -> int:
         "datum": datum.name,
         "type": _type_names(t),
         "stratum": _parabolic_id(prof.stratum_parabolic),
-        "full_unipotent": [list(a) for a in prof.full_unipotent],
-        "full_levi": [list(a) for a in prof.full_levi],
-        "filtered": [
-            {"root": list(a), "level": str(level)} for a, level in prof.filtered
-        ],
+        **_root_groups(prof),
         "normalizer": prof.normalizer_note,
     }
     _emit(
@@ -657,7 +641,7 @@ def _cmd_project(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
     t2 = _parse_type(args.to_type, datum, "--to-type")
-    ctx = _make_context(datum, t, args.cap)
+    ctx = apartment.make_context(datum, t, cap=args.cap)
     x = _point_from_args(ctx, args)
     y = apartment.project(ctx, x, t2)
     report = {
@@ -708,14 +692,7 @@ def _cmd_pgl(args) -> int:
         "interior": not ker,
         "stratum": _parabolic_id(x.stratum_parabolic),
         "residual": _fractions(x.point.residual),
-        "blocks": {
-            "full_unipotent": [list(a) for a in blocks.full_unipotent],
-            "full_levi": [list(a) for a in blocks.full_levi],
-            "filtered": [
-                {"root": list(a), "level": str(level)}
-                for a, level in blocks.filtered
-            ],
-        },
+        "blocks": _root_groups(blocks),
         "round_trip_ok": back == s,
     }
     where = "interior" if not ker else f"kernel positions {ker}"
@@ -954,15 +931,11 @@ def _cmd_render(args) -> int:
             f"render needs a rank-2 root datum, got rank {datum.rank}"
         )
     t = _parse_type(args.type, datum)
-    ctx = _make_context(datum, t, args.cap)
+    ctx = apartment.make_context(datum, t, cap=args.cap)
     svg = _render_svg(datum, t, ctx)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    dims = {}
-    for c in ctx.prefan.cones:
-        k = polyfan.dim(c)
-        dims[k] = dims.get(k, 0) + 1
-    dim_text = ", ".join(f"dim {k}: {v}" for k, v in sorted(dims.items()))
+    _, dim_text = _dim_counts(ctx.prefan.cones)
     print(
         f"wrote SVG for {datum.name or 'datum'} type {_fmt_type(t)} "
         f"({dim_text}) to {args.out}"
@@ -1070,7 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("pgl", help="diagonal seminorm dictionary (type A)")
     p.add_argument("--values", help='CSV values, e.g. 0,-1,-inf')
     p.add_argument("--seminorm-file", help='JSON file {"values": [...]}')
-    p.add_argument("--cap", type=int, default=None, help="Weyl enumeration cap")
     p.add_argument("--out", help="write the JSON report to this file")
     p.set_defaults(func=_cmd_pgl)
 

@@ -76,7 +76,6 @@ def chi_diff(d: int, i: int, j: int) -> IntVector:
     return tuple(v)
 
 
-@lru_cache(maxsize=None)
 def datum_for(d: int) -> RootDatum:
     if d < 1:
         raise ValidationError("the diagonal dictionary needs dimension >= 2")

@@ -32,21 +32,12 @@ def add(u: Sequence, v: Sequence) -> Vector:
     return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
 
 
-def sub(u: Sequence, v: Sequence) -> Vector:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
-
-
 def neg(u: Sequence) -> Vector:
     return tuple(-Fraction(a) for a in u)
 
 
 def neg_int(u: Sequence) -> IntVector:
     return tuple(-int(a) for a in u)
-
-
-def scale(c, u: Sequence) -> Vector:
-    c = Fraction(c)
-    return tuple(c * Fraction(a) for a in u)
 
 
 def is_zero(u: Sequence) -> bool:
@@ -121,18 +112,6 @@ def in_row_span(rows: Sequence[Sequence], v: Sequence) -> bool:
     before = len(red)
     red2, _ = rref(list(red) + [list(v)])
     return len(red2) == before
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence, n: int) -> Optional[Vector]:
-    """A particular solution of row_i·x = rhs_i, or None if inconsistent."""
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    x = [Fraction(0)] * n
-    for row, p in zip(red, pivots):
-        if p == n:
-            return None  # pivot in the constant column: 0 = 1
-        x[p] = row[n]
-    return tuple(x)
 
 
 def reduce_mod_span(basis_vectors: Sequence[Sequence], v: Sequence) -> Vector:

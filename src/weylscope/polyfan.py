@@ -498,21 +498,3 @@ def stratum_closure(cone: Cone, prefan: Prefan) -> List[Cone]:
     closure of the given stratum)."""
     return [c for c in prefan.cones if cone_subset(cone, c)]
 
-
-@dataclass(frozen=True)
-class AffineApartment:
-    """Bookkeeping wrapper fixing a special point as origin; all coordinates
-    are relative to it."""
-
-    origin: str
-    prefan: Prefan
-
-    def to_origin_coords(self, u: Sequence) -> Vector:
-        return linalg.vec(u)
-
-    def from_origin_coords(self, u: Sequence) -> Vector:
-        return linalg.vec(u)
-
-
-def with_origin(origin: str, prefan: Prefan) -> AffineApartment:
-    return AffineApartment(origin=origin, prefan=prefan)

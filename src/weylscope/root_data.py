@@ -12,7 +12,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
 IntMatrix = Tuple[IntVector, ...]
@@ -69,10 +70,6 @@ class WeylElement:
     def apply(self, chi: Sequence[int]) -> IntVector:
         return _mat_vec(self.matrix, chi)
 
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
 
 @dataclass(frozen=True)
 class RootDatum:
@@ -85,16 +82,6 @@ class RootDatum:
     roots: Tuple[IntVector, ...]
     coroots: Tuple[IntVector, ...]
     name: Optional[str] = field(default=None, compare=False)
-
-    @property
-    def simple_roots(self) -> Tuple[IntVector, ...]:
-        return tuple(
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in range(self.rank)
-        )
-
-    def coroot(self, root: IntVector) -> IntVector:
-        return self.coroots[self.roots.index(root)]
 
     def is_positive(self, root: Sequence[int]) -> bool:
         return any(c > 0 for c in root)
@@ -126,9 +113,6 @@ class ParabolicSet:
     datum: RootDatum
     members: FrozenSet[IntVector]
     type_label: Optional[TypeLabel] = field(default=None, compare=False, repr=False)
-
-    def sorted_members(self) -> Tuple[IntVector, ...]:
-        return tuple(sorted(self.members))
 
 
 _NAMED_CARTAN: Dict[str, IntMatrix] = {}
@@ -242,60 +226,121 @@ def build_named(name: str) -> RootDatum:
     return build_from_cartan(_NAMED_CARTAN[name], name=name)
 
 
-_WEYL_CACHE: Dict[RootDatum, Tuple[WeylElement, ...]] = {}
-_WEYL_BY_MATRIX: Dict[RootDatum, Dict[IntMatrix, WeylElement]] = {}
-_WEYL_INVERSE: Dict[RootDatum, Dict[IntMatrix, IntMatrix]] = {}
+def type_labels(rank: int) -> Tuple[TypeLabel, ...]:
+    """Every subset of the simple roots, by size and then index set: the
+    order of type labels in every enumeration."""
+    return tuple(frozenset(y) for k in range(rank + 1) for y in combinations(range(rank), k))
+
+
+class _Weyl(NamedTuple):
+    """The Weyl group of a datum: its elements in ShortLex order, and every
+    element and its inverse by action matrix."""
+
+    elements: Tuple[WeylElement, ...]
+    by_matrix: Dict[IntMatrix, WeylElement]
+    inverse: Dict[IntMatrix, WeylElement]
+
+
+class DatumTables:
+    """Every combinatorial table of one root datum, shared by all equal data.
+
+    The root index, simple reflections and standard parabolics are built
+    with the table, the Weyl group on first use, and the parabolics,
+    standard positions, root permutations and subsystem roots only when
+    something asks for them.  Each entry is computed in full before one
+    assignment stores it, and computing it again gives an equal value, so
+    threads may share a table without a lock.
+    """
+
+    def __init__(self, datum: RootDatum):
+        self.datum = datum
+        self.labels = type_labels(datum.rank)
+        self.reflections = tuple(datum.reflection_matrix(i) for i in range(datum.rank))
+        self.root_index: Dict[IntVector, int] = {r: i for i, r in enumerate(datum.roots)}
+        self.standard: Dict[FrozenSet[IntVector], TypeLabel] = {
+            standard_parabolic(datum, y).members: y for y in self.labels
+        }
+        self.weyl: Optional[_Weyl] = None
+        self.parabolics: Optional[Tuple[ParabolicSet, ...]] = None
+        self.positions: Dict[FrozenSet[IntVector], Tuple[WeylElement, TypeLabel]] = {}
+        self.permutations: Dict[IntMatrix, Tuple[int, ...]] = {}
+        self.subsystem_roots: Dict[TypeLabel, Tuple[IntVector, ...]] = {}
+
+    @staticmethod
+    def of(datum: RootDatum) -> "DatumTables":
+        tables = _TABLES.get(datum)
+        if tables is None:
+            tables = _TABLES.setdefault(datum, DatumTables(datum))
+        return tables
+
+    def weyl_group(self, cap: Optional[int] = None) -> _Weyl:
+        """The Weyl group, enumerated on first use; raises
+        EnumerationCapError, and stores nothing, when it is larger than the
+        cap."""
+        limit = resolve_enum_cap(cap)
+        weyl = self.weyl
+        if weyl is None:
+            weyl = self.weyl = self._enumerate_weyl(limit)
+        elif len(weyl.elements) > limit:
+            raise EnumerationCapError(
+                f"|W| = {len(weyl.elements)} exceeds enumeration cap {limit}"
+                f" (set {ENUM_CAP_ENV} to raise it)"
+            )
+        return weyl
+
+    def _enumerate_weyl(self, limit: int) -> _Weyl:
+        """Breadth-first over words in simple-reflection index order, so the
+        first word reaching a matrix is the ShortLex-least reduced word."""
+        refl = self.reflections
+        ident = WeylElement(word=(), matrix=_identity_matrix(self.datum.rank))
+        seen: Dict[IntMatrix, WeylElement] = {ident.matrix: ident}
+        inv_of: Dict[IntMatrix, IntMatrix] = {ident.matrix: ident.matrix}
+        order: List[WeylElement] = [ident]
+        level = [ident]
+        while level:
+            nxt: List[WeylElement] = []
+            for w in level:
+                for j in range(len(refl)):
+                    mat = _mat_mul(w.matrix, refl[j])
+                    if mat in seen:
+                        continue
+                    elem = WeylElement(word=w.word + (j,), matrix=mat)
+                    seen[mat] = elem
+                    inv_of[mat] = _mat_mul(refl[j], inv_of[w.matrix])
+                    order.append(elem)
+                    nxt.append(elem)
+                    if len(order) > limit:
+                        raise EnumerationCapError(
+                            f"Weyl enumeration exceeded cap {limit}"
+                            f" (set {ENUM_CAP_ENV} to raise it)"
+                        )
+            level = nxt
+        inverse = {mat: seen[inv] for mat, inv in inv_of.items()}
+        return _Weyl(elements=tuple(order), by_matrix=seen, inverse=inverse)
+
+    def permutation(self, w: WeylElement) -> Tuple[int, ...]:
+        """The permutation w induces on root indices."""
+        perm = self.permutations.get(w.matrix)
+        if perm is None:
+            perm = tuple(self.root_index[w.apply(r)] for r in self.datum.roots)
+            self.permutations[w.matrix] = perm
+        return perm
+
+    def subsystem_positive_roots(self, label: TypeLabel) -> Tuple[IntVector, ...]:
+        """The positive roots supported on the label."""
+        roots = self.subsystem_roots.get(label)
+        if roots is None:
+            roots = tuple(b for b in self.datum.positive_roots if _root_in_span(b, label))
+            self.subsystem_roots[label] = roots
+        return roots
+
+
+_TABLES: Dict[RootDatum, DatumTables] = {}
 
 
 def weyl_elements(datum: RootDatum, cap: Optional[int] = None) -> Tuple[WeylElement, ...]:
-    """All Weyl elements in ShortLex order of their canonical reduced words.
-
-    Breadth-first over words in simple-reflection index order, so the first
-    word reaching a matrix is the ShortLex-least reduced word.
-    """
-    limit = resolve_enum_cap(cap)
-    cached = _WEYL_CACHE.get(datum)
-    if cached is not None:
-        if len(cached) > limit:
-            raise EnumerationCapError(
-                f"|W| = {len(cached)} exceeds enumeration cap {limit}"
-                f" (set {ENUM_CAP_ENV} to raise it)"
-            )
-        return cached
-    ident = WeylElement(word=(), matrix=_identity_matrix(datum.rank))
-    refl = [datum.reflection_matrix(i) for i in range(datum.rank)]
-    seen: Dict[IntMatrix, WeylElement] = {ident.matrix: ident}
-    inv_of: Dict[IntMatrix, IntMatrix] = {ident.matrix: ident.matrix}
-    order: List[WeylElement] = [ident]
-    level = [ident]
-    while level:
-        nxt: List[WeylElement] = []
-        for w in level:
-            for j in range(datum.rank):
-                mat = _mat_mul(w.matrix, refl[j])
-                if mat in seen:
-                    continue
-                elem = WeylElement(word=w.word + (j,), matrix=mat)
-                seen[mat] = elem
-                inv_of[mat] = _mat_mul(refl[j], inv_of[w.matrix])
-                order.append(elem)
-                nxt.append(elem)
-                if len(order) > limit:
-                    raise EnumerationCapError(
-                        f"Weyl enumeration exceeded cap {limit}"
-                        f" (set {ENUM_CAP_ENV} to raise it)"
-                    )
-        level = nxt
-    result = tuple(order)
-    _WEYL_CACHE[datum] = result
-    _WEYL_BY_MATRIX[datum] = seen
-    _WEYL_INVERSE[datum] = inv_of
-    return result
-
-
-def _by_matrix(datum: RootDatum) -> Dict[IntMatrix, WeylElement]:
-    weyl_elements(datum)
-    return _WEYL_BY_MATRIX[datum]
+    """All Weyl elements in ShortLex order of their canonical reduced words."""
+    return DatumTables.of(datum).weyl_group(cap).elements
 
 
 def identity_element(datum: RootDatum) -> WeylElement:
@@ -304,23 +349,11 @@ def identity_element(datum: RootDatum) -> WeylElement:
 
 def compose(datum: RootDatum, a: WeylElement, b: WeylElement) -> WeylElement:
     """Canonical form of a∘b (a applied after b)."""
-    return _by_matrix(datum)[_mat_mul(a.matrix, b.matrix)]
+    return DatumTables.of(datum).weyl_group().by_matrix[_mat_mul(a.matrix, b.matrix)]
 
 
 def inverse(datum: RootDatum, a: WeylElement) -> WeylElement:
-    if datum not in _WEYL_INVERSE:
-        weyl_elements(datum)
-    mat = _WEYL_INVERSE[datum].get(a.matrix)
-    if mat is None:
-        refl = [datum.reflection_matrix(i) for i in range(datum.rank)]
-        mat = _identity_matrix(datum.rank)
-        for j in reversed(a.word):
-            mat = _mat_mul(mat, refl[j])
-    return _by_matrix(datum)[mat]
-
-
-def longest_element(datum: RootDatum) -> WeylElement:
-    return max(weyl_elements(datum), key=lambda w: (w.length, w.word))
+    return DatumTables.of(datum).weyl_group().inverse[a.matrix]
 
 
 def act_on_dual(datum: RootDatum, w: WeylElement, u: Sequence) -> Tuple:
@@ -347,15 +380,6 @@ def standard_parabolic(datum: RootDatum, label: Iterable[int]) -> ParabolicSet:
     return ParabolicSet(datum=datum, members=frozenset(members), type_label=y)
 
 
-@lru_cache(maxsize=None)
-def _standard_by_members(datum: RootDatum) -> Dict[FrozenSet[IntVector], TypeLabel]:
-    out: Dict[FrozenSet[IntVector], TypeLabel] = {}
-    for bits in range(1 << datum.rank):
-        y = frozenset(i for i in range(datum.rank) if bits >> i & 1)
-        out[standard_parabolic(datum, y).members] = y
-    return out
-
-
 def is_closed(datum: RootDatum, members: FrozenSet[IntVector]) -> bool:
     root_set = set(datum.roots)
     for a in members:
@@ -372,96 +396,58 @@ def is_generating(datum: RootDatum, members: FrozenSet[IntVector]) -> bool:
     )
 
 
-def validate_parabolic(p: ParabolicSet) -> None:
-    for m in p.members:
-        if m not in set(p.datum.roots):
-            raise ValidationError(f"{m} is not a root")
-    if not is_closed(p.datum, p.members):
-        raise ValidationError("root subset is not closed")
-    if not is_generating(p.datum, p.members):
-        raise ValidationError("root subset is not generating")
-
-
-@lru_cache(maxsize=None)
-def _root_index(datum: RootDatum) -> Dict[IntVector, int]:
-    return {r: i for i, r in enumerate(datum.roots)}
-
-
-@lru_cache(maxsize=None)
-def _root_permutation(datum: RootDatum, w: WeylElement) -> Tuple[int, ...]:
-    """The permutation w induces on root indices."""
-    index = _root_index(datum)
-    return tuple(index[w.apply(r)] for r in datum.roots)
-
-
 def act(w: WeylElement, p: ParabolicSet) -> ParabolicSet:
-    index = _root_index(p.datum)
+    tables = DatumTables.of(p.datum)
     try:
-        idx = [index[r] for r in p.members]
+        idx = [tables.root_index[r] for r in p.members]
     except KeyError as exc:
         raise ValidationError(f"{exc.args[0]} is not a root") from exc
-    perm = _root_permutation(p.datum, w)
+    perm = tables.permutation(w)
     members = frozenset(p.datum.roots[perm[i]] for i in idx)
     return ParabolicSet(datum=p.datum, members=members, type_label=p.type_label)
 
 
-@lru_cache(maxsize=None)
-def _subgroup_elements(datum: RootDatum, label: TypeLabel) -> Tuple[WeylElement, ...]:
-    return tuple(
-        w for w in weyl_elements(datum) if set(w.word) <= set(label)
-    )
-
-
-def _min_coset_rep(datum: RootDatum, label: TypeLabel, v: WeylElement) -> WeylElement:
+def _min_coset_rep(tables: DatumTables, label: TypeLabel, v: WeylElement) -> WeylElement:
     """The unique shortest element of the coset W_label ∘ v, found by
     stripping label letters from the left while that shortens the word."""
-    if datum not in _WEYL_INVERSE:
-        weyl_elements(datum)
+    weyl = tables.weyl_group()
+    refl = tables.reflections
     cur = v.matrix
-    cur_inv = _WEYL_INVERSE[datum][cur]
-    refl = [datum.reflection_matrix(i) for i in range(datum.rank)]
+    cur_inv = weyl.inverse[cur].matrix
     changed = True
     while changed:
         changed = False
         for i in sorted(label):
             # l(s_i v) < l(v)  iff  v^{-1}(alpha_i) is negative
-            if all(cur_inv[r][i] <= 0 for r in range(datum.rank)):
+            if all(cur_inv[r][i] <= 0 for r in range(tables.datum.rank)):
                 cur = _mat_mul(refl[i], cur)
                 cur_inv = _mat_mul(cur_inv, refl[i])
                 changed = True
-    return _by_matrix(datum)[cur]
-
-
-_STANDARD_POSITION_CACHE: Dict[Tuple[RootDatum, FrozenSet[IntVector]], Tuple[WeylElement, TypeLabel]] = {}
+    return weyl.by_matrix[cur]
 
 
 def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
     """The ShortLex-least w with act(w, p) standard, plus the type label."""
-    key = (p.datum, p.members)
-    hit = _STANDARD_POSITION_CACHE.get(key)
+    tables = DatumTables.of(p.datum)
+    hit = tables.positions.get(p.members)
     if hit is not None:
         return hit
-    datum = p.datum
-    standard = _standard_by_members(datum)
+    standard = tables.standard
     if p.members in standard:
-        result = (identity_element(datum), standard[p.members])
-        _STANDARD_POSITION_CACHE[key] = result
-        return result
-    first: Optional[WeylElement] = None
-    for w in weyl_elements(datum):
-        if act(w, p).members in standard:
-            first = w
-            break
-    if first is None:
-        raise ValidationError("subset is not Weyl-conjugate to a standard parabolic")
-    label = standard[act(first, p).members]
-    # The full solution set is the coset W_label ∘ first; take its least element.
-    result = (_min_coset_rep(datum, label, first), label)
-    _STANDARD_POSITION_CACHE[key] = result
+        result = (identity_element(p.datum), standard[p.members])
+    else:
+        first: Optional[WeylElement] = None
+        for w in weyl_elements(p.datum):
+            if act(w, p).members in standard:
+                first = w
+                break
+        if first is None:
+            raise ValidationError("subset is not Weyl-conjugate to a standard parabolic")
+        label = standard[act(first, p).members]
+        # The full solution set is the coset W_label ∘ first; take its least element.
+        result = (_min_coset_rep(tables, label, first), label)
+    tables.positions[p.members] = result
     return result
-
-
-_PARABOLICS_CACHE: Dict[RootDatum, Tuple[ParabolicSet, ...]] = {}
 
 
 def all_parabolics(datum: RootDatum, cap: Optional[int] = None) -> Tuple[ParabolicSet, ...]:
@@ -469,35 +455,29 @@ def all_parabolics(datum: RootDatum, cap: Optional[int] = None) -> Tuple[Parabol
     deterministic order (type labels by size then index set, orbits in
     ShortLex order of the conjugating element)."""
     weyl = weyl_elements(datum, cap)
-    cached = _PARABOLICS_CACHE.get(datum)
-    if cached is not None:
-        return cached
-    labels = sorted(
-        (frozenset(i for i in range(datum.rank) if bits >> i & 1) for bits in range(1 << datum.rank)),
-        key=lambda y: (len(y), sorted(y)),
-    )
-    index = _root_index(datum)
+    tables = DatumTables.of(datum)
+    if tables.parabolics is not None:
+        return tables.parabolics
     out: List[ParabolicSet] = []
-    for y in labels:
+    for y in tables.labels:
         std = standard_parabolic(datum, y)
-        std_idx = tuple(sorted(index[r] for r in std.members))
+        std_idx = tuple(sorted(tables.root_index[r] for r in std.members))
         seen = set()
         for w in weyl:
-            perm = _root_permutation(datum, w)
+            perm = tables.permutation(w)
             moved_idx = frozenset(perm[i] for i in std_idx)
             if moved_idx in seen:
                 continue
             seen.add(moved_idx)
             members = frozenset(datum.roots[i] for i in moved_idx)
             out.append(ParabolicSet(datum=datum, members=members, type_label=y))
-            # Seed the standard-position cache with the known conjugator w^{-1}
+            # Seed the standard positions with the known conjugator w^{-1}
             # (then minimized over the stabilizer coset) to avoid a full scan.
-            key = (datum, members)
-            if key not in _STANDARD_POSITION_CACHE:
+            if members not in tables.positions:
                 back = inverse(datum, w)
-                _STANDARD_POSITION_CACHE[key] = (_min_coset_rep(datum, y, back), y)
+                tables.positions[members] = (_min_coset_rep(tables, y, back), y)
     result = tuple(out)
-    _PARABOLICS_CACHE[datum] = result
+    tables.parabolics = result
     return result
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import linalg, polyfan, root_data
@@ -128,15 +127,6 @@ def _orthogonal_to(datum: RootDatum, i: int, subset: FrozenSet[int]) -> bool:
     return all(datum.cartan[i][j] == 0 for j in subset) and i not in subset
 
 
-@lru_cache(maxsize=None)
-def _subsystem_positive_roots(datum: RootDatum, label: TypeLabel) -> Tuple[IntVector, ...]:
-    return tuple(
-        b
-        for b in datum.positive_roots
-        if all(c == 0 for k, c in enumerate(b) if k not in label)
-    )
-
-
 def relevance_report(q: ParabolicSet, t: TypeLabel) -> RelevanceReport:
     """Standard-position Dynkin combinatorics: the active components of the
     Levi label are those meeting the complement of t; relevancy demands that
@@ -153,9 +143,8 @@ def relevance_report(q: ParabolicSet, t: TypeLabel) -> RelevanceReport:
     y_min = y | {i for i in t if _orthogonal_to(datum, i, meets)}
     w_inv = root_data.inverse(datum, w)
     minimal = root_data.act(w_inv, root_data.standard_parabolic(datum, frozenset(y_min)))
-    span_eqs = tuple(
-        sorted(w_inv.apply(b) for b in _subsystem_positive_roots(datum, frozenset(meets)))
-    )
+    subsystem = root_data.DatumTables.of(datum).subsystem_positive_roots(frozenset(meets))
+    span_eqs = tuple(sorted(w_inv.apply(b) for b in subsystem))
     return RelevanceReport(
         query=q,
         type_label=t,

@@ -24,7 +24,7 @@ def _types(rank: int):
 
 
 def _cone_key(cone):
-    rays, lin = polyfan.generators(cone)
+    lin, rays = polyfan.generators(cone)
     span = tuple(map(tuple, oracles.span_of([list(v) for v in lin], cone.space_dim)))
     return frozenset(rays), span
 

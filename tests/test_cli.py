@@ -346,6 +346,26 @@ def test_enumeration_cap_env(capsys, monkeypatch):
     assert "WEYLSCOPE_ENUM_CAP" in err
 
 
+def test_pgl_honours_the_enumeration_cap_env(capsys, monkeypatch):
+    monkeypatch.setenv("WEYLSCOPE_ENUM_CAP", "5")
+    code, _, err = _run(capsys, "pgl", "--values", "0,-1,-2")
+    assert code == 3
+    assert "WEYLSCOPE_ENUM_CAP" in err
+
+
+def test_hostile_numbers_exit_with_one_line(tmp_path, capsys):
+    f = tmp_path / "datum.json"
+    for text in ('{"rank": ' + "9" * 5000 + ', "cartan": [[2]]}', "[" * 100000):
+        f.write_text(text)
+        code, _, err = _run(capsys, "datum-info", "--datum-file", str(f))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+    for values in ("0,1e300000", "0,-1E-300000", "0," + "7" * 5000):
+        code, out, err = _run(capsys, "pgl", "--values", values)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bad_type_token(capsys):
     code, _, err = _run(capsys, "prefan", "--datum", "A2", "--type", "a9")
     assert code == 2

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -178,3 +180,38 @@ def test_standard_parabolic_members():
     p1 = standard_parabolic(datum, (0,))
     assert (1, 0) in p1.members and (-1, 0) in p1.members
     assert (0, 1) in p1.members and (0, -1) not in p1.members
+
+
+def test_tables_are_safe_to_share_between_threads():
+    # A2 x A1 is built by no other test, so the threads race on empty tables.
+    datum = build_from_cartan(((2, -1, 0), (-1, 2, 0), (0, 0, 2)))
+    start = threading.Barrier(4)
+    results = {}
+    errors = []
+
+    def work(k):
+        try:
+            start.wait(timeout=30)
+            elements = weyl_elements(datum)
+            inverses = tuple(inverse(datum, w) for w in elements)
+            parabolics = all_parabolics(datum)
+            positions = tuple(standard_position(q) for q in parabolics)
+            results[k] = (elements, inverses, parabolics, positions)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 4
+    assert all(r == results[0] for r in results.values())
+    assert len(results[0][2]) == PARABOLIC_COUNTS["A2"] * PARABOLIC_COUNTS["A1"]
