@@ -452,9 +452,9 @@ def _cmd_relevant(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
     labels = [
-        y
-        for y in root_data.type_labels(datum.rank)
-        if type_geometry.is_relevant(root_data.standard_parabolic(datum, y), t)
+        q.type_label
+        for q in root_data.DatumTables.of(datum).standard_parabolics().values()
+        if type_geometry.is_relevant(q, t)
     ]
     report = {
         "command": "relevant",

@@ -74,10 +74,6 @@ class ExtendedValue:
     def of(q) -> "ExtendedValue":
         return ExtendedValue(0, Fraction(q))
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == 0
-
     def __add__(self, other: "ExtendedValue") -> "ExtendedValue":
         if not isinstance(other, ExtendedValue):
             other = ExtendedValue.of(other)

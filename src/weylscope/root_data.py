@@ -226,12 +226,6 @@ def build_named(name: str) -> RootDatum:
     return build_from_cartan(_NAMED_CARTAN[name], name=name)
 
 
-def type_labels(rank: int) -> Tuple[TypeLabel, ...]:
-    """Every subset of the simple roots, by size and then index set: the
-    order of type labels in every enumeration."""
-    return tuple(frozenset(y) for k in range(rank + 1) for y in combinations(range(rank), k))
-
-
 class _Weyl(NamedTuple):
     """The Weyl group of a datum: its elements in ShortLex order, and every
     element and its inverse by action matrix."""
@@ -244,8 +238,8 @@ class _Weyl(NamedTuple):
 class DatumTables:
     """Every combinatorial table of one root datum, shared by all equal data.
 
-    The root index, simple reflections and standard parabolics are built
-    with the table, the Weyl group on first use, and the parabolics,
+    The root index and simple reflections are built with the table, the
+    Weyl group on first use, and the standard parabolics, parabolics,
     standard positions, root permutations and subsystem roots only when
     something asks for them.  Each entry is computed in full before one
     assignment stores it, and computing it again gives an equal value, so
@@ -254,13 +248,10 @@ class DatumTables:
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        self.labels = type_labels(datum.rank)
         self.reflections = tuple(datum.reflection_matrix(i) for i in range(datum.rank))
         self.root_index: Dict[IntVector, int] = {r: i for i, r in enumerate(datum.roots)}
-        self.standard: Dict[FrozenSet[IntVector], TypeLabel] = {
-            standard_parabolic(datum, y).members: y for y in self.labels
-        }
         self.weyl: Optional[_Weyl] = None
+        self.standard: Optional[Dict[FrozenSet[IntVector], ParabolicSet]] = None
         self.parabolics: Optional[Tuple[ParabolicSet, ...]] = None
         self.positions: Dict[FrozenSet[IntVector], Tuple[WeylElement, TypeLabel]] = {}
         self.permutations: Dict[IntMatrix, Tuple[int, ...]] = {}
@@ -317,6 +308,18 @@ class DatumTables:
             level = nxt
         inverse = {mat: seen[inv] for mat, inv in inv_of.items()}
         return _Weyl(elements=tuple(order), by_matrix=seen, inverse=inverse)
+
+    def standard_parabolics(self) -> Dict[FrozenSet[IntVector], ParabolicSet]:
+        """The standard parabolic of every type label, keyed by its roots,
+        in type-label order (by size, then index set); one per subset of
+        the simple roots, so built only on request."""
+        standard = self.standard
+        if standard is None:
+            rank = self.datum.rank
+            labels = (y for k in range(rank + 1) for y in combinations(range(rank), k))
+            parabolics = (standard_parabolic(self.datum, y) for y in labels)
+            standard = self.standard = {q.members: q for q in parabolics}
+        return standard
 
     def permutation(self, w: WeylElement) -> Tuple[int, ...]:
         """The permutation w induces on root indices."""
@@ -432,9 +435,9 @@ def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
     hit = tables.positions.get(p.members)
     if hit is not None:
         return hit
-    standard = tables.standard
+    standard = tables.standard_parabolics()
     if p.members in standard:
-        result = (identity_element(p.datum), standard[p.members])
+        result = (identity_element(p.datum), standard[p.members].type_label)
     else:
         first: Optional[WeylElement] = None
         for w in weyl_elements(p.datum):
@@ -443,7 +446,7 @@ def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
                 break
         if first is None:
             raise ValidationError("subset is not Weyl-conjugate to a standard parabolic")
-        label = standard[act(first, p).members]
+        label = standard[act(first, p).members].type_label
         # The full solution set is the coset W_label ∘ first; take its least element.
         result = (_min_coset_rep(tables, label, first), label)
     tables.positions[p.members] = result
@@ -459,8 +462,8 @@ def all_parabolics(datum: RootDatum, cap: Optional[int] = None) -> Tuple[Parabol
     if tables.parabolics is not None:
         return tables.parabolics
     out: List[ParabolicSet] = []
-    for y in tables.labels:
-        std = standard_parabolic(datum, y)
+    for std in tables.standard_parabolics().values():
+        y = std.type_label
         std_idx = tuple(sorted(tables.root_index[r] for r in std.members))
         seen = set()
         for w in weyl:

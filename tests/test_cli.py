@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -344,6 +349,34 @@ def test_enumeration_cap_env(capsys, monkeypatch):
     code, _, err = _run(capsys, "datum-info", "--datum", "A5")
     assert code == 3
     assert "WEYLSCOPE_ENUM_CAP" in err
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_enumeration_cap_bounds_the_work_on_high_rank(tmp_path):
+    # A1^30: 60 roots, but 2^30 type labels, so nothing indexed by labels
+    # may be built before the cap stops the Weyl enumeration.
+    rank = 30
+    f = tmp_path / "datum.json"
+    cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    f.write_text(json.dumps({"rank": rank, "cartan": cartan}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for command in ("datum-info", "fan"):
+        argv = [command, "--datum-file", str(f), "--cap", "100"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylscope.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+            preexec_fn=_limit_memory,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "exceeded cap 100" in proc.stderr
 
 
 def test_pgl_honours_the_enumeration_cap_env(capsys, monkeypatch):
