@@ -32,8 +32,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ENUM_CAP = 3
 
-# Bounds on a rational token from outside: longer tokens or larger decimal
-# exponents would build numbers too large to compute with or to print.
+# Bounds on a rational token or a JSON integer from outside: longer ones or
+# larger decimal exponents would build numbers too large to compute with or
+# to print.
 MAX_TOKEN_CHARS = 100
 MAX_EXPONENT = 100
 
@@ -92,6 +93,11 @@ def _parse_type(text: Optional[str], datum: RootDatum, flag: str = "--type"):
 def _require_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{where}: expected integer, got {value!r}")
+    length = len(str(value))
+    if length > MAX_TOKEN_CHARS:
+        raise ValidationError(
+            f"{where}: an integer of {length} characters is longer than {MAX_TOKEN_CHARS}"
+        )
     return value
 
 
@@ -158,14 +164,20 @@ def _datum_from_file(path: str) -> RootDatum:
 
 
 def _load_datum(args) -> RootDatum:
+    """The datum of --datum or --datum-file.  An explicit --cap bounds the
+    whole command: the Weyl group is enumerated under it here, and later
+    lookups use that group instead of enumerating under the default cap."""
     if args.datum_file:
-        return _datum_from_file(args.datum_file)
-    if not args.datum:
+        datum = _datum_from_file(args.datum_file)
+    elif not args.datum:
         raise ValidationError("no root datum given: use --datum or --datum-file")
-    name = args.datum
-    if name.upper() in ("A1XA1", "A1*A1"):
-        return root_data.build_from_cartan(((2, 0), (0, 2)), name="A1xA1")
-    return root_data.build_named(name)
+    elif args.datum.upper() in ("A1XA1", "A1*A1"):
+        datum = root_data.build_from_cartan(((2, 0), (0, 2)), name="A1xA1")
+    else:
+        datum = root_data.build_named(args.datum)
+    if args.cap is not None:
+        root_data.weyl_elements(datum, args.cap)
+    return datum
 
 
 def _element_from_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
@@ -354,6 +366,7 @@ def _polynomial_from_file(path: str) -> apartment.TropicalPolynomial:
                 raise ValidationError(
                     f"{path}: monomial {i}: exponent key {key!r} is not an integer"
                 )
+            _require_int(k, f"{path}: monomial {i}: exponent key")
             exps[k] = _require_int(val, f"{path}: monomial {i}: exponents[{key}]")
         coeff_raw = str(entry.get("log_coeff", "0")).strip()
         if coeff_raw == "-inf":
@@ -680,6 +693,9 @@ def _cmd_pgl(args) -> int:
         if token != "-inf":
             _parse_fraction(token, f"values[{i}]")
     s = gl_models.make_seminorm(raw)
+    # Context lookups take the Weyl group as enumerated, and the contexts are
+    # cached per dimension, so check the default or environment cap here.
+    root_data.weyl_elements(gl_models.datum_for(s.dimension - 1))
     ker = sorted(gl_models.kernel(s))
     x = gl_models.to_apartment_point(s)
     blocks = gl_models.stabilizer_blocks(s)

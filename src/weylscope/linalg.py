@@ -1,19 +1,25 @@
 """Exact linear algebra and linear-arithmetic decisions over the rationals.
 
-Everything here works on tuples of Fraction (or int) and never touches
-floating point.  Constraint systems are homogeneous throughout: a constraint
-is a pair (row, strict) meaning row·x <= 0, or row·x < 0 when strict.
+Integers in, integers out wherever no division happens: functionals, rays
+and constraint rows are integer tuples, elimination is fraction-free
+Gauss-Jordan on integer rows (each row divided by its content), and
+nullspace bases are primitive integer vectors.  Fraction appears only where
+a division is unavoidable: the reduced row echelon form and the residual
+classes built on it, and the back-substitution of feasible_point.  Nothing
+here touches floating point.  Constraint systems are homogeneous
+throughout: a constraint is a pair (row, strict) meaning row·x <= 0, or
+row·x < 0 when strict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 IntVector = Tuple[int, ...]
-Constraint = Tuple[Vector, bool]
+Constraint = Tuple[IntVector, bool]
 
 
 def vec(entries: Iterable) -> Vector:
@@ -24,16 +30,13 @@ def zero(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+def dot(u: Sequence, v: Sequence):
+    """The pairing; an int when both vectors are integer."""
+    return sum(a * b for a, b in zip(u, v))
 
 
 def add(u: Sequence, v: Sequence) -> Vector:
     return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
-
-
-def neg(u: Sequence) -> Vector:
-    return tuple(-Fraction(a) for a in u)
 
 
 def neg_int(u: Sequence) -> IntVector:
@@ -44,74 +47,96 @@ def is_zero(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
+def _integer_row(u: Sequence) -> List[int]:
+    """The row times the least common multiple of its denominators."""
+    if all(type(a) is int for a in u):
+        return list(u)
+    fr = [Fraction(a) for a in u]
+    mult = lcm(*(a.denominator for a in fr))
+    return [a.numerator * (mult // a.denominator) for a in fr]
+
+
 def primitive(u: Sequence) -> IntVector:
     """Scale a rational vector to coprime integers, first nonzero entry > 0."""
-    fr = [Fraction(a) for a in u]
-    if all(a == 0 for a in fr):
-        return (0,) * len(fr)
-    mult = 1
-    for a in fr:
-        mult = mult * a.denominator // gcd(mult, a.denominator)
-    ints = [int(a * mult) for a in fr]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    ints = [a // g for a in ints]
-    lead = next(a for a in ints if a != 0)
-    if lead < 0:
-        ints = [-a for a in ints]
-    return tuple(ints)
+    ints = _integer_row(u)
+    g = gcd(*ints)
+    if g == 0:
+        return (0,) * len(ints)
+    if next(a for a in ints if a != 0) < 0:
+        g = -g
+    return tuple(a // g for a in ints)
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[Vector], List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def _reduce(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination.
+
+    Returns integer rows spanning the same space, in reduced echelon shape
+    (every pivot column is zero outside its own row) but with pivots left
+    unnormalized, plus the pivot columns.  Each updated row is divided by
+    its content, which keeps the entries small.
+    """
+    mat = [_integer_row(r) for r in rows]
     pivots: List[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0]) if mat else 0):
         piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [inv * a for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        pc = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f != 0 and i != r:
+                row = [pc * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return mat[:r], pivots
+
+
+def rref(rows: Sequence[Sequence]) -> Tuple[List[Vector], List[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    red, pivots = _reduce(rows)
+    return [
+        tuple(Fraction(a, row[p]) for a in row) for row, p in zip(red, pivots)
+    ], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return len(_reduce(rows)[0])
 
 
-def nullspace(rows: Sequence[Sequence], n: int) -> List[Vector]:
-    """Basis of {x in Q^n : row·x = 0 for every row}."""
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis: List[Vector] = []
-    for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            x[p] = -row[f]
-        basis.append(tuple(x))
+def nullspace(rows: Sequence[Sequence], n: int) -> List[IntVector]:
+    """Basis of {x in Q^n : row·x = 0 for every row}: one primitive integer
+    vector per free column, positive on that column and zero on the other
+    free columns (a positive multiple of the RREF basis vector)."""
+    red, pivots = _reduce(rows)
+    bound = set(pivots)
+    basis: List[IntVector] = []
+    for f in range(n):
+        if f in bound:
+            continue
+        deps = [(row[p], row[f], p) for row, p in zip(red, pivots) if row[f] != 0]
+        x = [0] * n
+        x[f] = lcm(*(d for d, _, _ in deps))
+        for d, e, p in deps:
+            x[p] = -e * x[f] // d
+        g = gcd(*x)
+        basis.append(tuple(a // g for a in x))
     return basis
 
 
 def in_row_span(rows: Sequence[Sequence], v: Sequence) -> bool:
-    red, _ = rref(rows)
-    before = len(red)
-    red2, _ = rref(list(red) + [list(v)])
-    return len(red2) == before
+    red, pivots = _reduce(rows)
+    w = _integer_row(v)
+    for row, p in zip(red, pivots):
+        if w[p] != 0:
+            w = [row[p] * a - w[p] * b for a, b in zip(w, row)]
+    return is_zero(w)
 
 
 def reduce_mod_span(basis_vectors: Sequence[Sequence], v: Sequence) -> Vector:
@@ -130,17 +155,12 @@ def reduce_mod_span(basis_vectors: Sequence[Sequence], v: Sequence) -> Vector:
 
 
 def _normalize_constraint(row: Sequence, strict: bool) -> Constraint:
-    fr = [Fraction(a) for a in row]
-    if all(a == 0 for a in fr):
-        return tuple(fr), strict
-    mult = 1
-    for a in fr:
-        mult = mult * a.denominator // gcd(mult, a.denominator)
-    ints = [a * mult for a in fr]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(int(a)))
-    return tuple(Fraction(int(a) // g) for a in ints), strict
+    """The row as coprime integers, same direction."""
+    ints = _integer_row(row)
+    g = gcd(*ints)
+    if g > 1:
+        ints = [a // g for a in ints]
+    return tuple(ints), strict
 
 
 def _eliminate(cons: List[Constraint], k: int) -> Optional[List[Constraint]]:
@@ -213,7 +233,7 @@ def feasible_point(
             if coef == 0:
                 continue
             rest = sum(row[j] * x[j] for j in range(k + 1, n))
-            bound = -rest / coef
+            bound = Fraction(-rest, coef)
             if coef > 0:  # x_k <= bound
                 if hi is None or bound < hi:
                     hi, hi_strict = bound, strict

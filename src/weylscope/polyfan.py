@@ -20,28 +20,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .linalg import Vector
+from .linalg import IntVector, Vector
 
 Functional = Tuple[int, ...]
 
 FACE_DIM_CAP = 8
 
 
-def _primitive_ray(v: Sequence) -> Vector:
+def _primitive_ray(v: Sequence) -> IntVector:
     """Coprime integer representative of a ray direction, sign preserved
     (linalg.primitive normalizes the sign, which is only correct for
     functionals considered up to sign)."""
     p = linalg.primitive(v)
-    for x in v:
-        if x != 0:
-            if x < 0:
-                p = linalg.neg_int(p)
-            break
-    return linalg.vec(p)
+    if next((x for x in v if x != 0), 0) < 0:
+        return linalg.neg_int(p)
+    return p
 
 
 class DimensionCapError(RuntimeError):
@@ -123,7 +120,7 @@ def make_cone(space_dim: int, ineqs: Sequence[Sequence[int]], eqs: Sequence[Sequ
 
 
 @lru_cache(maxsize=None)
-def lineality_basis(cone: Cone) -> Tuple[Vector, ...]:
+def lineality_basis(cone: Cone) -> Tuple[IntVector, ...]:
     """Canonical basis of the largest linear subspace inside the cone: the
     common kernel of every description functional (description-independent,
     since any valid description spans the annihilator of the lineality)."""
@@ -131,7 +128,7 @@ def lineality_basis(cone: Cone) -> Tuple[Vector, ...]:
 
 
 @lru_cache(maxsize=None)
-def generators(cone: Cone) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
+def generators(cone: Cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
     """(lineality basis, extreme-ray representatives).
 
     Rays are found by intersecting tight constraint subsets down to lines,
@@ -160,7 +157,7 @@ def generators(cone: Cone) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
                 break
         if v0 is None:
             continue
-        for cand in (v0, linalg.neg(v0)):
+        for cand in (v0, linalg.neg_int(v0)):
             if all(linalg.dot(cand, f) <= 0 for f in cone.ineqs) and all(
                 linalg.dot(cand, e) == 0 for e in cone.eqs
             ):
@@ -203,7 +200,7 @@ def implied_equalities(cone: Cone) -> Tuple[Functional, ...]:
 
 
 @lru_cache(maxsize=None)
-def span_basis(cone: Cone) -> Tuple[Vector, ...]:
+def span_basis(cone: Cone) -> Tuple[IntVector, ...]:
     return tuple(linalg.nullspace(implied_equalities(cone), cone.space_dim))
 
 
@@ -238,7 +235,8 @@ def relative_interior_point(cone: Cone) -> Vector:
     pt = linalg.zero(cone.space_dim)
     for r in rays:
         pt = linalg.add(pt, r)
-    assert in_relative_interior(cone, pt)
+    if not in_relative_interior(cone, pt):
+        raise RuntimeError(f"the sum of the rays of {cone} is not in its relative interior")
     return pt
 
 
@@ -328,14 +326,14 @@ def facets(cone: Cone) -> List[Cone]:
     return out
 
 
-def _violation_witness(inner: Cone, outer: Cone) -> Optional[Vector]:
+def _violation_witness(inner: Cone, outer: Cone) -> Optional[IntVector]:
     """A generator of inner that leaves outer, if any (inner ⊆ outer iff all
     its generators satisfy outer's constraints)."""
     lin, rays = generators(inner)
     for v in lin:
         for f in outer.ineqs + outer.eqs:
             if linalg.dot(v, f) != 0:
-                return v if linalg.dot(v, f) > 0 else linalg.neg(v)
+                return v if linalg.dot(v, f) > 0 else linalg.neg_int(v)
     for r in rays:
         if not contains_point(outer, r):
             return r
@@ -393,20 +391,11 @@ def verify_prefan(prefan: Prefan) -> None:
             common_face(a, b)
 
 
-def _sample_grid(n: int) -> List[Vector]:
+def _sample_grid(n: int) -> List[IntVector]:
+    """Integer points of the cube [-2, 2]^n (n <= 3) or [-1, 1]^n, in
+    lexicographic order."""
     bound = 2 if n <= 3 else 1
-    vals = [Fraction(v) for v in range(-bound, bound + 1)]
-    pts: List[Vector] = []
-
-    def rec(prefix: Tuple[Fraction, ...]):
-        if len(prefix) == n:
-            pts.append(prefix)
-            return
-        for v in vals:
-            rec(prefix + (v,))
-
-    rec(())
-    return pts
+    return list(product(range(-bound, bound + 1), repeat=n))
 
 
 def covers(prefan: Prefan) -> bool:

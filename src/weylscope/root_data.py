@@ -55,6 +55,27 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
+def _times_reflection(m: IntMatrix, j: int, cartan: IntMatrix) -> IntMatrix:
+    """m·s_j = m - (column j of m) ⊗ (row j of the Cartan matrix): only the
+    rows with a nonzero entry in column j change."""
+    c = cartan[j]
+    return tuple(
+        row if row[j] == 0 else tuple(a - row[j] * b for a, b in zip(row, c))
+        for row in m
+    )
+
+
+def _reflection_times(j: int, m: IntMatrix, cartan: IntMatrix) -> IntMatrix:
+    """s_j·m: row j becomes row j minus the Cartan-row-j combination of the
+    rows of m; every other row stays."""
+    c = cartan[j]
+    new = tuple(
+        a - sum(ck * row[col] for ck, row in zip(c, m) if ck != 0)
+        for col, a in enumerate(m[j])
+    )
+    return m[:j] + (new,) + m[j + 1 :]
+
+
 def _identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -238,8 +259,7 @@ class _Weyl(NamedTuple):
 class DatumTables:
     """Every combinatorial table of one root datum, shared by all equal data.
 
-    The root index and simple reflections are built with the table, the
-    Weyl group on first use, and the standard parabolics, parabolics,
+    The root index is built with the table, the Weyl group on first use, and the standard parabolics, parabolics,
     standard positions, root permutations and subsystem roots only when
     something asks for them.  Each entry is computed in full before one
     assignment stores it, and computing it again gives an equal value, so
@@ -248,7 +268,6 @@ class DatumTables:
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        self.reflections = tuple(datum.reflection_matrix(i) for i in range(datum.rank))
         self.root_index: Dict[IntVector, int] = {r: i for i, r in enumerate(datum.roots)}
         self.weyl: Optional[_Weyl] = None
         self.standard: Optional[Dict[FrozenSet[IntVector], ParabolicSet]] = None
@@ -279,10 +298,16 @@ class DatumTables:
             )
         return weyl
 
+    def enumerated_weyl_group(self) -> _Weyl:
+        """The Weyl group for a lookup: as an entry point (weyl_elements,
+        all_parabolics) enumerated it, under the cap that entry point was
+        given, else enumerated now under the default cap."""
+        return self.weyl or self.weyl_group()
+
     def _enumerate_weyl(self, limit: int) -> _Weyl:
         """Breadth-first over words in simple-reflection index order, so the
         first word reaching a matrix is the ShortLex-least reduced word."""
-        refl = self.reflections
+        cartan = self.datum.cartan
         ident = WeylElement(word=(), matrix=_identity_matrix(self.datum.rank))
         seen: Dict[IntMatrix, WeylElement] = {ident.matrix: ident}
         inv_of: Dict[IntMatrix, IntMatrix] = {ident.matrix: ident.matrix}
@@ -291,13 +316,13 @@ class DatumTables:
         while level:
             nxt: List[WeylElement] = []
             for w in level:
-                for j in range(len(refl)):
-                    mat = _mat_mul(w.matrix, refl[j])
+                for j in range(len(cartan)):
+                    mat = _times_reflection(w.matrix, j, cartan)
                     if mat in seen:
                         continue
                     elem = WeylElement(word=w.word + (j,), matrix=mat)
                     seen[mat] = elem
-                    inv_of[mat] = _mat_mul(refl[j], inv_of[w.matrix])
+                    inv_of[mat] = _reflection_times(j, inv_of[w.matrix], cartan)
                     order.append(elem)
                     nxt.append(elem)
                     if len(order) > limit:
@@ -352,11 +377,12 @@ def identity_element(datum: RootDatum) -> WeylElement:
 
 def compose(datum: RootDatum, a: WeylElement, b: WeylElement) -> WeylElement:
     """Canonical form of a∘b (a applied after b)."""
-    return DatumTables.of(datum).weyl_group().by_matrix[_mat_mul(a.matrix, b.matrix)]
+    weyl = DatumTables.of(datum).enumerated_weyl_group()
+    return weyl.by_matrix[_mat_mul(a.matrix, b.matrix)]
 
 
 def inverse(datum: RootDatum, a: WeylElement) -> WeylElement:
-    return DatumTables.of(datum).weyl_group().inverse[a.matrix]
+    return DatumTables.of(datum).enumerated_weyl_group().inverse[a.matrix]
 
 
 def act_on_dual(datum: RootDatum, w: WeylElement, u: Sequence) -> Tuple:
@@ -413,8 +439,8 @@ def act(w: WeylElement, p: ParabolicSet) -> ParabolicSet:
 def _min_coset_rep(tables: DatumTables, label: TypeLabel, v: WeylElement) -> WeylElement:
     """The unique shortest element of the coset W_label ∘ v, found by
     stripping label letters from the left while that shortens the word."""
-    weyl = tables.weyl_group()
-    refl = tables.reflections
+    weyl = tables.enumerated_weyl_group()
+    cartan = tables.datum.cartan
     cur = v.matrix
     cur_inv = weyl.inverse[cur].matrix
     changed = True
@@ -423,8 +449,8 @@ def _min_coset_rep(tables: DatumTables, label: TypeLabel, v: WeylElement) -> Wey
         for i in sorted(label):
             # l(s_i v) < l(v)  iff  v^{-1}(alpha_i) is negative
             if all(cur_inv[r][i] <= 0 for r in range(tables.datum.rank)):
-                cur = _mat_mul(refl[i], cur)
-                cur_inv = _mat_mul(cur_inv, refl[i])
+                cur = _reflection_times(i, cur, cartan)
+                cur_inv = _times_reflection(cur_inv, i, cartan)
                 changed = True
     return weyl.by_matrix[cur]
 
@@ -440,7 +466,7 @@ def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
         result = (identity_element(p.datum), standard[p.members].type_label)
     else:
         first: Optional[WeylElement] = None
-        for w in weyl_elements(p.datum):
+        for w in tables.enumerated_weyl_group().elements:
             if act(w, p).members in standard:
                 first = w
                 break

@@ -173,7 +173,13 @@ def dims_equal(q: ParabolicSet, t: TypeLabel) -> bool:
     report = relevance_report(q, t)
     datum = q.datum
     dim_type = polyfan.dim(type_cone(q, t).cone)
-    assert dim_type == datum.rank - len(report.active_components)
+    expected = datum.rank - len(report.active_components)
+    if dim_type != expected:
+        w, label = root_data.standard_position(q)
+        raise RuntimeError(
+            f"type cone of the parabolic with label {sorted(label)} and word"
+            f" {list(w.word)} has dimension {dim_type}, expected {expected}"
+        )
     return dim_type == polyfan.dim(weyl_cone(q))
 
 
@@ -237,11 +243,11 @@ def _relint_meets(cone: Cone, region: Cone) -> bool:
     cons: List[Tuple[Sequence, bool]] = [(f, False) for f in region.ineqs]
     for e in region.eqs:
         cons.append((e, False))
-        cons.append((linalg.neg(e), False))
+        cons.append((linalg.neg_int(e), False))
     tight = set(polyfan.implied_equalities(cone))
     for e in tight:
         cons.append((e, False))
-        cons.append((linalg.neg(e), False))
+        cons.append((linalg.neg_int(e), False))
     for f in cone.ineqs:
         if f not in tight:
             cons.append((f, True))

@@ -115,24 +115,55 @@ def ray_limit_eval(
     return max(a for a, b in forms if b == 0)
 
 
+def rref(rows: Sequence[Sequence]) -> Tuple[List[Tuple[Fraction, ...]], List[int]]:
+    """Reduced row echelon form by Gauss-Jordan over Fraction: (nonzero rows,
+    pivot columns).  The integer kernel of linalg is checked against it."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return [], []
+    pivots: List[int] = []
+    r = 0
+    for c in range(len(mat[0])):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [inv * a for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    return len(rref(rows)[0])
+
+
+def nullspace(rows: Sequence[Sequence], n: int) -> List[Tuple[Fraction, ...]]:
+    """The RREF basis of the kernel: one vector per free column, 1 there, 0
+    on the other free columns."""
+    red, pivots = rref(rows)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            x[p] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
 def span_of(vectors: Sequence[Sequence[Fraction]], n: int) -> List[Tuple[Fraction, ...]]:
-    """Row-reduced basis of the span, for comparing linear subspaces."""
-    rows = [list(map(Fraction, v)) for v in vectors]
-    basis: List[List[Fraction]] = []
-    for row in rows:
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if row[lead] != 0:
-                f = row[lead] / b[lead]
-                row = [x - f * y for x, y in zip(row, b)]
-        if any(x != 0 for x in row):
-            basis.append(row)
-            basis.sort(key=lambda r: next(i for i, x in enumerate(r) if x != 0))
-    normal = []
-    for b in basis:
-        lead = next(i for i, x in enumerate(b) if x != 0)
-        normal.append(tuple(x / b[lead] for x in b))
-    return normal
+    """The RREF of the span, a normal form for comparing linear subspaces."""
+    return rref(list(vectors))[0]
 
 
 def same_span(a: Sequence[Sequence], b: Sequence[Sequence], n: int) -> bool:

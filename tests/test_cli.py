@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import resource
@@ -355,28 +356,59 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_enumeration_cap_bounds_the_work_on_high_rank(tmp_path):
-    # A1^30: 60 roots, but 2^30 type labels, so nothing indexed by labels
-    # may be built before the cap stops the Weyl enumeration.
-    rank = 30
-    f = tmp_path / "datum.json"
-    cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    f.write_text(json.dumps({"rank": rank, "cartan": cartan}))
+def _run_child(*argv):
+    """The CLI in a fresh process (so no table is shared with other tests),
+    under a 1 GiB address-space limit and a 30-s timeout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-m", "weylscope.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+        preexec_fn=_limit_memory,
+    )
+
+
+def _diagonal_datum_file(tmp_path, rank):
+    f = tmp_path / "datum.json"
+    cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    f.write_text(json.dumps({"rank": rank, "cartan": cartan}))
+    return f
+
+
+def test_enumeration_cap_bounds_the_work_on_high_rank(tmp_path):
+    # A1^30: 60 roots, but 2^30 type labels, so nothing indexed by labels
+    # may be built before the cap stops the Weyl enumeration.
+    f = _diagonal_datum_file(tmp_path, 30)
     for command in ("datum-info", "fan"):
-        argv = [command, "--datum-file", str(f), "--cap", "100"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "weylscope.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=30,
-            preexec_fn=_limit_memory,
-        )
+        proc = _run_child(command, "--datum-file", str(f), "--cap", "100")
         assert proc.returncode == 3, proc.stderr
         assert "exceeded cap 100" in proc.stderr
+
+
+def test_default_cap_trips_fast_on_high_rank(tmp_path):
+    # A simple reflection is a rank-1 update, so reaching the default cap on
+    # A1^30 costs well under a second of CPU time.
+    f = _diagonal_datum_file(tmp_path, 30)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = _run_child("datum-info", "--datum-file", str(f))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 3, proc.stderr
+    assert "exceeded cap 1152" in proc.stderr
+    assert after.ru_utime - before.ru_utime < 3
+
+
+def test_explicit_cap_bounds_the_whole_command():
+    # |W(A6)| = 5040 is above the default cap of 1152.
+    proc = _run_child("relevant", "--datum", "A6", "--type", "a1", "--cap", "6000")
+    assert proc.returncode == 0, proc.stderr
+    assert "{a1,a2,a3,a4,a5,a6}" in proc.stdout
+    proc = _run_child("relevant", "--datum", "A6", "--type", "a1")
+    assert proc.returncode == 3
+    assert "exceeded cap 1152" in proc.stderr
 
 
 def test_pgl_honours_the_enumeration_cap_env(capsys, monkeypatch):
@@ -397,6 +429,47 @@ def test_hostile_numbers_exit_with_one_line(tmp_path, capsys):
         code, out, err = _run(capsys, "pgl", "--values", values)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_long_json_integers_exit_with_one_line(tmp_path, capsys):
+    poly = tmp_path / "poly.json"
+    for monomial, where in (
+        ('{"exponents": {"0": ' + "9" * 4299 + "}}", "exponents[0]"),
+        ('{"exponents": {"' + "7" * 4000 + '": 1}}', "exponent key"),
+    ):
+        poly.write_text("[" + monomial + "]")
+        code, out, err = _run(
+            capsys, "seminorm", "--datum", "A2", "--type", "a1",
+            "--poly", str(poly), "--interior=-1000,-1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert where in err and len(err) < 300
+    datum = tmp_path / "datum.json"
+    datum.write_text('{"rank": 2, "cartan": [[2, -' + "1" * 101 + '], [-1, 2]]}')
+    code, _, err = _run(capsys, "datum-info", "--datum-file", str(datum))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "cartan[0][1]" in err
+
+
+# SHA-256 of reports written by the Fraction kernel, before elimination
+# became integer: the integer kernel must reproduce them byte for byte.
+_PINNED_REPORTS = {
+    ("fan", "--datum", "A3"): "de672f8fdc8d2080c97e161a914ee15cae31c2c773240e19157c5219ee54b6da",
+    ("fan", "--datum", "B3"): "19326e618a535172b0921c47b8f998bea3aaefff2c2f4976082074c76daef7b6",
+    ("prefan", "--datum", "B3", "--type", "a1"): (
+        "dd526d260e2826a6b0f6b9b66bb1813fc7aff60111b59b6fe180e8abfd5792a0"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_REPORTS))
+def test_reports_match_pinned_digests(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    code, _, _ = _run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_REPORTS[argv]
 
 
 def test_bad_type_token(capsys):

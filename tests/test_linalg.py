@@ -5,7 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from weylscope import linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylscope import linalg, polyfan, root_data, type_geometry
+
+import oracles
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int):
@@ -20,7 +25,7 @@ def test_vector_basics():
     v = linalg.vec([0, 2, 1])
     assert linalg.dot(u, v) == Fraction(-2)
     assert linalg.add(u, v) == (Fraction(1), Fraction(5, 2), Fraction(-2))
-    assert linalg.neg(v) == (Fraction(0), Fraction(-2), Fraction(-1))
+    assert linalg.neg_int(v) == (0, -2, -1)
     assert linalg.is_zero(linalg.zero(4))
     assert not linalg.is_zero(u)
 
@@ -112,3 +117,66 @@ def test_feasible_random_strict_systems_agree_with_witness():
             for row, strict in cons:
                 val = linalg.dot(row, point)
                 assert val < 0 if strict else val <= 0
+
+
+_rationals = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
+)
+
+
+@st.composite
+def _matrix_and_vector(draw):
+    """A rational matrix of up to 6 rows and 7 columns, and a vector that
+    half the time is a combination of its rows."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    row = st.lists(_rationals, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(_rationals, min_size=len(rows), max_size=len(rows)))
+        v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+    else:
+        v = draw(row)
+    return rows, v, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_and_vector())
+def test_integer_kernel_agrees_with_the_fraction_oracle(case):
+    rows, v, n = case
+    assert linalg.rank(rows) == oracles.rank(rows)
+    assert linalg.rref(rows) == oracles.rref(rows)
+    null = linalg.nullspace(rows, n)
+    expected = oracles.nullspace(rows, n)
+    assert len(null) == len(expected)
+    assert oracles.same_span(null, expected, n)
+    for x, y in zip(null, expected):
+        # the primitive integer multiple of the RREF basis vector, same direction
+        assert all(type(a) is int for a in x)
+        scale = next(a for a in x if a != 0) / next(b for b in y if b != 0)
+        assert scale > 0 and tuple(a / scale for a in x) == y
+        assert linalg.primitive(x) in (x, linalg.neg_int(x))
+    in_span = oracles.rank(rows + [v]) == oracles.rank(rows)
+    assert linalg.in_row_span(rows, v) == in_span
+    assert linalg.is_zero(linalg.reduce_mod_span(rows, v)) == in_span
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rationals, min_size=0, max_size=7))
+def test_primitive_fast_path_matches_the_rational_path(u):
+    ints = [int(a * 12) for a in u]
+    assert linalg.primitive(ints) == linalg.primitive([Fraction(a) for a in ints])
+    p = linalg.primitive(u)
+    assert all(type(a) is int for a in p)
+    assert oracles.same_span([p], [u], len(u)) if any(u) else not any(p)
+
+
+def test_generators_and_bases_are_integer_tuples():
+    for name in ("A2", "B2", "G2", "A3"):
+        datum = root_data.build_named(name)
+        for t in ((), (0,)):
+            for cone in type_geometry.prefan_of_type(datum, frozenset(t)).cones:
+                lin, rays = polyfan.generators(cone)
+                for vector in lin + rays + polyfan.span_basis(cone):
+                    assert isinstance(vector, tuple)
+                    assert all(type(a) is int for a in vector)
