@@ -1,6 +1,6 @@
 """Rational polyhedral cones, prefans, and compactified-cone boundary
-calculus: faces, covering tests, boundary evaluation, symbolic ray limits,
-translation, and stratum closures.
+calculus: faces, covering tests, boundary evaluation, translation, and
+stratum closures.
 
 Log-additive convention throughout: a functional value "alpha <= 1" of the
 multiplicative picture is represented as <u, phi> <= 0, and the boundary
@@ -10,9 +10,12 @@ vanish iff one summand vanishes, which makes the generator description
 sufficient.
 
 Every cone is stored by its H-description; a dual description (lineality
-basis plus canonical extreme-ray representatives) is derived once per cone,
-after which containment, equality, implication and interior tests are plain
-dot products.
+basis plus canonical extreme-ray representatives) is derived once per cone
+by the double description method, after which containment, equality,
+implication and interior tests are plain dot products.  Faces, facets and
+common faces are read off the ray-inequality incidences: a face keeps the
+lineality of its cone, its rays are the rays vanishing on its tight
+inequalities, and its tight inequalities are those vanishing on its rays.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import product
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import IntVector, Vector
@@ -127,45 +131,76 @@ def lineality_basis(cone: Cone) -> Tuple[IntVector, ...]:
     return tuple(linalg.nullspace(cone.ineqs + cone.eqs, cone.space_dim))
 
 
+def _combine(a: int, u: IntVector, b: int, v: IntVector) -> IntVector:
+    """a·u + b·v divided by its content (a positive divisor, so the direction
+    is kept)."""
+    w = [a * x + b * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
+
+
 @lru_cache(maxsize=None)
 def generators(cone: Cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
     """(lineality basis, extreme-ray representatives).
 
-    Rays are found by intersecting tight constraint subsets down to lines,
+    Double description (Motzkin et al. 1953; Fukuda and Prodon 1996): start
+    from the subspace cut out by the equalities, with no rays, and add the
+    inequalities one at a time.  An inequality that is nonzero on the
+    current lineality cuts it down by one dimension and adds one ray;
+    otherwise the rays on its positive side are dropped and each one is
+    combined with every adjacent ray on its negative side (adjacent: no
+    third ray vanishes on every inequality both of them vanish on).  An
+    inequality that repeats an earlier one, or a positive multiple of it,
+    leaves no ray on its positive side and so changes nothing; repeats are
+    skipped.  Every vector stays a primitive integer vector.  The rays are
     then canonicalized modulo the lineality (primitive integer direction),
     so the pair is a normal form: two H-descriptions cut out the same set
     iff they produce identical pairs.  The cone is the lineality span plus
     the nonnegative hull of the rays.
     """
-    n = cone.space_dim
+    basis = linalg.nullspace(cone.eqs, cone.space_dim)
+    rays: List[Tuple[IntVector, int]] = []  # (ray, zero set: bit k for the k-th inequality)
+    for k, f in enumerate(dict.fromkeys(cone.ineqs)):
+        bit = 1 << k
+        vals = [linalg.dot(f, b) for b in basis]
+        i0 = next((i for i, x in enumerate(vals) if x != 0), None)
+        if i0 is not None:
+            # f cuts the lineality: b0, turned so that f·b0 = -a < 0, becomes
+            # a ray, and everything else moves along b0 onto f = 0
+            b0, a = basis.pop(i0), vals.pop(i0)
+            if a > 0:
+                b0 = linalg.neg_int(b0)
+            a = abs(a)
+            basis = [_combine(a, v, x, b0) for v, x in zip(basis, vals)]
+            rays = [
+                (_combine(a, r, linalg.dot(f, r), b0), z | bit) for r, z in rays
+            ]
+            rays.append((b0, bit - 1))
+            continue
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            x = linalg.dot(f, r)
+            if x > 0:
+                pos.append((r, z, x))
+            elif x < 0:
+                neg.append((r, z, x))
+                kept.append((r, z))
+            else:
+                kept.append((r, z | bit))
+        if pos:
+            zero_sets = [z for _, z in rays]
+            for p, zp, xp in pos:
+                for q, zq, xq in neg:
+                    common = zp & zq
+                    if sum(1 for z in zero_sets if z & common == common) == 2:
+                        kept.append((_combine(xp, q, -xq, p), common | bit))
+        rays = kept
+    if not basis:  # strictly convex: the rays are primitive already
+        return (), tuple(sorted(r for r, _ in rays))
     lin = lineality_basis(cone)
-    ell = len(lin)
-    unique_ineqs = sorted({linalg.primitive(f) for f in cone.ineqs if any(f)})
-    eq_rank = linalg.rank(cone.eqs) if cone.eqs else 0
-    want = n - ell - 1 - eq_rank
-    if want < 0 or want > len(unique_ineqs):
-        return lin, ()
-    rays = set()
-    for subset in combinations(unique_ineqs, want):
-        null = linalg.nullspace(tuple(cone.eqs) + subset, n)
-        if len(null) != ell + 1:
-            continue
-        v0 = None
-        for b in null:
-            if not linalg.in_row_span(lin, b):
-                v0 = b
-                break
-        if v0 is None:
-            continue
-        for cand in (v0, linalg.neg_int(v0)):
-            if all(linalg.dot(cand, f) <= 0 for f in cone.ineqs) and all(
-                linalg.dot(cand, e) == 0 for e in cone.eqs
-            ):
-                red = linalg.reduce_mod_span(lin, cand)
-                if not linalg.is_zero(red):
-                    rays.add(_primitive_ray(red))
-                break
-    return lin, tuple(sorted(rays))
+    return lin, tuple(
+        sorted(_primitive_ray(linalg.reduce_mod_span(lin, r)) for r, _ in rays)
+    )
 
 
 def _canonical_key(cone: Cone):
@@ -257,79 +292,100 @@ def cones_equal(a: Cone, b: Cone) -> bool:
     return _canonical_key(a) == _canonical_key(b)
 
 
-def _promoted(cone: Cone, extra_eqs: Sequence[Functional]) -> Cone:
+def _promoted(cone: Cone, tight: int) -> Cone:
+    """The face of the cone on which the inequalities in the bitmask tight
+    hold with equality."""
     return Cone(
         space_dim=cone.space_dim,
         ineqs=cone.ineqs,
-        eqs=cone.eqs + tuple(extra_eqs),
+        eqs=cone.eqs + tuple(f for i, f in enumerate(cone.ineqs) if tight >> i & 1),
     )
 
 
-def _tight_indices(cone: Cone, face: Cone) -> FrozenSet[int]:
-    out = []
-    for i, f in enumerate(cone.ineqs):
-        if functional_vanishes(face, f):
-            out.append(i)
-    return frozenset(out)
+def _face_closure(cone: Cone):
+    """The map from a bitmask of inequalities to (tight set, rays) of the face
+    on which they all vanish, read off the ray-inequality incidences: its
+    rays are the rays of the cone vanishing on every one of them, its tight
+    set the inequalities vanishing on all of those rays.  The face keeps the
+    lineality of the cone."""
+    _, rays = generators(cone)
+    incidence = [
+        (r, sum(1 << i for i, f in enumerate(cone.ineqs) if linalg.dot(r, f) == 0))
+        for r in rays
+    ]
+    everything = (1 << len(cone.ineqs)) - 1
+
+    def closure(tight: int) -> Tuple[int, Tuple[IntVector, ...]]:
+        key = everything
+        members = []
+        for r, z in incidence:
+            if z & tight == tight:
+                key &= z
+                members.append(r)
+        return key, tuple(members)
+
+    return closure
 
 
-def faces(cone: Cone, dim_cap: int = FACE_DIM_CAP) -> List[Cone]:
-    """Complete face list (cone itself included), by promoting tight
-    inequality subsets to equalities; finite and deduplicated."""
+def _face_table(cone: Cone, dim_cap: int) -> List[Tuple[int, Tuple[IntVector, ...]]]:
+    """Every face as (tight set, rays), found breadth-first by adding one
+    inequality at a time to a tight set and closing it, and sorted by the
+    size and then the indices of the tight set."""
     if cone.space_dim > dim_cap:
         raise DimensionCapError(
             f"ambient dimension {cone.space_dim} exceeds face cap {dim_cap}"
         )
-    start = _tight_indices(cone, cone)
-    face_of: Dict[FrozenSet[int], Cone] = {
-        start: _promoted(cone, tuple(cone.ineqs[i] for i in sorted(start)))
-    }
+    closure = _face_closure(cone)
+    start, rays = closure(0)
+    table = {start: rays}
     frontier = [start]
     while frontier:
-        nxt: List[FrozenSet[int]] = []
+        nxt: List[int] = []
         for tight in frontier:
             for i in range(len(cone.ineqs)):
-                if i in tight:
+                if tight >> i & 1:
                     continue
-                cand = _promoted(
-                    cone, tuple(cone.ineqs[j] for j in sorted(tight | {i}))
-                )
-                key = _tight_indices(cone, cand)
-                if key in face_of:
-                    continue
-                face_of[key] = _promoted(
-                    cone, tuple(cone.ineqs[j] for j in sorted(key))
-                )
-                nxt.append(key)
+                key, rays = closure(tight | 1 << i)
+                if key not in table:
+                    table[key] = rays
+                    nxt.append(key)
         frontier = nxt
-    ordered = sorted(face_of, key=lambda t: (len(t), sorted(t)))
-    return [face_of[t] for t in ordered]
+
+    def order(key: int):
+        return key.bit_count(), [i for i in range(len(cone.ineqs)) if key >> i & 1]
+
+    return sorted(table.items(), key=lambda item: order(item[0]))
+
+
+def faces(cone: Cone, dim_cap: int = FACE_DIM_CAP) -> List[Cone]:
+    """Complete face list (cone itself included), each face the cone with its
+    tight inequalities promoted to equalities; finite and deduplicated."""
+    return [_promoted(cone, tight) for tight, _ in _face_table(cone, dim_cap)]
 
 
 def facets(cone: Cone) -> List[Cone]:
-    """Codimension-one faces, each obtained by promoting one non-tight
-    inequality (sufficient for H-descriptions)."""
+    """Codimension-one faces, each cut out by one inequality (sufficient for
+    H-descriptions), in the order of the first inequality cutting it out."""
     d = dim(cone)
-    tight = set(implied_equalities(cone))
+    ell = len(lineality_basis(cone))
+    closure = _face_closure(cone)
     out: List[Cone] = []
     seen: set = set()
-    for f in cone.ineqs:
-        if f in tight:
-            continue
-        cand = _promoted(cone, (f,))
-        key = _tight_indices(cone, cand)
+    for i in range(len(cone.ineqs)):
+        key, rays = closure(1 << i)
         if key in seen:
             continue
         seen.add(key)
-        if dim(cand) == d - 1:
-            out.append(_promoted(cone, tuple(cone.ineqs[j] for j in sorted(key))))
+        if ell + linalg.rank(rays) == d - 1:
+            out.append(_promoted(cone, key))
     return out
 
 
-def _violation_witness(inner: Cone, outer: Cone) -> Optional[IntVector]:
-    """A generator of inner that leaves outer, if any (inner ⊆ outer iff all
-    its generators satisfy outer's constraints)."""
-    lin, rays = generators(inner)
+def _violation_witness(
+    lin: Sequence[IntVector], rays: Sequence[IntVector], outer: Cone
+) -> Optional[IntVector]:
+    """A generator that leaves outer, if any (a cone lies inside outer iff
+    all its generators satisfy outer's constraints)."""
     for v in lin:
         for f in outer.ineqs + outer.eqs:
             if linalg.dot(v, f) != 0:
@@ -342,16 +398,22 @@ def _violation_witness(inner: Cone, outer: Cone) -> Optional[IntVector]:
 
 def common_face(a: Cone, b: Cone) -> Cone:
     """The intersection, when it is a face of both; FanAxiomViolation with a
-    witness point otherwise."""
+    witness point otherwise.  The face of each side is the one cut out by
+    the inequalities vanishing on the rays of the intersection."""
     if a.space_dim != b.space_dim:
         raise ValueError("cones live in different ambient spaces")
     inter = Cone(
         space_dim=a.space_dim, ineqs=a.ineqs + b.ineqs, eqs=a.eqs + b.eqs
     )
+    _, inter_rays = generators(inter)
     for c in (a, b):
-        tight = _tight_indices(c, inter)
-        face = _promoted(c, tuple(c.ineqs[i] for i in sorted(tight)))
-        witness = _violation_witness(face, inter)
+        tight = sum(
+            1 << i
+            for i, f in enumerate(c.ineqs)
+            if all(linalg.dot(r, f) == 0 for r in inter_rays)
+        )
+        _, rays = _face_closure(c)(tight)
+        witness = _violation_witness(lineality_basis(c), rays, inter)
         if witness is not None:
             raise FanAxiomViolation(
                 "intersection is not a face of both cones", witness=witness
@@ -381,10 +443,12 @@ def verify_prefan(prefan: Prefan) -> None:
     """Face closure and pairwise common-face axioms; raises on violation."""
     keys = {_canonical_key(c) for c in prefan.cones}
     for c in prefan.cones:
-        for f in faces(c):
-            if _canonical_key(f) not in keys:
+        lin = lineality_basis(c)
+        for tight, rays in _face_table(c, FACE_DIM_CAP):
+            if (c.space_dim, lin, frozenset(rays)) not in keys:
                 raise FanAxiomViolation(
-                    "face closure fails", witness=relative_interior_point(f)
+                    "face closure fails",
+                    witness=relative_interior_point(_promoted(c, tight)),
                 )
     for i, a in enumerate(prefan.cones):
         for b in prefan.cones[i + 1 :]:
@@ -456,20 +520,6 @@ def eval_at_boundary(point: BoundaryPoint, phi: Sequence[int]) -> ExtendedValue:
     raise IndeterminateValueError(
         f"functional {f} changes sign on the stratum cone"
     )
-
-
-def sequence_limit(
-    u0: Sequence, v: Sequence, prefan: Prefan
-) -> Optional[BoundaryPoint]:
-    """Limit of the symbolic ray u0 + n·v: the stratum is the unique prefan
-    cone containing v in its relative interior, the residual is the class of
-    u0.  None when no cone does (impossible for a covering prefan)."""
-    vv = linalg.vec(v)
-    hits = [c for c in prefan.cones if in_relative_interior(c, vv)]
-    if not hits:
-        return None
-    stratum = hits[0]
-    return BoundaryPoint(stratum=stratum, residual=linalg.vec(u0))
 
 
 def translate(point: BoundaryPoint, w: Sequence) -> BoundaryPoint:

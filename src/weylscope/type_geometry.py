@@ -185,12 +185,16 @@ def dims_equal(q: ParabolicSet, t: TypeLabel) -> bool:
 
 def rt_decomposition(q: ParabolicSet, t: TypeLabel) -> RtDecomposition:
     """Levi roots split by whether their functional vanishes identically on
-    the span of the type cone of q."""
-    span = polyfan.span_basis(type_cone(q, t).cone)
+    the span of the type cone of q.  That span is cut out by the span
+    equalities of the relevance report, w^{-1} applied to the roots on the
+    active components, where (w, Y) is the standard position of q; so a
+    root b vanishes on it iff w·b is supported on the active components."""
+    active = relevance_report(q, t).active_components
+    w, _ = root_data.standard_position(q)
     vanishing: List[IntVector] = []
     nonvanishing: List[IntVector] = []
     for b in sorted(root_data.levi_roots(q)):
-        if all(linalg.dot(v, b) == 0 for v in span):
+        if all(c == 0 or i in active for i, c in enumerate(w.apply(b))):
             vanishing.append(b)
         else:
             nonvanishing.append(b)

@@ -2,13 +2,19 @@
 
 Everything here works on plain tuples and Fractions, re-deriving facts
 from first principles rather than calling back into the code under test
-(except where a check is explicitly about comparing two library routes).
+(except where a check is explicitly about comparing two library routes,
+as the cone oracles at the end do on top of linalg's integer kernel).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from functools import lru_cache
+from itertools import combinations
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+from weylscope import linalg
 
 IntVector = Tuple[int, ...]
 
@@ -184,3 +190,137 @@ def all_type_labels(rank: int) -> List[FrozenSet[int]]:
     ]
     out.sort(key=lambda y: (len(y), sorted(y)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# cones: the subset-enumerating ray search and the promote-and-recompute face
+# lattice that polyfan used before its double description and incidence
+# faces, kept to check them.  The search runs on linalg's integer kernel,
+# which the Fraction routines above check.  A cone is anything with
+# space_dim, ineqs (row·x <= 0) and eqs (row·x = 0); a face is that cone with
+# some inequalities copied to the equalities.
+
+
+def _pairing(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _contains(cone, u: Sequence[int]) -> bool:
+    return all(_pairing(u, f) <= 0 for f in cone.ineqs) and all(
+        _pairing(u, e) == 0 for e in cone.eqs
+    )
+
+
+def _ray(v: Sequence) -> IntVector:
+    """Coprime integers on the ray of a rational vector (sign kept)."""
+    p = linalg.primitive(v)
+    return neg(p) if next(x for x in v if x != 0) < 0 else p
+
+
+@lru_cache(maxsize=None)
+def enumerated_generators(cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
+    """(lineality basis, extreme rays) by trying every subset of `want`
+    inequality directions: a subset whose common kernel with the equalities
+    is one dimension larger than the lineality cuts out a line, and the
+    direction of that line that satisfies every constraint is an extreme ray.
+    C(#directions, want) kernels per cone.  The output is in polyfan's
+    normal form: the lineality basis of linalg.nullspace, rays reduced
+    modulo the lineality, primitive with their sign kept, and sorted."""
+    n = cone.space_dim
+    lin = tuple(linalg.nullspace(cone.ineqs + cone.eqs, n))
+    ell = len(lin)
+    directions = sorted({linalg.primitive(f) for f in cone.ineqs if any(f)})
+    want = n - ell - 1 - (linalg.rank(cone.eqs) if cone.eqs else 0)
+    if want < 0 or want > len(directions):
+        return lin, ()
+    rays = set()
+    for subset in combinations(directions, want):
+        null = linalg.nullspace(tuple(cone.eqs) + subset, n)
+        if len(null) != ell + 1:
+            continue
+        v0 = next((b for b in null if not linalg.in_row_span(lin, b)), None)
+        if v0 is None:
+            continue
+        for cand in (v0, neg(v0)):
+            if _contains(cone, cand):
+                red = linalg.reduce_mod_span(lin, cand)
+                if any(red):
+                    rays.add(_ray(red))
+                break
+    return lin, tuple(sorted(rays))
+
+
+def _tight(cone, part) -> FrozenSet[int]:
+    """Indices of the inequalities of the cone vanishing on all of part."""
+    lin, rays = enumerated_generators(part)
+    return frozenset(
+        i for i, f in enumerate(cone.ineqs)
+        if all(_pairing(v, f) == 0 for v in lin + rays)
+    )
+
+
+def _promoted(cone, tight: Iterable[int]):
+    return replace(cone, eqs=cone.eqs + tuple(cone.ineqs[i] for i in sorted(tight)))
+
+
+def _dim(cone) -> int:
+    lin, rays = enumerated_generators(cone)
+    return linalg.rank(lin + rays)
+
+
+def promoted_faces(cone) -> list:
+    """Every face, breadth first: promote one more inequality of a tight set
+    to an equality, recompute the generators of the candidate and read off
+    its tight set; sorted by the size, then the indices of the tight set."""
+    start = _tight(cone, cone)
+    face_of = {start: _promoted(cone, start)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for tight in frontier:
+            for i in range(len(cone.ineqs)):
+                if i in tight:
+                    continue
+                key = _tight(cone, _promoted(cone, tight | {i}))
+                if key not in face_of:
+                    face_of[key] = _promoted(cone, key)
+                    nxt.append(key)
+        frontier = nxt
+    return [face_of[t] for t in sorted(face_of, key=lambda t: (len(t), sorted(t)))]
+
+
+def promoted_facets(cone) -> list:
+    """Codimension-one faces: promote each inequality that is not tight on
+    the cone and keep the candidates of dimension one less, in the order of
+    the first inequality cutting each out."""
+    d = _dim(cone)
+    start = _tight(cone, cone)
+    out, seen = [], set()
+    for i in range(len(cone.ineqs)):
+        if i in start:
+            continue
+        cand = _promoted(cone, {i})
+        key = _tight(cone, cand)
+        if key in seen:
+            continue
+        seen.add(key)
+        if _dim(cand) == d - 1:
+            out.append(_promoted(cone, key))
+    return out
+
+
+def common_face_witness(a, b) -> Optional[IntVector]:
+    """None when a ∩ b is a face of both; otherwise the first generator,
+    lineality vectors before rays, of the face of a (then of b) cut out by
+    the inequalities tight on a ∩ b, that leaves a ∩ b."""
+    inter = replace(a, ineqs=a.ineqs + b.ineqs, eqs=a.eqs + b.eqs)
+    for c in (a, b):
+        lin, rays = enumerated_generators(_promoted(c, _tight(c, inter)))
+        for v in lin:
+            for f in inter.ineqs + inter.eqs:
+                if _pairing(v, f) != 0:
+                    return v if _pairing(v, f) > 0 else neg(v)
+        for r in rays:
+            if not _contains(inter, r):
+                return r
+    return None

@@ -243,17 +243,35 @@ def test_stratum_of_agrees_with_construction():
             assert stratum_of(ctx, x).members == q.members
 
 
-def test_limit_point_matches_sequence_limit():
+def test_limit_point_takes_the_first_cone_holding_the_direction():
     ctx = _ctx("A2", {0})
     rng = random.Random(31)
     for _ in range(20):
         u0 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(2))
         v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(2))
         x = limit_point(ctx, u0, v)
-        raw = polyfan.sequence_limit(u0, v, ctx.prefan)
-        assert raw is not None
-        assert x.point.stratum == raw.stratum
-        assert x.point.residual == raw.residual
+        k = next(
+            k for k, c in enumerate(ctx.prefan.cones) if polyfan.in_relative_interior(c, v)
+        )
+        stratum = ctx.prefan.cones[k]
+        assert x.point.stratum == stratum
+        assert x.stratum_parabolic == ctx.parabolics[k]
+        assert x.point.residual == polyfan.BoundaryPoint(stratum, u0).residual
+
+
+def test_limit_and_translate_point_on_the_quadrant_fan():
+    # A1 x A1 with the empty type: its prefan is the fan of the four quadrants
+    datum = root_data.build_from_cartan(((2, 0), (0, 2)), name="A1xA1")
+    ctx = make_context(datum, ())
+    limit = limit_point(ctx, (3, 4), (1, 0))
+    x_ray = polyfan.make_cone(2, [(-1, 0)], [(0, 1)])  # x >= 0, y = 0
+    assert polyfan.cones_equal(limit.point.stratum, x_ray)
+    assert polyfan.eval_at_boundary(limit.point, (0, 1)) == finite(4)
+    moved = translate_point(ctx, limit, (10, 1))
+    assert polyfan.eval_at_boundary(moved.point, (0, 1)) == finite(5)
+    diagonal = limit_point(ctx, (0, 0), (2, 3))
+    quadrant = polyfan.make_cone(2, [(-1, 0), (0, -1)])
+    assert polyfan.cones_equal(diagonal.point.stratum, quadrant)
 
 
 def test_translate_point_moves_residual():

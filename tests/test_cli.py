@@ -454,12 +454,19 @@ def test_long_json_integers_exit_with_one_line(tmp_path, capsys):
 
 
 # SHA-256 of reports written by the Fraction kernel, before elimination
-# became integer: the integer kernel must reproduce them byte for byte.
+# became integer (fan A3, fan B3, prefan B3), and by the subset-enumerating
+# ray search, before the double description (fan A4, fan D4, prefan B4):
+# later kernels must reproduce them byte for byte.
 _PINNED_REPORTS = {
     ("fan", "--datum", "A3"): "de672f8fdc8d2080c97e161a914ee15cae31c2c773240e19157c5219ee54b6da",
     ("fan", "--datum", "B3"): "19326e618a535172b0921c47b8f998bea3aaefff2c2f4976082074c76daef7b6",
     ("prefan", "--datum", "B3", "--type", "a1"): (
         "dd526d260e2826a6b0f6b9b66bb1813fc7aff60111b59b6fe180e8abfd5792a0"
+    ),
+    ("fan", "--datum", "A4"): "292684e248f142caa6c882f2e5e623a0c09a185f9b117ea40ae321380177e867",
+    ("fan", "--datum", "D4"): "20187d3db79fa4745b08ea263ea3c78e7a3e43a9cfafd56b2b92ec6673e1ef8e",
+    ("prefan", "--datum", "B4", "--type", "a1,a2"): (
+        "5a19efa6cadd879a4590463839aa8cf2f02c37c8dc58e90e28dfaa3fd8139f88"
     ),
 }
 

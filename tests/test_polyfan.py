@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylscope import polyfan
+import oracles
+from weylscope import polyfan, root_data, type_geometry
 from weylscope.polyfan import (
     NEG_INF,
     POS_INF,
@@ -30,9 +34,7 @@ from weylscope.polyfan import (
     make_cone,
     make_prefan,
     relative_interior_point,
-    sequence_limit,
     stratum_closure,
-    translate,
     verify_prefan,
 )
 
@@ -182,29 +184,6 @@ def test_eval_at_boundary_cases():
         eval_at_boundary(whole, (1, 0))
 
 
-def test_sequence_limit_and_translate():
-    quads = [
-        make_cone(2, [(-1, 0), (0, -1)]),
-        make_cone(2, [(1, 0), (0, -1)]),
-        make_cone(2, [(1, 0), (0, 1)]),
-        make_cone(2, [(-1, 0), (0, 1)]),
-        make_cone(2, [(0, -1)], [(1, 0)]),
-        make_cone(2, [(0, 1)], [(1, 0)]),
-        make_cone(2, [(-1, 0)], [(0, 1)]),
-        make_cone(2, [(1, 0)], [(0, 1)]),
-        ORIGIN,
-    ]
-    prefan = make_prefan(quads)
-    limit = sequence_limit((3, 4), (1, 0), prefan)
-    assert limit is not None
-    assert cones_equal(limit.stratum, quads[6])  # the +x ray: x >= 0, y = 0
-    assert eval_at_boundary(limit, (0, 1)) == finite(4)
-    moved = translate(limit, (10, 1))
-    assert eval_at_boundary(moved, (0, 1)) == finite(5)
-    diagonal = sequence_limit((0, 0), (2, 3), prefan)
-    assert cones_equal(diagonal.stratum, quads[0])
-
-
 def test_stratum_closure_on_the_quadrant_fan():
     quads = [
         make_cone(2, [(-1, 0), (0, -1)]),
@@ -250,3 +229,81 @@ def test_covers_random_shifted_fans():
         prefan = make_prefan(quads)
         verify_prefan(prefan)
         assert covers(prefan)
+
+
+# ---------------------------------------------------------------------------
+# double description and incidence faces against the brute-force oracles
+
+CROSS_CHECK_DATA = ("A1", "A2", "B2", "G2", "A3", "B3", "C3")
+
+
+def _skeleton_cones(name):
+    """Every cone of the Weyl fan and of the prefan of every type, once each,
+    in a fixed order."""
+    datum = root_data.build_named(name)
+    fans = [type_geometry.weyl_fan(datum)] + [
+        type_geometry.prefan_of_type(datum, frozenset(t))
+        for k in range(datum.rank + 1)
+        for t in combinations(range(datum.rank), k)
+    ]
+    return fans, list(dict.fromkeys(c for fan in fans for c in fan.cones))
+
+
+def _intersection_pairs(name, fans, cones):
+    """Pairs whose intersections are checked: every pair of cones of a
+    prefan up to rank 2, and on rank 3 a seeded sample of pairs inside one
+    prefan and across prefans (those need not meet in common faces)."""
+    if fans[0].space_dim <= 2:
+        return [pair for fan in fans for pair in combinations(fan.cones, 2)]
+    rng = random.Random(name)
+    fans = [fan for fan in fans if len(fan.cones) > 1]
+    inside = [tuple(rng.sample(fan.cones, 2)) for fan in rng.choices(fans, k=200)]
+    across = [tuple(rng.sample(cones, 2)) for _ in range(100)]
+    return inside + across
+
+
+def _check_common_face(a, b):
+    witness = oracles.common_face_witness(a, b)
+    if witness is None:
+        assert common_face(a, b) == polyfan.Cone(a.space_dim, a.ineqs + b.ineqs, a.eqs + b.eqs)
+    else:
+        with pytest.raises(FanAxiomViolation) as err:
+            common_face(a, b)
+        assert err.value.witness == witness
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_DATA)
+def test_double_description_matches_enumeration(name):
+    fans, cones = _skeleton_cones(name)
+    for c in cones:
+        assert generators(c) == oracles.enumerated_generators(c), c
+        assert faces(c) == oracles.promoted_faces(c), c
+        assert facets(c) == oracles.promoted_facets(c), c
+    for a, b in _intersection_pairs(name, fans, cones):
+        inter = polyfan.Cone(a.space_dim, a.ineqs + b.ineqs, a.eqs + b.eqs)
+        assert generators(inter) == oracles.enumerated_generators(inter)
+        _check_common_face(a, b)
+
+
+_row = st.integers(min_value=-2, max_value=2)
+
+
+@st.composite
+def _random_cone(draw, n=None):
+    """An integer cone in dimension <= 5 with up to 8 inequalities and 2
+    equalities; small entries make lineality, repeated and opposite
+    inequalities (implicit equalities) common."""
+    n = n or draw(st.integers(min_value=1, max_value=5))
+    rows = st.lists(st.tuples(*[_row] * n), max_size=8)
+    return make_cone(n, draw(rows), draw(st.lists(st.tuples(*[_row] * n), max_size=2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_double_description_on_random_cones(data):
+    a = data.draw(_random_cone())
+    assert generators(a) == oracles.enumerated_generators(a)
+    assert faces(a) == oracles.promoted_faces(a)
+    assert facets(a) == oracles.promoted_facets(a)
+    b = data.draw(_random_cone(a.space_dim))
+    _check_common_face(a, b)

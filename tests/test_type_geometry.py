@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
-from weylscope import polyfan, root_data
+from weylscope import linalg, polyfan, root_data
 from weylscope.polyfan import cones_equal, dim, make_cone
 from weylscope.root_data import (
     ValidationError,
@@ -179,6 +179,47 @@ def test_rt_decomposition_partitions_levi():
             levi = root_data.levi_roots(q)
             assert set(rt.nonvanishing) | set(rt.vanishing) == levi
             assert not set(rt.nonvanishing) & set(rt.vanishing)
+
+
+def _rt_by_span_basis(q, t):
+    """The split of the Levi roots by vanishing on the span basis of the
+    type cone, recomputed from its extreme rays."""
+    span = polyfan.span_basis(type_cone(q, t).cone)
+    vanishing = [
+        b for b in sorted(root_data.levi_roots(q))
+        if all(linalg.dot(v, b) == 0 for v in span)
+    ]
+    nonvanishing = sorted(set(root_data.levi_roots(q)) - set(vanishing))
+    return tuple(nonvanishing), tuple(vanishing)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
+def test_rt_decomposition_matches_the_span_of_the_type_cone(name):
+    datum = build_named(name)
+    for t in oracles.all_type_labels(datum.rank):
+        for q in all_parabolics(datum):
+            rt = rt_decomposition(q, t)
+            assert (rt.nonvanishing, rt.vanishing) == _rt_by_span_basis(q, t)
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2"]
+)
+def test_weyl_cone_rays_are_conjugate_coweights(name):
+    """When standard_position(q) = (w, Y), the Weyl cone of q is strictly
+    convex with rays w⁻¹·ω_j for j outside Y, where the fundamental
+    coweights ω_j are the unit vectors of these coordinates."""
+    datum = build_named(name)
+    units = [tuple(int(i == j) for i in range(datum.rank)) for j in range(datum.rank)]
+    for q in all_parabolics(datum):
+        w, y = root_data.standard_position(q)
+        w_inv = root_data.inverse(datum, w)
+        rays = sorted(
+            root_data.act_on_dual(datum, w_inv, units[j])
+            for j in range(datum.rank)
+            if j not in y
+        )
+        assert polyfan.generators(weyl_cone(q)) == ((), tuple(rays))
 
 
 def test_union_weyl_oracle_true_for_standard_parabolics():
