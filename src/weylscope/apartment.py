@@ -332,10 +332,8 @@ def stratum_of(ctx: ApartmentContext, x: CompactApartmentPoint) -> ParabolicSet:
     dead = frozenset(a for a, v in zip(psi, vals) if v.kind < 0)
     matches = []
     for q in ctx.parabolics:
-        if not root_data.is_osculatory(p, q):
-            continue
         levi = root_data.levi_roots(q)
-        if frozenset(a for a in psi if a not in levi) == dead:
+        if frozenset(a for a in psi if a not in levi) == dead and root_data.is_osculatory(p, q):
             matches.append(q)
     if len(matches) != 1:
         raise ValidationError(

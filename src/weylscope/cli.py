@@ -464,9 +464,11 @@ def _cmd_prefan(args) -> int:
 def _cmd_relevant(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
+    # 2^rank <= |W|, so the cap on W also bounds the list of type labels.
+    root_data.weyl_elements(datum, args.cap)
     labels = [
         q.type_label
-        for q in root_data.DatumTables.of(datum).standard_parabolics().values()
+        for q in root_data.DatumTables.of(datum).standard_parabolics()
         if type_geometry.is_relevant(q, t)
     ]
     report = {

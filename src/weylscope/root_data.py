@@ -5,6 +5,15 @@ an integer vector whose entries are its coefficients on the simple base.
 Dual vectors are then in fundamental-coweight coordinates and the pairing of
 a character with a dual vector is the plain dot product; the i-th simple
 coroot is row i of the Cartan matrix.
+
+Parabolics come from Lie theory rather than from searches of the Weyl group
+(Bourbaki, *Lie Groups*, ch. IV-VI; Humphreys 1990, section 1.10).  The
+standard parabolic of a type label Y, kept once per label in the datum's
+table, holds the positive roots and the negatives of those supported on Y.
+Its orbit is W/W_Y, so `all_parabolics` runs over the minimal coset
+representatives.  `standard_position` descends by simple reflections, each
+adding one positive root, so the element it builds has the least length any
+solution can have; the least element of the solution coset is unique.
 """
 
 from __future__ import annotations
@@ -259,18 +268,20 @@ class _Weyl(NamedTuple):
 class DatumTables:
     """Every combinatorial table of one root datum, shared by all equal data.
 
-    The root index is built with the table, the Weyl group on first use, and the standard parabolics, parabolics,
-    standard positions, root permutations and subsystem roots only when
-    something asks for them.  Each entry is computed in full before one
-    assignment stores it, and computing it again gives an equal value, so
-    threads may share a table without a lock.
+    The root index is built with the table, the Weyl group on first use, and
+    the standard parabolic of each type label, the parabolics, standard
+    positions, root permutations and subsystem roots only when something
+    asks for them: one label's standard parabolic never builds the other
+    2^rank - 1.  Each entry is computed in full before one assignment
+    stores it, and computing it again gives an equal value, so threads may
+    share a table without a lock.
     """
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.root_index: Dict[IntVector, int] = {r: i for i, r in enumerate(datum.roots)}
         self.weyl: Optional[_Weyl] = None
-        self.standard: Optional[Dict[FrozenSet[IntVector], ParabolicSet]] = None
+        self.standard: Dict[TypeLabel, ParabolicSet] = {}
         self.parabolics: Optional[Tuple[ParabolicSet, ...]] = None
         self.positions: Dict[FrozenSet[IntVector], Tuple[WeylElement, TypeLabel]] = {}
         self.permutations: Dict[IntMatrix, Tuple[int, ...]] = {}
@@ -334,17 +345,27 @@ class DatumTables:
         inverse = {mat: seen[inv] for mat, inv in inv_of.items()}
         return _Weyl(elements=tuple(order), by_matrix=seen, inverse=inverse)
 
-    def standard_parabolics(self) -> Dict[FrozenSet[IntVector], ParabolicSet]:
-        """The standard parabolic of every type label, keyed by its roots,
-        in type-label order (by size, then index set); one per subset of
-        the simple roots, so built only on request."""
-        standard = self.standard
-        if standard is None:
-            rank = self.datum.rank
-            labels = (y for k in range(rank + 1) for y in combinations(range(rank), k))
-            parabolics = (standard_parabolic(self.datum, y) for y in labels)
-            standard = self.standard = {q.members: q for q in parabolics}
-        return standard
+    def standard_parabolic(self, label: TypeLabel) -> ParabolicSet:
+        """Positive roots plus the negatives of the roots supported on the
+        label."""
+        std = self.standard.get(label)
+        if std is None:
+            negatives = (tuple(-c for c in b) for b in self.subsystem_positive_roots(label))
+            members = frozenset(self.datum.positive_roots).union(negatives)
+            std = ParabolicSet(datum=self.datum, members=members, type_label=label)
+            self.standard[label] = std
+        return std
+
+    def standard_parabolics(self) -> Tuple[ParabolicSet, ...]:
+        """The standard parabolic of every type label, in type-label order
+        (by size, then index set): one per subset of the simple roots, so
+        only for callers that bounded the rank first."""
+        rank = self.datum.rank
+        return tuple(
+            self.standard_parabolic(frozenset(y))
+            for k in range(rank + 1)
+            for y in combinations(range(rank), k)
+        )
 
     def permutation(self, w: WeylElement) -> Tuple[int, ...]:
         """The permutation w induces on root indices."""
@@ -402,11 +423,7 @@ def standard_parabolic(datum: RootDatum, label: Iterable[int]) -> ParabolicSet:
     y: TypeLabel = frozenset(int(i) for i in label)
     if any(i < 0 or i >= datum.rank for i in y):
         raise ValidationError(f"type label {sorted(y)} out of range for rank {datum.rank}")
-    members = set(datum.positive_roots)
-    for r in datum.positive_roots:
-        if _root_in_span(r, y):
-            members.add(tuple(-c for c in r))
-    return ParabolicSet(datum=datum, members=frozenset(members), type_label=y)
+    return DatumTables.of(datum).standard_parabolic(y)
 
 
 def is_closed(datum: RootDatum, members: FrozenSet[IntVector]) -> bool:
@@ -436,45 +453,40 @@ def act(w: WeylElement, p: ParabolicSet) -> ParabolicSet:
     return ParabolicSet(datum=p.datum, members=members, type_label=p.type_label)
 
 
-def _min_coset_rep(tables: DatumTables, label: TypeLabel, v: WeylElement) -> WeylElement:
-    """The unique shortest element of the coset W_label ∘ v, found by
-    stripping label letters from the left while that shortens the word."""
-    weyl = tables.enumerated_weyl_group()
-    cartan = tables.datum.cartan
-    cur = v.matrix
-    cur_inv = weyl.inverse[cur].matrix
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(label):
-            # l(s_i v) < l(v)  iff  v^{-1}(alpha_i) is negative
-            if all(cur_inv[r][i] <= 0 for r in range(tables.datum.rank)):
-                cur = _reflection_times(i, cur, cartan)
-                cur_inv = _times_reflection(cur_inv, i, cartan)
-                changed = True
-    return weyl.by_matrix[cur]
-
-
 def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
-    """The ShortLex-least w with act(w, p) standard, plus the type label."""
+    """The ShortLex-least w with act(w, p) standard, plus the type label.
+
+    Descent from u = 1: while a simple root α_i is missing from p, -α_i is
+    in it (p generates), and p, u become s_i·p, s_i·u.  s_i swaps ±α_i and
+    permutes the other positive roots, so each step adds one positive root
+    and removes none, and u ends with length #(positive roots not in p).  No
+    solution is shorter (its inverse maps the positive roots into p), and
+    the solutions form one coset W_Y·u, whose least element is unique: so u
+    is the answer, and the Weyl group is read only to name it.
+    """
     tables = DatumTables.of(p.datum)
     hit = tables.positions.get(p.members)
     if hit is not None:
         return hit
-    standard = tables.standard_parabolics()
-    if p.members in standard:
-        result = (identity_element(p.datum), standard[p.members].type_label)
-    else:
-        first: Optional[WeylElement] = None
-        for w in tables.enumerated_weyl_group().elements:
-            if act(w, p).members in standard:
-                first = w
-                break
-        if first is None:
+    datum = p.datum
+    simple = _identity_matrix(datum.rank)
+    cur, u = p, simple
+    while True:
+        i = next((i for i, a in enumerate(simple) if a not in cur.members), None)
+        if i is None:
+            break
+        if tuple(-c for c in simple[i]) not in cur.members:
             raise ValidationError("subset is not Weyl-conjugate to a standard parabolic")
-        label = standard[act(first, p).members].type_label
-        # The full solution set is the coset W_label ∘ first; take its least element.
-        result = (_min_coset_rep(tables, label, first), label)
+        cur = act(WeylElement(word=(i,), matrix=datum.reflection_matrix(i)), cur)
+        u = _reflection_times(i, u, datum.cartan)
+    label = frozenset(i for i, a in enumerate(simple) if tuple(-c for c in a) in cur.members)
+    if cur.members != tables.standard_parabolic(label).members:
+        raise ValidationError("subset is not Weyl-conjugate to a standard parabolic")
+    if u == simple:
+        w = identity_element(datum)
+    else:
+        w = tables.enumerated_weyl_group().by_matrix[u]
+    result = (w, label)
     tables.positions[p.members] = result
     return result
 
@@ -482,29 +494,30 @@ def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
 def all_parabolics(datum: RootDatum, cap: Optional[int] = None) -> Tuple[ParabolicSet, ...]:
     """Every closed generating root subset, tagged with its type label;
     deterministic order (type labels by size then index set, orbits in
-    ShortLex order of the conjugating element)."""
+    ShortLex order of the conjugating element).
+
+    The orbit of the standard parabolic of Y is W/W_Y: w·P_Y meets each
+    parabolic of it once as w runs over the minimal coset representatives,
+    the w with w·α_i > 0 for every i in Y.  Each is the ShortLex-first
+    element reaching its parabolic, and w^{-1} is its standard position.
+    """
     weyl = weyl_elements(datum, cap)
     tables = DatumTables.of(datum)
     if tables.parabolics is not None:
         return tables.parabolics
     out: List[ParabolicSet] = []
-    for std in tables.standard_parabolics().values():
+    for std in tables.standard_parabolics():
         y = std.type_label
-        std_idx = tuple(sorted(tables.root_index[r] for r in std.members))
-        seen = set()
+        std_idx = [tables.root_index[r] for r in std.members]
         for w in weyl:
-            perm = tables.permutation(w)
-            moved_idx = frozenset(perm[i] for i in std_idx)
-            if moved_idx in seen:
+            # w·α_i is column i of w.matrix, and a root is positive when any
+            # coefficient is.
+            if not all(any(row[i] > 0 for row in w.matrix) for i in y):
                 continue
-            seen.add(moved_idx)
-            members = frozenset(datum.roots[i] for i in moved_idx)
+            perm = tables.permutation(w)
+            members = frozenset(datum.roots[perm[i]] for i in std_idx)
             out.append(ParabolicSet(datum=datum, members=members, type_label=y))
-            # Seed the standard positions with the known conjugator w^{-1}
-            # (then minimized over the stabilizer coset) to avoid a full scan.
-            if members not in tables.positions:
-                back = inverse(datum, w)
-                tables.positions[members] = (_min_coset_rep(tables, y, back), y)
+            tables.positions[members] = (inverse(datum, w), y)
     result = tuple(out)
     tables.parabolics = result
     return result

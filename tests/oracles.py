@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from weylscope import linalg
+from weylscope import linalg, root_data
 
 IntVector = Tuple[int, ...]
 
@@ -189,6 +189,51 @@ def all_type_labels(rank: int) -> List[FrozenSet[int]]:
         for bits in range(1 << rank)
     ]
     out.sort(key=lambda y: (len(y), sorted(y)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# parabolics: the Weyl-group scans that root_data used before its descent to
+# standard position and its orbits by minimal coset representatives, kept to
+# check them.  They walk root_data's ShortLex enumeration of W and its action
+# on root sets, but build the standard parabolics themselves.
+
+
+def _standard_members(datum, y: FrozenSet[int]) -> FrozenSet[IntVector]:
+    positive = [r for r in datum.roots if any(c > 0 for c in r)]
+    supported = [r for r in positive if all(c == 0 or i in y for i, c in enumerate(r))]
+    return frozenset(positive) | frozenset(neg(r) for r in supported)
+
+
+@lru_cache(maxsize=None)
+def _standard_labels(datum) -> dict:
+    return {_standard_members(datum, y): y for y in all_type_labels(datum.rank)}
+
+
+def scanned_standard_position(p):
+    """(w, Y) for the ShortLex-first w with act(w, p) standard of label Y,
+    or None when no Weyl element makes p standard."""
+    standard = _standard_labels(p.datum)
+    for w in root_data.weyl_elements(p.datum):
+        y = standard.get(root_data.act(w, p).members)
+        if y is not None:
+            return w, y
+    return None
+
+
+def orbit_parabolics(datum) -> List[Tuple[FrozenSet[IntVector], FrozenSet[int]]]:
+    """(members, label) of every parabolic: the orbit of each standard
+    parabolic in type-label order, each member set kept where the ShortLex
+    enumeration of W first reaches it."""
+    out = []
+    for y in all_type_labels(datum.rank):
+        std = root_data.ParabolicSet(datum=datum, members=_standard_members(datum, y))
+        seen = set()
+        for w in root_data.weyl_elements(datum):
+            members = root_data.act(w, std).members
+            if members not in seen:
+                seen.add(members)
+                out.append((members, y))
     return out
 
 

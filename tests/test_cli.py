@@ -389,15 +389,27 @@ def test_enumeration_cap_bounds_the_work_on_high_rank(tmp_path):
         assert "exceeded cap 100" in proc.stderr
 
 
-def test_default_cap_trips_fast_on_high_rank(tmp_path):
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(("datum-info",), 3, id="datum-info"),
+        pytest.param(("relevant", "--type", "a1"), 3, id="relevant"),
+        pytest.param(("cone", "--label", "a1"), 3, id="cone-type"),
+        pytest.param(("cone", "--label", "a1", "--kind", "weyl"), 0, id="cone-weyl"),
+    ],
+)
+def test_default_cap_trips_fast_on_high_rank(tmp_path, argv, expected):
     # A simple reflection is a rank-1 update, so reaching the default cap on
-    # A1^30 costs well under a second of CPU time.
+    # A1^30 costs well under a second of CPU time; nothing indexed by the
+    # 2^30 type labels is built first, and the Weyl cone of a standard
+    # parabolic needs no Weyl group at all.
     f = _diagonal_datum_file(tmp_path, 30)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = _run_child("datum-info", "--datum-file", str(f))
+    proc = _run_child(argv[0], "--datum-file", str(f), *argv[1:])
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    assert proc.returncode == 3, proc.stderr
-    assert "exceeded cap 1152" in proc.stderr
+    assert proc.returncode == expected, proc.stderr
+    if expected == 3:
+        assert "exceeded cap 1152" in proc.stderr
     assert after.ru_utime - before.ru_utime < 3
 
 
@@ -468,6 +480,13 @@ _PINNED_REPORTS = {
     ("prefan", "--datum", "B4", "--type", "a1,a2"): (
         "5a19efa6cadd879a4590463839aa8cf2f02c37c8dc58e90e28dfaa3fd8139f88"
     ),
+    ("relevant", "--datum", "A5", "--type", "a1", "--all"): (
+        "abba7b9640d668b0d56cfb5efa74017e3aaf52b5bf58afbfaf566d3d96761beb"
+    ),
+    (
+        "stabilizer", "--datum", "A5", "--type", "a1,a2", "--stratum", "a1,a2,a4",
+        "--word", "1,2,3", "--residual=1,2,3,4,5",
+    ): "67c8cc15fecee926c49aed529527e68b06eed67de5d19d594ad2dc75d18a6116",
 }
 
 

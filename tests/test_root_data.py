@@ -112,18 +112,37 @@ def test_all_parabolics_is_deterministic_and_tagged():
         assert act(w, p).members == std.members
 
 
-def test_standard_position_word_is_minimal():
+def test_standard_position_word_is_minimal(monkeypatch):
+    names = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")
+    data = [build_named(name) for name in names] + [build_from_cartan(((2, 0), (0, 2)))]
+    for datum in data:
+        # A fresh table, so the descent computes every position, not the seed.
+        monkeypatch.delitem(root_data._TABLES, datum, raising=False)
+        orbits = oracles.orbit_parabolics(datum)
+        checked = orbits
+        if datum.name in ("B4", "C4"):
+            checked = random.Random(datum.name).sample(orbits, 300)
+        scanned = {}
+        for members, _ in checked:
+            p = root_data.ParabolicSet(datum=datum, members=members)
+            scanned[members] = oracles.scanned_standard_position(p)
+            assert standard_position(p) == scanned[members]
+        parabolics = all_parabolics(datum)
+        assert [(q.members, q.type_label) for q in parabolics] == orbits
+        # all_parabolics seeds the positions it finds with the same values.
+        for q in parabolics:
+            if q.members in scanned:
+                assert standard_position(q) == scanned[q.members]
+
+
+def test_standard_position_rejects_non_parabolic_sets():
     datum = build_named("A2")
-    for p in all_parabolics(datum):
-        w, y = standard_position(p)
-        std = standard_parabolic(datum, y)
-        candidates = [
-            v.word
-            for v in weyl_elements(datum)
-            if act(v, p).members == std.members
-        ]
-        best = min(candidates, key=lambda word: (len(word), word))
-        assert w.word == best
+    a1, a2, a12 = (1, 0), (0, 1), (1, 1)
+    for members in ({a1, a2, (-1, -1)}, {a2, a12}):  # not closed; not generating
+        p = root_data.ParabolicSet(datum=datum, members=frozenset(members))
+        assert oracles.scanned_standard_position(p) is None
+        with pytest.raises(ValidationError):
+            standard_position(p)
 
 
 def test_levi_unipotent_partition_and_opposite():
@@ -180,6 +199,9 @@ def test_standard_parabolic_members():
     p1 = standard_parabolic(datum, (0,))
     assert (1, 0) in p1.members and (-1, 0) in p1.members
     assert (0, 1) in p1.members and (0, -1) not in p1.members
+    # One table entry per label, shared with the list of every label.
+    assert standard_parabolic(datum, [0]) is p1
+    assert root_data.DatumTables.of(datum).standard_parabolics()[1] is p1
 
 
 def test_tables_are_safe_to_share_between_threads():
@@ -194,9 +216,14 @@ def test_tables_are_safe_to_share_between_threads():
             start.wait(timeout=30)
             elements = weyl_elements(datum)
             inverses = tuple(inverse(datum, w) for w in elements)
+            descended = tuple(
+                standard_position(act(w, standard_parabolic(datum, y)))
+                for y in oracles.all_type_labels(datum.rank)
+                for w in elements
+            )
             parabolics = all_parabolics(datum)
             positions = tuple(standard_position(q) for q in parabolics)
-            results[k] = (elements, inverses, parabolics, positions)
+            results[k] = (elements, inverses, descended, parabolics, positions)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -214,4 +241,4 @@ def test_tables_are_safe_to_share_between_threads():
     assert errors == []
     assert len(results) == 4
     assert all(r == results[0] for r in results.values())
-    assert len(results[0][2]) == PARABOLIC_COUNTS["A2"] * PARABOLIC_COUNTS["A1"]
+    assert len(results[0][3]) == PARABOLIC_COUNTS["A2"] * PARABOLIC_COUNTS["A1"]
