@@ -133,9 +133,9 @@ class ApartmentContext:
 
 
 def chart_generators(p: ParabolicSet) -> Tuple[IntVector, ...]:
-    """Generator roots of the big cell of p: the roots of the unipotent
-    radical of the opposite parabolic, in sorted order."""
-    return tuple(sorted(root_data.unipotent_radical_roots(root_data.opposite(p))))
+    """Generator roots of the big cell of p: the roots outside p (the
+    unipotent radical of the opposite parabolic), in sorted order."""
+    return tuple(sorted(root_data.outside_roots(p)))
 
 
 def make_context(
@@ -144,17 +144,10 @@ def make_context(
     cap: Optional[int] = None,
 ) -> ApartmentContext:
     label = type_geometry._check_type(datum, frozenset(t))
-    relevant = tuple(
-        q
-        for q in root_data.all_parabolics(datum, cap)
-        if type_geometry.is_relevant(q, label)
-    )
+    parabolics = root_data.all_parabolics(datum, cap)
+    relevant = tuple(q for q in parabolics if type_geometry.is_relevant(q, label))
     cones = tuple(type_geometry.type_cone(q, label).cone for q in relevant)
-    charts = tuple(
-        (p, chart_generators(p))
-        for p in root_data.all_parabolics(datum, cap)
-        if root_data.standard_position(p)[1] == label
-    )
+    charts = tuple((p, chart_generators(p)) for p in parabolics if p.type_label == label)
     return ApartmentContext(
         datum=datum,
         type_label=label,
@@ -177,15 +170,14 @@ def _cone_of(ctx: ApartmentContext, q: ParabolicSet) -> Cone:
     for p2, c in zip(ctx.parabolics, ctx.prefan.cones):
         if p2.members == q.members:
             return c
-    raise ValidationError("parabolic does not index a stratum (not relevant)")
+    raise ValidationError(
+        f"parabolic {root_data.parabolic_name(q)} does not index a stratum of"
+        f" type {root_data.type_name(ctx.type_label)} (not relevant)"
+    )
 
 
 def interior_point(ctx: ApartmentContext, u: Sequence) -> CompactApartmentPoint:
-    g = root_data.standard_parabolic(ctx.datum, range(ctx.datum.rank))
-    return CompactApartmentPoint(
-        point=BoundaryPoint(stratum=_cone_of(ctx, g), residual=linalg.vec(u)),
-        stratum_parabolic=g,
-    )
+    return stratum_point(ctx, root_data.standard_parabolic(ctx.datum, range(ctx.datum.rank)), u)
 
 
 def stratum_point(
@@ -224,12 +216,19 @@ def translate_point(
 # charts and evaluation
 
 
-def generator_values(
-    ctx: ApartmentContext, x: CompactApartmentPoint, p: ParabolicSet
-) -> Tuple[ExtendedValue, ...]:
-    return tuple(
-        polyfan.eval_at_boundary(x.point, a) for a in chart_generators(p)
-    )
+def _chart_values(x: CompactApartmentPoint, psi: Sequence[IntVector]) -> Optional[Tuple]:
+    """The values of the generators psi at x, or None as soon as one shows
+    that x lies outside their chart (it is positive or indeterminate)."""
+    vals = []
+    for a in psi:
+        try:
+            v = polyfan.eval_at_boundary(x.point, a)
+        except polyfan.IndeterminateValueError:
+            return None
+        if v.kind > 0 or (v.kind == 0 and v.value > 0):
+            return None
+        vals.append(v)
+    return tuple(vals)
 
 
 def chart_membership(
@@ -237,22 +236,24 @@ def chart_membership(
 ) -> bool:
     """Whether every chart generator evaluates to a nonpositive rational or
     -inf at x (indeterminate or positive generators put x outside)."""
-    try:
-        vals = generator_values(ctx, x, p)
-    except polyfan.IndeterminateValueError:
-        return False
-    return all(
-        v.kind < 0 or (v.kind == 0 and v.value <= 0) for v in vals
-    )
+    return _chart_values(x, chart_generators(p)) is not None
 
 
-def _accepting_chart(
-    ctx: ApartmentContext, x: CompactApartmentPoint
-) -> Tuple[ParabolicSet, Tuple[IntVector, ...]]:
+def _accepting_chart(ctx: ApartmentContext, x: CompactApartmentPoint) -> Tuple:
+    """The first chart holding x: its parabolic, generators and their values
+    at x."""
     for p, psi in ctx.charts:
-        if chart_membership(ctx, x, p):
-            return p, psi
+        vals = _chart_values(x, psi)
+        if vals is not None:
+            return p, psi, vals
     raise ValidationError("no chart accepts the point; charts fail to cover")
+
+
+def _values_in_chart(x: CompactApartmentPoint, p: ParabolicSet) -> Tuple[ExtendedValue, ...]:
+    vals = _chart_values(x, chart_generators(p))
+    if vals is None:
+        raise ChartMismatchError("point is not in the requested chart")
+    return vals
 
 
 def _monomial_value(
@@ -280,9 +281,7 @@ def seminorm_eval(
     """Log of the seminorm of f at x in the chart of p: max over monomials
     of coefficient plus exponent-weighted generator values; a monomial dies
     when a generator it uses with positive exponent sits at -inf."""
-    if not chart_membership(ctx, x, p):
-        raise ChartMismatchError("point is not in the requested chart")
-    values = generator_values(ctx, x, p)
+    values = _values_in_chart(x, p)
     best = NEG_INF
     for m in f.monomials:
         val = _monomial_value(m, values)
@@ -314,9 +313,7 @@ def group_seminorm_eval(
 
 
 def is_norm(ctx: ApartmentContext, x: CompactApartmentPoint, p: ParabolicSet) -> bool:
-    if not chart_membership(ctx, x, p):
-        raise ChartMismatchError("point is not in the requested chart")
-    return all(v.kind == 0 for v in generator_values(ctx, x, p))
+    return all(v.kind == 0 for v in _values_in_chart(x, p))
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +321,24 @@ def is_norm(ctx: ApartmentContext, x: CompactApartmentPoint, p: ParabolicSet) ->
 
 
 def stratum_of(ctx: ApartmentContext, x: CompactApartmentPoint) -> ParabolicSet:
-    """Identify the stratum from the vanishing pattern of the first
-    accepting chart: the relevant Q osculatory with the chart parabolic
-    whose non-Levi generator set is exactly the -inf set."""
-    p, psi = _accepting_chart(ctx, x)
-    vals = generator_values(ctx, x, p)
-    dead = frozenset(a for a, v in zip(psi, vals) if v.kind < 0)
-    matches = []
-    for q in ctx.parabolics:
-        levi = root_data.levi_roots(q)
-        if frozenset(a for a in psi if a not in levi) == dead and root_data.is_osculatory(p, q):
-            matches.append(q)
-    if len(matches) != 1:
+    """The stored stratum parabolic q of x, verified against the vanishing
+    pattern of the first accepting chart: q indexes a stratum, the chart
+    generators outside the Levi part of q are exactly those at -inf, and q
+    is osculatory with the chart parabolic."""
+    q = x.stratum_parabolic
+    _cone_of(ctx, q)
+    p, psi, vals = _accepting_chart(ctx, x)
+    levi = root_data.levi_roots(q)
+    if not (
+        all((a not in levi) == (v.kind < 0) for a, v in zip(psi, vals))
+        and root_data.is_osculatory(p, q)
+    ):
         raise ValidationError(
-            f"vanishing pattern matches {len(matches)} strata; chart logic broken"
+            f"stored stratum {root_data.parabolic_name(q)} disagrees with the"
+            f" vanishing pattern of chart {root_data.parabolic_name(p)} for"
+            f" type {root_data.type_name(ctx.type_label)}"
         )
-    found = matches[0]
-    if found.members != x.stratum_parabolic.members:
-        raise ValidationError("stored stratum disagrees with the vanishing pattern")
-    return found
+    return q
 
 
 @dataclass(frozen=True)
@@ -382,17 +378,17 @@ def stratum_apartment(
     which vanish on the stratum span and so descend to residual classes."""
     rep = type_geometry.relevance_report(q, ctx.type_label)
     if not rep.is_relevant:
-        raise ValidationError("parabolic is not relevant for the context type")
+        raise ValidationError(
+            f"parabolic {root_data.parabolic_name(q)} is not relevant for type"
+            f" {root_data.type_name(ctx.type_label)}"
+        )
     datum = ctx.datum
     active = tuple(sorted(rep.active_components))
     sub = [[datum.cartan[i][j] for j in active] for i in active]
     residual = root_data.build_from_cartan(sub)
     w, _ = root_data.standard_position(q)
-    w_inv = root_data.inverse(datum, w)
-    extraction = tuple(
-        w_inv.apply(tuple(1 if j == i else 0 for j in range(datum.rank)))
-        for i in active
-    )
+    columns = tuple(zip(*root_data.inverse(datum, w).matrix))
+    extraction = tuple(columns[i] for i in active)
     return StratumApartment(
         parent=q,
         type_label=ctx.type_label,
@@ -485,9 +481,6 @@ def levi_projection(datum: RootDatum, u: Sequence, q: ParabolicSet) -> Vector:
     with the conjugated simple roots of the Levi label.  The kernel is the
     span of the Weyl cone of q (the annihilator of the Levi roots)."""
     w, y = root_data.standard_position(q)
-    w_inv = root_data.inverse(datum, w)
+    columns = tuple(zip(*root_data.inverse(datum, w).matrix))
     uu = linalg.vec(u)
-    return tuple(
-        Fraction(linalg.dot(uu, w_inv.apply(tuple(1 if j == i else 0 for j in range(datum.rank)))))
-        for i in sorted(y)
-    )
+    return tuple(Fraction(linalg.dot(uu, columns[i])) for i in sorted(y))

@@ -1,18 +1,16 @@
 """Command-line surface: root-datum ingestion, queries over the library,
-deterministic JSON reports, and SVG rendering of rank-2 compactified
-apartments."""
+and deterministic JSON reports; `render` writes the SVG of weylscope.render."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import apartment, gl_models, polyfan, root_data, type_geometry
+from . import apartment, gl_models, polyfan, render, root_data, type_geometry
 from .apartment import ApartmentContext, ChartMismatchError, CompactApartmentPoint
 from .polyfan import (
     Cone,
@@ -26,6 +24,8 @@ from .root_data import (
     RootDatum,
     ValidationError,
     WeylElement,
+    parabolic_name,
+    type_name,
 )
 
 EXIT_OK = 0
@@ -221,8 +221,10 @@ def _parabolic_from_json(datum: RootDatum, obj, where: str) -> ParabolicSet:
         names = ",".join(str(x) for x in obj)
         return _parabolic_from_parts(datum, names, None)
     if isinstance(obj, dict) and "label" in obj:
-        names = ",".join(str(x) for x in obj.get("label", []))
-        word = obj.get("word", [])
+        label, word = obj["label"], obj.get("word", [])
+        if not isinstance(label, list) or not isinstance(word, list):
+            raise ValidationError(f'{where}: "label" and "word" must be lists')
+        names = ",".join(str(x) for x in label)
         word_text = ",".join(str(_require_int(x, f"{where}: word")) for x in word)
         return _parabolic_from_parts(datum, names, word_text)
     raise ValidationError(f"{where}: expected a label list or a label/word object")
@@ -238,18 +240,6 @@ def _parabolic_id(q: ParabolicSet) -> Dict[str, List]:
         "label": _type_names(y),
         "word": [i + 1 for i in w.word],
     }
-
-
-def _fmt_parabolic(q: ParabolicSet) -> str:
-    w, y = root_data.standard_position(q)
-    base = _fmt_type(y)
-    if w.word:
-        base += " w=" + "".join(f"s{i + 1}" for i in w.word)
-    return base
-
-
-def _fmt_type(t) -> str:
-    return "{" + ",".join(_type_names(t)) + "}"
 
 
 def _type_names(t) -> List[str]:
@@ -356,7 +346,7 @@ def _polynomial_from_file(path: str) -> apartment.TropicalPolynomial:
         raise ValidationError(f"{path}: expected a JSON list of monomials")
     monomials = []
     for i, entry in enumerate(data):
-        if not isinstance(entry, dict) or "exponents" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("exponents"), dict):
             raise ValidationError(f'{path}: monomial {i} needs an "exponents" object')
         exps = {}
         for key, val in entry["exponents"].items():
@@ -375,9 +365,12 @@ def _polynomial_from_file(path: str) -> apartment.TropicalPolynomial:
             coeff = polyfan.finite(
                 _parse_fraction(coeff_raw, f"{path}: monomial {i}: log_coeff")
             )
+        character = entry.get("character", [])
+        if not isinstance(character, list):
+            raise ValidationError(f'{path}: monomial {i}: "character" must be a list')
         character = tuple(
             _require_int(v, f"{path}: monomial {i}: character[{j}]")
-            for j, v in enumerate(entry.get("character", []))
+            for j, v in enumerate(character)
         )
         monomials.append(apartment.make_monomial(exps, coeff, character))
     return apartment.make_polynomial(monomials)
@@ -455,7 +448,7 @@ def _cmd_prefan(args) -> int:
         report,
         [
             f"stratifying prefan of {datum.name or 'datum'} for type "
-            f"{_fmt_type(t)}: {len(cones)} cones ({dim_text})"
+            f"{type_name(t)}: {len(cones)} cones ({dim_text})"
         ],
     )
     return EXIT_OK
@@ -486,9 +479,9 @@ def _cmd_relevant(args) -> int:
         ]
         report["all_relevant"] = everything
         report["all_count"] = len(everything)
-    shown = ", ".join(_fmt_type(y) for y in labels)
+    shown = ", ".join(type_name(y) for y in labels)
     summary = [
-        f"standard {_fmt_type(t)}-relevant parabolics of "
+        f"standard {type_name(t)}-relevant parabolics of "
         f"{datum.name or 'datum'}: {shown}"
     ]
     if args.all:
@@ -526,8 +519,8 @@ def _cmd_cone(args) -> int:
     }
     report.update(extra)
     summary = [
-        f"{args.kind} cone of {_fmt_parabolic(q)} in {datum.name or 'datum'}"
-        + (f" for type {_fmt_type(t)}" if args.kind == "type" else "")
+        f"{args.kind} cone of {parabolic_name(q)} in {datum.name or 'datum'}"
+        + (f" for type {type_name(t)}" if args.kind == "type" else "")
         + f": dim {polyfan.dim(cone)}, {len(cone.ineqs)} inequalities, "
         + f"{len(cone.eqs)} equalities"
     ]
@@ -535,7 +528,7 @@ def _cmd_cone(args) -> int:
         yes = "yes" if extra["is_relevant"] else "no"
         summary.append(
             f"relevant: {yes}; minimal relevant stratum: "
-            f"{_fmt_parabolic(type_geometry.minimal_relevant(q, t))}"
+            f"{parabolic_name(type_geometry.minimal_relevant(q, t))}"
         )
     _emit(args, report, summary)
     return EXIT_OK
@@ -575,7 +568,7 @@ def _cmd_limit(args) -> int:
         args,
         report,
         [
-            f"ray limit lands on stratum {_fmt_parabolic(x.stratum_parabolic)} "
+            f"ray limit lands on stratum {parabolic_name(x.stratum_parabolic)} "
             f"(cone dim {report['stratum_dim']}); residual class "
             f"({', '.join(report['residual'])}), residual rank "
             f"{sa.residual_datum.rank}"
@@ -597,7 +590,7 @@ def _cmd_seminorm(args) -> int:
             )
         p = ctx.charts[args.chart][0]
     else:
-        p, _ = apartment._accepting_chart(ctx, x)
+        p, _, _ = apartment._accepting_chart(ctx, x)
     value = apartment.seminorm_eval(ctx, x, f, p)
     norm = apartment.is_norm(ctx, x, p)
     report = {
@@ -619,7 +612,7 @@ def _cmd_seminorm(args) -> int:
         report,
         [
             f"log-{kind} value of the polynomial at the point in chart "
-            f"{_fmt_parabolic(p)}: {value}"
+            f"{parabolic_name(p)}: {value}"
         ],
     )
     return EXIT_OK
@@ -643,7 +636,7 @@ def _cmd_stabilizer(args) -> int:
         args,
         report,
         [
-            f"stabilizer at stratum {_fmt_parabolic(prof.stratum_parabolic)}: "
+            f"stabilizer at stratum {parabolic_name(prof.stratum_parabolic)}: "
             f"{len(prof.full_unipotent)} full unipotent roots, "
             f"{len(prof.full_levi)} full Levi roots, "
             f"{len(prof.filtered)} filtered roots, times {prof.normalizer_note}"
@@ -673,9 +666,9 @@ def _cmd_project(args) -> int:
         args,
         report,
         [
-            f"projection {_fmt_type(t)} -> {_fmt_type(t2)}: stratum "
-            f"{_fmt_parabolic(x.stratum_parabolic)} maps to "
-            f"{_fmt_parabolic(y.stratum_parabolic)}"
+            f"projection {type_name(t)} -> {type_name(t2)}: stratum "
+            f"{parabolic_name(x.stratum_parabolic)} maps to "
+            f"{parabolic_name(y.stratum_parabolic)}"
         ],
     )
     return EXIT_OK
@@ -684,7 +677,7 @@ def _cmd_project(args) -> int:
 def _cmd_pgl(args) -> int:
     if args.seminorm_file:
         data = _load_json(args.seminorm_file)
-        if not isinstance(data, dict) or "values" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("values"), list):
             raise ValidationError(f'{args.seminorm_file}: need a "values" list')
         raw = [str(v) for v in data["values"]]
     elif args.values is not None:
@@ -720,226 +713,10 @@ def _cmd_pgl(args) -> int:
         [
             f"diagonal seminorm class ({', '.join(report['values'])}) on a "
             f"{s.dimension}-dimensional space: {where}, stratum "
-            f"{_fmt_parabolic(x.stratum_parabolic)}"
+            f"{parabolic_name(x.stratum_parabolic)}"
         ],
     )
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# SVG rendering
-
-
-_PALETTE = (
-    "#c6dbef",
-    "#fdd0a2",
-    "#c7e9c0",
-    "#fcbba1",
-    "#dadaeb",
-    "#fff7bc",
-    "#d0d1e6",
-    "#e5f5e0",
-    "#fde0dd",
-    "#e0ecf4",
-    "#f6e8c3",
-    "#d9d9d9",
-)
-
-
-def _symmetrizer(cartan) -> Tuple[Fraction, ...]:
-    """Positive rationals d with d_i c_ij = d_j c_ji, normalized to min 1
-    (so short roots get squared length 2)."""
-    n = len(cartan)
-    d: List[Optional[Fraction]] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j != i and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                    stack.append(j)
-    lo = min(x for x in d if x is not None)
-    return tuple(x / lo for x in d)
-
-
-def _realization(datum: RootDatum):
-    """Euclidean simple roots (columns of R) and the dual-point map
-    M = R^{-T}, so that exact pairings match Euclidean dot products."""
-    d = _symmetrizer(datum.cartan)
-    g00 = 2 * float(d[0])
-    g01 = float(d[0] * datum.cartan[0][1])
-    g11 = 2 * float(d[1])
-    a1 = (math.sqrt(g00), 0.0)
-    a2x = g01 / a1[0]
-    a2 = (a2x, math.sqrt(max(g11 - a2x * a2x, 0.0)))
-    det = a1[0] * a2[1] - a2[0] * a1[1]
-    # rows of R^{-T}, R = (a1 | a2): dual points pair with realized
-    # characters by the plain Euclidean dot product
-    m = (
-        (a2[1] / det, -a1[1] / det),
-        (-a2[0] / det, a1[0] / det),
-    )
-
-    def to_plane(u: Sequence) -> Tuple[float, float]:
-        x = float(u[0]) * m[0][0] + float(u[1]) * m[0][1]
-        y = float(u[0]) * m[1][0] + float(u[1]) * m[1][1]
-        return (x, y)
-
-    return to_plane
-
-
-def _unit(v: Tuple[float, float]) -> Tuple[float, float]:
-    n = math.hypot(v[0], v[1])
-    if n == 0.0:
-        raise ValidationError("degenerate direction in the rendered fan")
-    return (v[0] / n, v[1] / n)
-
-
-def _arc_points(
-    theta_a: float, theta_b: float, theta_mid: float, radius: float
-) -> List[Tuple[float, float]]:
-    """Points along the circular arc from angle a to angle b passing through
-    mid, sampled finely so filled sectors hug the disc."""
-    tau = 2 * math.pi
-    span = (theta_b - theta_a) % tau
-    if span == 0.0:
-        span = tau
-    inside = (theta_mid - theta_a) % tau
-    if inside > span + 1e-9:
-        theta_a, theta_b = theta_b, theta_a
-        span = tau - span
-    steps = max(2, int(math.ceil(span / 0.2)))
-    return [
-        (
-            radius * math.cos(theta_a + span * k / steps),
-            radius * math.sin(theta_a + span * k / steps),
-        )
-        for k in range(steps + 1)
-    ]
-
-
-def _svg_point(cx: float, cy: float, p: Tuple[float, float]) -> str:
-    return f"{cx + p[0]:.4f},{cy - p[1]:.4f}"
-
-
-def _render_svg(datum: RootDatum, t, ctx: ApartmentContext) -> str:
-    to_plane = _realization(datum)
-    size = 480.0
-    cx = cy = size / 2
-    radius = 190.0
-    entries = list(zip(ctx.parabolics, ctx.prefan.cones))
-    legend_h = 24 + 16 * (len(entries) + 1)
-    height = size + legend_h
-    lines: List[str] = []
-    lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    lines.append(
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {size:.0f} {height:.0f}">'
-    )
-    lines.append(f'<rect x="0" y="0" width="{size:.0f}" height="{height:.0f}" fill="#ffffff"/>')
-
-    sectors: List[str] = []
-    rays: List[str] = []
-    labels: List[str] = []
-    has_origin = False
-    color_i = 0
-    for idx, (q, cone) in enumerate(entries):
-        d = polyfan.dim(cone)
-        lin, ray_gens = polyfan.generators(cone)
-        if d == 2:
-            fill = _PALETTE[color_i % len(_PALETTE)]
-            color_i += 1
-            mid = polyfan.relative_interior_point(cone)
-            if len(lin) == 2:
-                sectors.append(
-                    f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="{radius:.4f}" '
-                    f'fill="{fill}" stroke="none"/>'
-                )
-                label_at = (0.0, 0.0)
-            else:
-                if len(lin) == 1:
-                    a_dir = _unit(to_plane(lin[0]))
-                    b_dir = (-a_dir[0], -a_dir[1])
-                    mid_dir = _unit(to_plane(mid))
-                else:
-                    a_dir = _unit(to_plane(ray_gens[0]))
-                    b_dir = _unit(to_plane(ray_gens[1]))
-                    mid_dir = _unit(to_plane(mid))
-                theta_a = math.atan2(a_dir[1], a_dir[0])
-                theta_b = math.atan2(b_dir[1], b_dir[0])
-                theta_m = math.atan2(mid_dir[1], mid_dir[0])
-                pts = [(0.0, 0.0)] + _arc_points(theta_a, theta_b, theta_m, radius)
-                path = " ".join(_svg_point(cx, cy, p) for p in pts)
-                sectors.append(
-                    f'<polygon points="{path}" fill="{fill}" stroke="none"/>'
-                )
-                label_at = (mid_dir[0] * radius * 0.72, mid_dir[1] * radius * 0.72)
-            labels.append(
-                f'<text x="{cx + label_at[0]:.4f}" y="{cy - label_at[1]:.4f}" '
-                'font-family="monospace" font-size="13" text-anchor="middle" '
-                f'fill="#333333">{idx}</text>'
-            )
-        elif d == 1:
-            if lin:
-                a_dir = _unit(to_plane(lin[0]))
-                p1 = (a_dir[0] * radius, a_dir[1] * radius)
-                p2 = (-a_dir[0] * radius, -a_dir[1] * radius)
-                rays.append(
-                    f'<line x1="{cx + p1[0]:.4f}" y1="{cy - p1[1]:.4f}" '
-                    f'x2="{cx + p2[0]:.4f}" y2="{cy - p2[1]:.4f}" '
-                    'stroke="#000000" stroke-width="2"/>'
-                )
-                label_dir = a_dir
-            else:
-                a_dir = _unit(to_plane(ray_gens[0]))
-                rays.append(
-                    f'<line x1="{cx:.4f}" y1="{cy:.4f}" '
-                    f'x2="{cx + a_dir[0] * radius:.4f}" '
-                    f'y2="{cy - a_dir[1] * radius:.4f}" '
-                    'stroke="#000000" stroke-width="2"/>'
-                )
-                label_dir = a_dir
-            labels.append(
-                f'<text x="{cx + label_dir[0] * radius * 0.92 + 8:.4f}" '
-                f'y="{cy - label_dir[1] * radius * 0.92 - 6:.4f}" '
-                'font-family="monospace" font-size="13" '
-                f'fill="#000000">{idx}</text>'
-            )
-        else:
-            has_origin = True
-            labels.append(
-                f'<text x="{cx + 8:.4f}" y="{cy + 14:.4f}" '
-                'font-family="monospace" font-size="13" '
-                f'fill="#000000">{idx}</text>'
-            )
-
-    lines.extend(sectors)
-    lines.extend(rays)
-    if has_origin:
-        lines.append(
-            f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="4" fill="#000000"/>'
-        )
-    lines.extend(labels)
-
-    title = f"{datum.name or 'datum'}, type {_fmt_type(t)}"
-    lines.append(
-        f'<text x="10" y="{size + 18:.0f}" font-family="monospace" '
-        f'font-size="13" fill="#000000">{title}: {len(entries)} strata</text>'
-    )
-    for idx, (q, cone) in enumerate(entries):
-        y = size + 18 + 16 * (idx + 1)
-        lines.append(
-            f'<text x="10" y="{y:.0f}" font-family="monospace" font-size="12" '
-            f'fill="#333333">[{idx}] dim {polyfan.dim(cone)}  '
-            f'{_fmt_parabolic(q)}</text>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_render(args) -> int:
@@ -950,12 +727,12 @@ def _cmd_render(args) -> int:
         )
     t = _parse_type(args.type, datum)
     ctx = apartment.make_context(datum, t, cap=args.cap)
-    svg = _render_svg(datum, t, ctx)
+    svg = render.render_svg(datum, t, ctx)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     _, dim_text = _dim_counts(ctx.prefan.cones)
     print(
-        f"wrote SVG for {datum.name or 'datum'} type {_fmt_type(t)} "
+        f"wrote SVG for {datum.name or 'datum'} type {type_name(t)} "
         f"({dim_text}) to {args.out}"
     )
     return EXIT_OK

@@ -278,14 +278,7 @@ def relative_interior_point(cone: Cone) -> Vector:
 def cone_subset(a: Cone, b: Cone) -> bool:
     """Whether a is contained in b (as point sets): every generator of a
     satisfies the constraints of b."""
-    lin, rays = generators(a)
-    for v in lin:
-        if any(linalg.dot(v, f) != 0 for f in b.ineqs + b.eqs):
-            return False
-    for r in rays:
-        if not contains_point(b, r):
-            return False
-    return True
+    return _violation_witness(*generators(a), b) is None
 
 
 def cones_equal(a: Cone, b: Cone) -> bool:

@@ -531,16 +531,14 @@ def levi_roots(p: ParabolicSet) -> FrozenSet[IntVector]:
 
 
 def unipotent_radical_roots(p: ParabolicSet) -> FrozenSet[IntVector]:
-    levi = levi_roots(p)
-    return frozenset(r for r in p.members if r not in levi)
+    return p.members - levi_roots(p)
 
 
-def opposite(p: ParabolicSet) -> ParabolicSet:
-    levi = levi_roots(p)
-    members = levi | frozenset(
-        tuple(-c for c in r) for r in unipotent_radical_roots(p)
-    )
-    return ParabolicSet(datum=p.datum, members=members, type_label=None)
+def outside_roots(p: ParabolicSet) -> FrozenSet[IntVector]:
+    """The roots not in p.  p generates, so a root r outside p has -r in p
+    but not in its Levi part: these are the negatives of the unipotent
+    radical of p, the unipotent radical of the opposite parabolic."""
+    return frozenset(r for r in p.datum.roots if r not in p.members)
 
 
 def is_osculatory(p: ParabolicSet, q: ParabolicSet) -> bool:
@@ -549,3 +547,16 @@ def is_osculatory(p: ParabolicSet, q: ParabolicSet) -> bool:
         raise ValidationError("parabolic sets live in different root data")
     inter = p.members & q.members
     return is_closed(p.datum, inter) and is_generating(p.datum, inter)
+
+
+def type_name(t: Iterable[int]) -> str:
+    """A type label as reports print it: {a1,a3}."""
+    return "{" + ",".join(f"a{i + 1}" for i in sorted(t)) + "}"
+
+
+def parabolic_name(p: ParabolicSet) -> str:
+    """p by its standard position (w, Y) as reports print it: the label Y,
+    then w when it is not the identity, e.g. {a1} w=s2s1."""
+    w, y = standard_position(p)
+    word = "".join(f"s{i + 1}" for i in w.word)
+    return type_name(y) + (f" w={word}" if word else "")

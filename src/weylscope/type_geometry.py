@@ -72,11 +72,9 @@ def weyl_fan(datum: RootDatum, cap: Optional[int] = None) -> Prefan:
 
 
 def type_cone_max(p: ParabolicSet) -> Cone:
-    """Inequality-only cone cut out by the roots of the unipotent radical of
-    the opposite parabolic."""
-    datum = p.datum
-    ineqs = sorted(root_data.unipotent_radical_roots(root_data.opposite(p)))
-    return polyfan.make_cone(datum.rank, ineqs, ())
+    """Inequality-only cone cut out by the roots outside p (the unipotent
+    radical of the opposite parabolic)."""
+    return polyfan.make_cone(p.datum.rank, sorted(root_data.outside_roots(p)), ())
 
 
 def _osculatory_companion(q: ParabolicSet, t: TypeLabel) -> ParabolicSet:
@@ -94,8 +92,8 @@ def type_cone(q: ParabolicSet, t: TypeLabel) -> TypeCone:
     datum = q.datum
     t = _check_type(datum, t)
     p = _osculatory_companion(q, t)
-    psi = set(root_data.unipotent_radical_roots(root_data.opposite(p)))
-    levi = set(root_data.levi_roots(q))
+    psi = root_data.outside_roots(p)
+    levi = root_data.levi_roots(q)
     eqs = sorted(psi & levi)
     ineqs = sorted(psi - levi)
     return TypeCone(
@@ -175,10 +173,9 @@ def dims_equal(q: ParabolicSet, t: TypeLabel) -> bool:
     dim_type = polyfan.dim(type_cone(q, t).cone)
     expected = datum.rank - len(report.active_components)
     if dim_type != expected:
-        w, label = root_data.standard_position(q)
         raise RuntimeError(
-            f"type cone of the parabolic with label {sorted(label)} and word"
-            f" {list(w.word)} has dimension {dim_type}, expected {expected}"
+            f"type cone of parabolic {root_data.parabolic_name(q)} for type"
+            f" {root_data.type_name(t)} has dimension {dim_type}, expected {expected}"
         )
     return dim_type == polyfan.dim(weyl_cone(q))
 

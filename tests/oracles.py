@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from weylscope import linalg, root_data
+from weylscope import linalg, polyfan, root_data
 
 IntVector = Tuple[int, ...]
 
@@ -235,6 +235,55 @@ def orbit_parabolics(datum) -> List[Tuple[FrozenSet[IntVector], FrozenSet[int]]]
                 seen.add(members)
                 out.append((members, y))
     return out
+
+
+# ---------------------------------------------------------------------------
+# charts and strata: the opposite parabolic that chart generators and type
+# cones were read from before they became the roots outside p, and the scan
+# over every relevant parabolic that identified a stratum before stratum_of
+# verified the stored one.
+
+
+def opposite(p):
+    """The opposite parabolic: the Levi part of p and the negatives of its
+    unipotent radical."""
+    levi = root_data.levi_roots(p)
+    members = levi | frozenset(neg(r) for r in p.members - levi)
+    return root_data.ParabolicSet(datum=p.datum, members=members)
+
+
+def opposite_generators(p) -> Tuple[IntVector, ...]:
+    """The chart generators of p: the unipotent radical of the opposite
+    parabolic, sorted."""
+    return tuple(sorted(root_data.unipotent_radical_roots(opposite(p))))
+
+
+def scanned_stratum(ctx, x):
+    """The relevant parabolic q of the context whose chart generators
+    outside its Levi part are exactly those at -inf, in the first chart
+    accepting x, and which is osculatory with that chart's parabolic;
+    asserts that exactly one q matches.  The generators are those the
+    context stores, which the tests check against opposite_generators."""
+    def nonpositive(a):
+        v = polyfan.eval_at_boundary(x.point, a)
+        return v.kind < 0 or (v.kind == 0 and v.value <= 0)
+
+    for p, psi in ctx.charts:
+        try:
+            if all(nonpositive(a) for a in psi):
+                break
+        except polyfan.IndeterminateValueError:
+            pass
+    else:
+        raise AssertionError("no chart accepts the point")
+    dead = frozenset(a for a in psi if polyfan.eval_at_boundary(x.point, a).kind < 0)
+    matches = [
+        q for q in ctx.parabolics
+        if frozenset(a for a in psi if a not in q.members or neg(a) not in q.members) == dead
+        and root_data.is_osculatory(p, q)
+    ]
+    assert len(matches) == 1, f"vanishing pattern matches {len(matches)} strata"
+    return matches[0]
 
 
 # ---------------------------------------------------------------------------

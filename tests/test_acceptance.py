@@ -186,7 +186,7 @@ def test_criterion_06_seminorm_semantics():
         u = tuple(Fraction(rng.randint(-5, 5)) for _ in range(2))
         points.append(apartment.stratum_point(ctx, q, u))
     for x in points:
-        p, _psi = apartment._accepting_chart(ctx, x)
+        p, _psi, _ = apartment._accepting_chart(ctx, x)
         for _ in range(100):
             f = _random_tropical(rng, 2)
             g = _random_tropical(rng, 2)
@@ -202,7 +202,7 @@ def test_criterion_06_seminorm_semantics():
         u0 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(2))
         v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(2))
         lim = apartment.limit_point(ctx, u0, v)
-        p, psi = apartment._accepting_chart(ctx, lim)
+        p, psi, _ = apartment._accepting_chart(ctx, lim)
         for _ in range(20):
             f = _random_tropical(rng, 2)
             got = apartment.seminorm_eval(ctx, lim, f, p)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from weylscope import apartment, linalg, polyfan, root_data, type_geometry
+from weylscope import apartment, gl_models, linalg, polyfan, root_data, type_geometry
 from weylscope.apartment import (
     ChartMismatchError,
     chart_generators,
@@ -196,8 +196,7 @@ def test_seminorm_eval_requires_membership():
 def test_boundary_monomials_die_on_dead_generators():
     ctx = _ctx("A2", {0})
     x = limit_point(ctx, (0, 0), (-1, 0))
-    p, psi = apartment._accepting_chart(ctx, x)
-    vals = apartment.generator_values(ctx, x, p)
+    p, psi, vals = apartment._accepting_chart(ctx, x)
     dead = [k for k, v in enumerate(vals) if v.kind < 0]
     assert dead
     f = make_polynomial([make_monomial({dead[0]: 1}, 100)])
@@ -209,10 +208,10 @@ def test_boundary_monomials_die_on_dead_generators():
 def test_is_norm_only_in_the_interior():
     ctx = _ctx("A2", {0})
     inside = interior_point(ctx, (-2, -1))
-    p, _ = apartment._accepting_chart(ctx, inside)
+    p, _, _ = apartment._accepting_chart(ctx, inside)
     assert is_norm(ctx, inside, p)
     edge = limit_point(ctx, (0, 0), (-1, 0))
-    p2, _ = apartment._accepting_chart(ctx, edge)
+    p2, _, _ = apartment._accepting_chart(ctx, edge)
     assert not is_norm(ctx, edge, p2)
 
 
@@ -241,6 +240,67 @@ def test_stratum_of_agrees_with_construction():
             residual = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2))
             x = stratum_point(ctx, q, residual)
             assert stratum_of(ctx, x).members == q.members
+
+
+def _oracle_data():
+    names = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
+    data = [build_named(n) for n in names] + [root_data.build_from_cartan(((2, 0), (0, 2)))]
+    return [
+        make_context(datum, y)
+        for datum in data
+        for y in oracles.all_type_labels(datum.rank)
+    ] + [gl_models.gl_context(d) for d in range(1, 5)]
+
+
+def test_stratum_of_agrees_with_the_scan_over_every_stratum():
+    """stratum_of verifies the stored parabolic; the exactly-one scan over
+    the relevant parabolics finds the same one at an interior point and at
+    a point of every stratum of every type.  The limit of a ray into the
+    relative interior of a stratum cone is that same point."""
+    rng = random.Random(37)
+    for ctx in _oracle_data():
+        n = ctx.datum.rank
+        points = [interior_point(ctx, [rng.randint(-3, 3) for _ in range(n)])]
+        for q, cone in zip(ctx.parabolics, ctx.prefan.cones):
+            residual = [rng.randint(-3, 3) for _ in range(n)]
+            points.append(stratum_point(ctx, q, residual))
+            ray = limit_point(ctx, residual, polyfan.relative_interior_point(cone))
+            assert ray == points[-1]
+        for x in points:
+            found = stratum_of(ctx, x)
+            assert found is x.stratum_parabolic
+            assert oracles.scanned_stratum(ctx, x).members == found.members
+
+
+@pytest.mark.parametrize("stored,wrong", [(6, 2), (0, 5)])
+def test_stratum_of_rejects_a_stored_stratum_off_the_pattern(stored, wrong):
+    """A point of the stratum of ctx.parabolics[stored] that claims the
+    stratum of ctx.parabolics[wrong]: in the first case the wrong stratum
+    is osculatory with the chart and only the -inf pattern rejects it, in
+    the second the pattern fits and only osculation rejects it."""
+    ctx = _ctx("A2", {0})
+    x = stratum_point(ctx, ctx.parabolics[stored], (-2, -1))
+    claim = apartment.CompactApartmentPoint(x.point, ctx.parabolics[wrong])
+    with pytest.raises(ValidationError, match=r"disagrees .* chart \{a1\}"):
+        stratum_of(ctx, claim)
+
+
+def test_stratum_of_rejects_a_stored_stratum_that_is_not_relevant():
+    """The -inf pattern of a point of the {a1} stratum fits the Borel, which
+    is osculatory with the chart but indexes no stratum of type {a1}."""
+    ctx = _ctx("A2", {0})
+    x = stratum_point(ctx, ctx.parabolics[0], (0, 0))
+    claim = apartment.CompactApartmentPoint(x.point, standard_parabolic(ctx.datum, ()))
+    with pytest.raises(ValidationError, match=r"parabolic \{\} does not index .* type \{a1\}"):
+        stratum_of(ctx, claim)
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2"]
+)
+def test_chart_generators_are_the_opposite_unipotent_radical(name):
+    for p in root_data.all_parabolics(build_named(name)):
+        assert chart_generators(p) == oracles.opposite_generators(p)
 
 
 def test_limit_point_takes_the_first_cone_holding_the_direction():

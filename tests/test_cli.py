@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import weylscope
 from weylscope import cli
 
 
@@ -549,6 +557,49 @@ def test_render_is_byte_deterministic(tmp_path, capsys):
     assert a.read_text().count("<polygon") == 12
 
 
+# SHA-256 of the pictures drawn while the renderer still lived in the CLI
+# module: the renderer must keep drawing them byte for byte.
+_PINNED_SVGS = {
+    ("A2", "a1"): "2912f255a78637cc1151a25c504380ce9a409680a4dc820a17874d0fa9845038",
+    ("B2", "a1"): "dc86e8e0b913fae5be177e9522940a4c2da7a372fad0e62c02b1e3f9692264ca",
+    ("G2", ""): "30bcfd879a09d039bcbaac0bc948ab932ab0a20a4b7d0e3e5f7b3496d67c352b",
+    ("G2", "a1"): "f157d67533443640399de6bf076262212d7e4f6cab5635c8ea622e9108d2981c",
+}
+
+
+@pytest.mark.parametrize("datum,t", sorted(_PINNED_SVGS))
+def test_render_matches_pinned_digests(tmp_path, capsys, datum, t):
+    out = tmp_path / "pic.svg"
+    code, _, _ = _run(capsys, "render", "--datum", datum, "--type", t, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_SVGS[datum, t]
+
+
+def test_no_floats_outside_the_renderer():
+    """The library is exact: float(), float literals and the math module
+    appear only in weylscope/render.py, apart from the integer functions
+    gcd and lcm."""
+    found = []
+    for path in sorted(Path(weylscope.__file__).parent.glob("*.py")):
+        if path.name == "render.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+                or isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                or isinstance(node, ast.Import)
+                and any(alias.name == "math" for alias in node.names)
+                or isinstance(node, ast.ImportFrom)
+                and node.module == "math"
+                and any(alias.name not in ("gcd", "lcm") for alias in node.names)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_render_requires_rank_two(tmp_path, capsys):
     out = tmp_path / "pic.svg"
     code, _, err = _run(
@@ -556,6 +607,107 @@ def test_render_requires_rank_two(tmp_path, capsys):
     )
     assert code == 2
     assert "rank" in err
+
+
+def test_errors_name_the_parabolic_and_the_type(capsys):
+    for word, name in (([], "{a3}"), (["--word", "2"], "{a3} w=s2")):
+        code, out, err = _run(
+            capsys, "stabilizer", "--datum", "A3", "--type", "a1", "--stratum", "a3", *word
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: parabolic {name} does not index a stratum of type {{a1}}" \
+            " (not relevant)\n"
+
+
+# Small JSON values, nested at most three deep with at most four entries per
+# container.  Object keys are the ones the file's command reads, and strings
+# favour values those keys accept.
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-2, 2, width=16)
+    | st.sampled_from(["a1", "a2", "B2", "-inf", "1/2", "0", "", "x"])
+)
+
+
+def _json_values(keys, depth):
+    if depth == 0:
+        return _JSON_LEAVES
+    inner = _json_values(keys, depth - 1)
+    return _json_object(keys, inner) | st.lists(inner, max_size=4) | _JSON_LEAVES
+
+
+def _json_object(keys, inner):
+    return st.dictionaries(st.sampled_from(keys), inner, max_size=4)
+
+
+def _json_files(keys):
+    """Any value, with the shapes input files take (an object, a list of
+    objects) drawn more often."""
+    return (
+        _json_object(keys, _json_values(keys, 2))
+        | st.lists(_json_object(keys, _json_values(keys, 1)), max_size=4)
+        | _json_values(keys, 3)
+    )
+
+
+_POLY = '[{"exponents": {"0": 1}, "log_coeff": "2"}]'
+_FILE_COMMANDS = {
+    "--poly": (
+        ["seminorm", "--datum", "A2", "--type", "a1", "--interior", "0,0"],
+        ["exponents", "log_coeff", "character", "0", "1"],
+    ),
+    "--point-file": (
+        ["stabilizer", "--datum", "A2", "--type", "a1"],
+        ["interior", "stratum", "residual", "label", "word"],
+    ),
+    "--ray-file": (["limit", "--datum", "A2", "--type", "a1"], ["u0", "v"]),
+    "--seminorm-file": (["pgl"], ["values"]),
+    "--datum-file": (["datum-info"], ["name", "rank", "cartan", "roots", "label"]),
+}
+_FILE_VALUES = {flag: _json_files(keys) for flag, (_, keys) in _FILE_COMMANDS.items()}
+_PARSER = cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (_FILE_COMMANDS["--poly"][0] + ["--poly"], '[{"exponents": [1, 2]}]'),
+        (_FILE_COMMANDS["--poly"][0] + ["--poly"], '[{"exponents": {"0": 1}, "character": 5}]'),
+        (
+            _FILE_COMMANDS["--point-file"][0] + ["--point-file"],
+            '{"stratum": {"label": ["a1"], "word": 3}}',
+        ),
+        (["pgl", "--seminorm-file"], '{"values": 5}'),
+    ],
+)
+def test_json_files_of_the_wrong_shape_exit_with_one_line(tmp_path, capsys, argv, text):
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", sorted(_FILE_COMMANDS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_json_files_of_any_shape_exit_cleanly(flag, data):
+    """Whatever JSON an input file holds, the command exits 0, 2 or 3, and
+    an error is one line on stderr, never a traceback.  The parser is built
+    once: building it is most of the time of a small command."""
+    value = data.draw(_FILE_VALUES[flag])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "data.json")
+        path.write_text(json.dumps(value))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(cli, "build_parser", lambda: _PARSER):
+            code = cli.main(_FILE_COMMANDS[flag][0] + [flag, str(path)])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 def test_missing_point_source(capsys):

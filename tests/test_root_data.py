@@ -20,7 +20,6 @@ from weylscope.root_data import (
     inverse,
     is_osculatory,
     levi_roots,
-    opposite,
     standard_parabolic,
     standard_position,
     unipotent_radical_roots,
@@ -155,9 +154,10 @@ def test_levi_unipotent_partition_and_opposite():
             assert not levi & rad
             assert all(tuple(-c for c in r) in levi for r in levi)
             assert all(tuple(-c for c in r) not in p.members for r in rad)
-            opp = opposite(p)
+            opp = oracles.opposite(p)
             assert levi_roots(opp) == levi
-            assert opposite(opp).members == p.members
+            assert oracles.opposite(opp).members == p.members
+            assert unipotent_radical_roots(opp) == root_data.outside_roots(p)
 
 
 def test_parabolic_subsets_really_are_parabolic():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
-from weylscope import linalg, polyfan, root_data
+from weylscope import linalg, polyfan, root_data, type_geometry
 from weylscope.polyfan import cones_equal, dim, make_cone
 from weylscope.root_data import (
     ValidationError,
@@ -70,6 +70,24 @@ def test_type_cone_splits_chart_inequalities():
     for e in tc.cone.eqs:
         assert e in q.members or tuple(-c for c in e) in q.members
     assert tc.type_label == delta
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"])
+def test_type_cones_match_the_opposite_parabolic(name):
+    """The chart cone and every type cone, read from the roots outside the
+    companion, equal those read from its opposite parabolic."""
+    if name == "A1xA1":
+        datum = root_data.build_from_cartan(((2, 0), (0, 2)))
+    else:
+        datum = build_named(name)
+    for q in all_parabolics(datum):
+        assert type_cone_max(q) == make_cone(datum.rank, oracles.opposite_generators(q), ())
+        levi = root_data.levi_roots(q)
+        for t in oracles.all_type_labels(datum.rank):
+            psi = oracles.opposite_generators(type_geometry._osculatory_companion(q, t))
+            eqs = [a for a in psi if a in levi]
+            ineqs = [a for a in psi if a not in levi]
+            assert type_cone(q, t).cone == make_cone(datum.rank, ineqs, eqs)
 
 
 def test_relevance_against_maximality_oracle_small():
