@@ -145,7 +145,8 @@ def make_context(
 ) -> ApartmentContext:
     label = type_geometry._check_type(datum, frozenset(t))
     parabolics = root_data.all_parabolics(datum, cap)
-    relevant = tuple(q for q in parabolics if type_geometry.is_relevant(q, label))
+    labels = frozenset(type_geometry.relevant_labels(datum, label))
+    relevant = tuple(q for q in parabolics if q.type_label in labels)
     cones = tuple(type_geometry.type_cone(q, label).cone for q in relevant)
     charts = tuple((p, chart_generators(p)) for p in parabolics if p.type_label == label)
     return ApartmentContext(

@@ -8,6 +8,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import apartment, gl_models, polyfan, render, root_data, type_geometry
@@ -167,6 +168,8 @@ def _load_datum(args) -> RootDatum:
     """The datum of --datum or --datum-file.  An explicit --cap bounds the
     whole command: the Weyl group is enumerated under it here, and later
     lookups use that group instead of enumerating under the default cap."""
+    if args.cap is not None and args.cap < 1:
+        raise ValidationError(f"--cap must be at least 1, got {args.cap}")
     if args.datum_file:
         datum = _datum_from_file(args.datum_file)
     elif not args.datum:
@@ -459,11 +462,7 @@ def _cmd_relevant(args) -> int:
     t = _parse_type(args.type, datum)
     # 2^rank <= |W|, so the cap on W also bounds the list of type labels.
     root_data.weyl_elements(datum, args.cap)
-    labels = [
-        q.type_label
-        for q in root_data.DatumTables.of(datum).standard_parabolics()
-        if type_geometry.is_relevant(q, t)
-    ]
+    labels = type_geometry.relevant_labels(datum, t)
     report = {
         "command": "relevant",
         "datum": datum.name,
@@ -472,10 +471,11 @@ def _cmd_relevant(args) -> int:
         "count": len(labels),
     }
     if args.all:
+        relevant = frozenset(labels)
         everything = [
             _parabolic_id(q)
             for q in root_data.all_parabolics(datum, args.cap)
-            if type_geometry.is_relevant(q, t)
+            if q.type_label in relevant
         ]
         report["all_relevant"] = everything
         report["all_count"] = len(everything)
@@ -743,7 +743,9 @@ def _cmd_render(args) -> int:
 
 
 def _add_datum_flags(sub) -> None:
-    sub.add_argument("--datum", help="named root datum (A1-A6, B2-B4, C2-C4, D4, G2, A1xA1)")
+    sub.add_argument(
+        "--datum", help="named root datum (A1-A6, B2-B5, C2-C5, D4, D5, F4, G2, A1xA1)"
+    )
     sub.add_argument("--datum-file", help="JSON root-datum file")
     sub.add_argument("--cap", type=int, default=None, help="Weyl enumeration cap")
 
@@ -756,7 +758,10 @@ def _add_point_flags(sub) -> None:
     sub.add_argument("--residual", help="residual coordinates (CSV rationals)")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and kept for the
+    process: building it is most of the time of a small command."""
     parser = argparse.ArgumentParser(
         prog="weylscope",
         description=(

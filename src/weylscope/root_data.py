@@ -42,15 +42,30 @@ class EnumerationCapError(RuntimeError):
 
 
 def resolve_enum_cap(cap: Optional[int] = None) -> int:
+    """The cap on |W|: the one given, else WEYLSCOPE_ENUM_CAP, else the
+    default; a cap below 1 is a ValidationError."""
     if cap is not None:
+        if cap < 1:
+            raise ValidationError(f"enumeration cap must be at least 1, got {cap}")
         return cap
     raw = os.environ.get(ENUM_CAP_ENV)
     if raw is None:
         return DEFAULT_ENUM_CAP
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise ValidationError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise ValidationError(f"{ENUM_CAP_ENV} must be at least 1, got {value}")
+    return value
+
+
+def _cap_error(datum: RootDatum, reached: int, limit: int) -> EnumerationCapError:
+    what = datum.name or f"a rank-{datum.rank} datum"
+    return EnumerationCapError(
+        f"Weyl enumeration of {what} exceeded cap {limit} at {reached} elements"
+        f" (set {ENUM_CAP_ENV} to raise it)"
+    )
 
 
 def _mat_vec(m: IntMatrix, v: Sequence[int]) -> IntVector:
@@ -161,7 +176,7 @@ def _chain_cartan(n: int) -> List[List[int]]:
 def _register_named() -> None:
     for n in range(1, 7):
         _NAMED_CARTAN[f"A{n}"] = tuple(map(tuple, _chain_cartan(n)))
-    for n in range(2, 5):
+    for n in range(2, 6):
         b = _chain_cartan(n)
         b[n - 1][n - 2] = -2
         _NAMED_CARTAN[f"B{n}"] = tuple(map(tuple, b))
@@ -170,6 +185,15 @@ def _register_named() -> None:
         _NAMED_CARTAN[f"C{n}"] = tuple(map(tuple, c))
     d4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
     _NAMED_CARTAN["D4"] = tuple(map(tuple, d4))
+    # D5: the chain a1-a2-a3 forks at a3 into a4 and a5.
+    d5 = _chain_cartan(5)
+    d5[3][4] = d5[4][3] = 0
+    d5[2][4] = d5[4][2] = -1
+    _NAMED_CARTAN["D5"] = tuple(map(tuple, d5))
+    # F4 with a1, a2 long and a3, a4 short (Bourbaki).
+    f4 = _chain_cartan(4)
+    f4[2][1] = -2
+    _NAMED_CARTAN["F4"] = tuple(map(tuple, f4))
     _NAMED_CARTAN["G2"] = ((2, -3), (-1, 2))
 
 
@@ -250,7 +274,8 @@ def build_from_cartan(
 
 @lru_cache(maxsize=None)
 def build_named(name: str) -> RootDatum:
-    """Built-in datum by classical label (A1-A6, B2-B4, C2-C4, D4, G2)."""
+    """Built-in datum by classical label (A1-A6, B2-B5, C2-C5, D4, D5, F4,
+    G2)."""
     if name not in _NAMED_CARTAN:
         raise ValidationError(f"unknown root datum name: {name!r}")
     return build_from_cartan(_NAMED_CARTAN[name], name=name)
@@ -268,13 +293,13 @@ class _Weyl(NamedTuple):
 class DatumTables:
     """Every combinatorial table of one root datum, shared by all equal data.
 
-    The root index is built with the table, the Weyl group on first use, and
-    the standard parabolic of each type label, the parabolics, standard
-    positions, root permutations and subsystem roots only when something
-    asks for them: one label's standard parabolic never builds the other
-    2^rank - 1.  Each entry is computed in full before one assignment
-    stores it, and computing it again gives an equal value, so threads may
-    share a table without a lock.
+    The root index is built with the table, the Weyl group and the root
+    permutation of each of its elements on first use, and the standard
+    parabolic of each type label, the parabolics, standard positions and
+    subsystem roots only when something asks for them: one label's standard
+    parabolic never builds the other 2^rank - 1.  Each entry is computed in
+    full before one assignment stores it, and computing it again gives an
+    equal value, so threads may share a table without a lock.
     """
 
     def __init__(self, datum: RootDatum):
@@ -303,10 +328,7 @@ class DatumTables:
         if weyl is None:
             weyl = self.weyl = self._enumerate_weyl(limit)
         elif len(weyl.elements) > limit:
-            raise EnumerationCapError(
-                f"|W| = {len(weyl.elements)} exceeds enumeration cap {limit}"
-                f" (set {ENUM_CAP_ENV} to raise it)"
-            )
+            raise _cap_error(self.datum, len(weyl.elements), limit)
         return weyl
 
     def enumerated_weyl_group(self) -> _Weyl:
@@ -317,31 +339,45 @@ class DatumTables:
 
     def _enumerate_weyl(self, limit: int) -> _Weyl:
         """Breadth-first over words in simple-reflection index order, so the
-        first word reaching a matrix is the ShortLex-least reduced word."""
-        cartan = self.datum.cartan
-        ident = WeylElement(word=(), matrix=_identity_matrix(self.datum.rank))
+        first word reaching a matrix is the ShortLex-least reduced word.
+
+        Each new element w·s_j gets its permutation of the root indices,
+        i ↦ perm(w)[perm(s_j)[i]], where s_j sends r to r - <r, α_j∨> α_j;
+        the permutations are stored once the whole group fits under the
+        cap."""
+        datum = self.datum
+        cartan = datum.cartan
+        reflections = [
+            tuple(
+                self.root_index[r[:j] + (r[j] - datum.pairing(r, cartan[j]),) + r[j + 1 :]]
+                for r in datum.roots
+            )
+            for j in range(datum.rank)
+        ]
+        ident = WeylElement(word=(), matrix=_identity_matrix(datum.rank))
         seen: Dict[IntMatrix, WeylElement] = {ident.matrix: ident}
         inv_of: Dict[IntMatrix, IntMatrix] = {ident.matrix: ident.matrix}
+        perms: Dict[IntMatrix, Tuple[int, ...]] = {ident.matrix: tuple(range(len(datum.roots)))}
         order: List[WeylElement] = [ident]
         level = [ident]
         while level:
             nxt: List[WeylElement] = []
             for w in level:
-                for j in range(len(cartan)):
+                for j, s_j in enumerate(reflections):
                     mat = _times_reflection(w.matrix, j, cartan)
                     if mat in seen:
                         continue
                     elem = WeylElement(word=w.word + (j,), matrix=mat)
                     seen[mat] = elem
                     inv_of[mat] = _reflection_times(j, inv_of[w.matrix], cartan)
+                    perm_w = perms[w.matrix]
+                    perms[mat] = tuple([perm_w[i] for i in s_j])
                     order.append(elem)
                     nxt.append(elem)
                     if len(order) > limit:
-                        raise EnumerationCapError(
-                            f"Weyl enumeration exceeded cap {limit}"
-                            f" (set {ENUM_CAP_ENV} to raise it)"
-                        )
+                        raise _cap_error(datum, len(order), limit)
             level = nxt
+        self.permutations.update(perms)
         inverse = {mat: seen[inv] for mat, inv in inv_of.items()}
         return _Weyl(elements=tuple(order), by_matrix=seen, inverse=inverse)
 
@@ -368,7 +404,8 @@ class DatumTables:
         )
 
     def permutation(self, w: WeylElement) -> Tuple[int, ...]:
-        """The permutation w induces on root indices."""
+        """The permutation w induces on root indices: stored for every
+        element by the Weyl enumeration, else computed from the matrix."""
         perm = self.permutations.get(w.matrix)
         if perm is None:
             perm = tuple(self.root_index[w.apply(r)] for r in self.datum.roots)
@@ -498,26 +535,33 @@ def all_parabolics(datum: RootDatum, cap: Optional[int] = None) -> Tuple[Parabol
 
     The orbit of the standard parabolic of Y is W/W_Y: w·P_Y meets each
     parabolic of it once as w runs over the minimal coset representatives,
-    the w with w·α_i > 0 for every i in Y.  Each is the ShortLex-first
-    element reaching its parabolic, and w^{-1} is its standard position.
+    the w with no right descent in Y (w·α_i > 0 for every i in Y).  Each is
+    the ShortLex-first element reaching its parabolic, and w^{-1} is its
+    standard position.
     """
-    weyl = weyl_elements(datum, cap)
     tables = DatumTables.of(datum)
+    weyl = tables.weyl_group(cap)
     if tables.parabolics is not None:
         return tables.parabolics
+    roots = datum.roots
+    negative = [not datum.is_positive(r) for r in roots]
+    simple = [tables.root_index[a] for a in _identity_matrix(datum.rank)]
+    perms = [tables.permutation(w) for w in weyl.elements]
+    # Bit i of a descent mask is set when w·α_i < 0.
+    descents = [
+        sum(1 << i for i, k in enumerate(simple) if negative[perm[k]]) for perm in perms
+    ]
     out: List[ParabolicSet] = []
     for std in tables.standard_parabolics():
         y = std.type_label
+        mask = sum(1 << i for i in y)
         std_idx = [tables.root_index[r] for r in std.members]
-        for w in weyl:
-            # w·α_i is column i of w.matrix, and a root is positive when any
-            # coefficient is.
-            if not all(any(row[i] > 0 for row in w.matrix) for i in y):
+        for w, perm, down in zip(weyl.elements, perms, descents):
+            if down & mask:
                 continue
-            perm = tables.permutation(w)
-            members = frozenset(datum.roots[perm[i]] for i in std_idx)
+            members = frozenset([roots[perm[i]] for i in std_idx])
             out.append(ParabolicSet(datum=datum, members=members, type_label=y))
-            tables.positions[members] = (inverse(datum, w), y)
+            tables.positions[members] = (weyl.inverse[w.matrix], y)
     result = tuple(out)
     tables.parabolics = result
     return result

@@ -157,6 +157,19 @@ def is_relevant(q: ParabolicSet, t: TypeLabel) -> bool:
     return relevance_report(q, t).is_relevant
 
 
+def relevant_labels(datum: RootDatum, t: TypeLabel) -> Tuple[TypeLabel, ...]:
+    """The t-relevant type labels, in type-label order.  Relevancy reads
+    only the label of the standard position, so a parabolic is t-relevant
+    exactly when its label is one of these.  One standard parabolic per
+    subset of the simple roots: callers bound the rank first."""
+    t = _check_type(datum, t)
+    return tuple(
+        q.type_label
+        for q in root_data.DatumTables.of(datum).standard_parabolics()
+        if relevance_report(q, t).is_relevant
+    )
+
+
 def minimal_relevant(q: ParabolicSet, t: TypeLabel) -> ParabolicSet:
     return relevance_report(q, t).minimal_relevant
 
@@ -231,11 +244,9 @@ def prefan_of_type(datum: RootDatum, t: TypeLabel, cap: Optional[int] = None) ->
     """Prefan whose cones are the type cones of the t-relevant parabolics, in
     parabolic enumeration order."""
     t = _check_type(datum, t)
-    cones = [
-        type_cone(q, t).cone
-        for q in root_data.all_parabolics(datum, cap)
-        if is_relevant(q, t)
-    ]
+    parabolics = root_data.all_parabolics(datum, cap)
+    labels = frozenset(relevant_labels(datum, t))
+    cones = [type_cone(q, t).cone for q in parabolics if q.type_label in labels]
     return polyfan.make_prefan(cones)
 
 

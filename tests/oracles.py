@@ -221,6 +221,16 @@ def scanned_standard_position(p):
     return None
 
 
+def matrix_permutation(datum, w) -> Tuple[int, ...]:
+    """The permutation w induces on root indices, by its action matrix on
+    each root: what the Weyl enumeration's composed permutations replace."""
+    index = {r: i for i, r in enumerate(datum.roots)}
+    return tuple(
+        index[tuple(sum(a * b for a, b in zip(row, r)) for row in w.matrix)]
+        for r in datum.roots
+    )
+
+
 def orbit_parabolics(datum) -> List[Tuple[FrozenSet[IntVector], FrozenSet[int]]]:
     """(members, label) of every parabolic: the orbit of each standard
     parabolic in type-label order, each member set kept where the ShortLex

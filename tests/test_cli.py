@@ -13,7 +13,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -353,6 +352,30 @@ def test_enumeration_cap_exit_code(capsys):
     assert "cap 10" in err
 
 
+def test_caps_below_one_exit_with_one_line(capsys, monkeypatch):
+    for cap in ("0", "-1"):
+        code, out, err = _run(capsys, "fan", "--datum", "A2", "--cap", cap)
+        assert code == 2 and out == ""
+        assert err == f"error: --cap must be at least 1, got {cap}\n"
+    monkeypatch.setenv("WEYLSCOPE_ENUM_CAP", "0")
+    for argv in (("fan", "--datum", "A2"), ("pgl", "--values", "0,-1")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: WEYLSCOPE_ENUM_CAP") and err.count("\n") == 1
+
+
+def test_cap_errors_name_the_datum_and_the_count(tmp_path):
+    proc = _run_child("fan", "--datum", "A5", "--cap", "100")
+    assert proc.returncode == 3
+    assert "Weyl enumeration of A5 exceeded cap 100 at 101 elements" in proc.stderr
+    f = tmp_path / "datum.json"
+    # B2 x A1, which no name covers.
+    f.write_text(json.dumps({"rank": 3, "cartan": [[2, -2, 0], [-1, 2, 0], [0, 0, 2]]}))
+    proc = _run_child("datum-info", "--datum-file", str(f), "--cap", "5")
+    assert proc.returncode == 3
+    assert "of a rank-3 datum exceeded cap 5 at 6 elements" in proc.stderr
+
+
 def test_enumeration_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("WEYLSCOPE_ENUM_CAP", "10")
     code, _, err = _run(capsys, "datum-info", "--datum", "A5")
@@ -495,6 +518,15 @@ _PINNED_REPORTS = {
         "stabilizer", "--datum", "A5", "--type", "a1,a2", "--stratum", "a1,a2,a4",
         "--word", "1,2,3", "--residual=1,2,3,4,5",
     ): "67c8cc15fecee926c49aed529527e68b06eed67de5d19d594ad2dc75d18a6116",
+    # Recorded through --datum-file (the same Cartan matrix, labelled F4 and
+    # B5) before these data had names, and before relevancy was decided
+    # once per label.
+    ("relevant", "--datum", "F4", "--type", "a1", "--all"): (
+        "ce80bdc48ca5e90c5521146e1e8aa553009d92a192f1330228f46ba412665452"
+    ),
+    ("relevant", "--datum", "B5", "--type", "a1", "--all", "--cap", "4000"): (
+        "bec9cf642803d8cdbaee98b278f8a7ad5602d7c1584189503574087308ba9eb4"
+    ),
 }
 
 
@@ -667,7 +699,6 @@ _FILE_COMMANDS = {
     "--datum-file": (["datum-info"], ["name", "rank", "cartan", "roots", "label"]),
 }
 _FILE_VALUES = {flag: _json_files(keys) for flag, (_, keys) in _FILE_COMMANDS.items()}
-_PARSER = cli.build_parser()
 
 
 @pytest.mark.parametrize(
@@ -695,19 +726,95 @@ def test_json_files_of_the_wrong_shape_exit_with_one_line(tmp_path, capsys, argv
 @given(data=st.data())
 def test_json_files_of_any_shape_exit_cleanly(flag, data):
     """Whatever JSON an input file holds, the command exits 0, 2 or 3, and
-    an error is one line on stderr, never a traceback.  The parser is built
-    once: building it is most of the time of a small command."""
+    an error is one line on stderr, never a traceback."""
     value = data.draw(_FILE_VALUES[flag])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "data.json")
         path.write_text(json.dumps(value))
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                mock.patch.object(cli, "build_parser", lambda: _PARSER):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(_FILE_COMMANDS[flag][0] + [flag, str(path)])
     assert code in (0, 2, 3)
     if code:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+# Command-line tokens by the kind of value a flag takes: (valid, malformed).
+_LONG = "9" * 30
+_FLAG_TOKENS = {
+    "datum": (["A1", "A2", "A3", "B2", "G2"], ["E9", "a2", "", "A0"]),
+    "type": (
+        ["", "none", "a1", "a2", "a1,a2", "1,3", "A3"],
+        ["a9", "a0", "x", "a1,,a2", "-1", "a" + _LONG],
+    ),
+    "word": (["", "1", "s2,s1", "1,2,1"], ["0", "9", "s", "x,1", _LONG]),
+    "vector": (
+        ["0", "0,0", "1,-2", "1/2,3", "1e5,0", "0,0,0", "1,2,3", "-1,0,1/3"],
+        ["x,1", "1/0,1", "1e999,0", "", ",", "1," + _LONG],
+    ),
+    "cap": (["100", _LONG, "24", "1"], ["0", "-1", "-7", "-" + _LONG, "x", "1.5", ""]),
+    "kind": (["type", "weyl", "max"], ["bogus"]),
+}
+_FLAG_KINDS = {
+    "--datum": "datum", "--type": "type", "--label": "type", "--to-type": "type",
+    "--stratum": "type", "--word": "word", "--interior": "vector", "--residual": "vector",
+    "--u0": "vector", "--v": "vector", "--cap": "cap", "--kind": "kind",
+}
+_FLAG_COMMANDS = {
+    "relevant": ("--datum", "--type", "--all", "--cap"),
+    "cone": ("--datum", "--type", "--label", "--word", "--kind", "--cap"),
+    "fan": ("--datum", "--cap"),
+    "prefan": ("--datum", "--type", "--cap"),
+    "stabilizer": ("--datum", "--type", "--cap"),
+    "limit": ("--datum", "--type", "--u0", "--v", "--cap"),
+    "project": ("--datum", "--type", "--to-type", "--cap"),
+}
+_ALWAYS = ("--datum", "--label", "--to-type")
+# The point flags of stabilizer and project: one source mostly, else both
+# or none.
+_POINT_SOURCES = (
+    ("--interior",), ("--stratum",), ("--stratum", "--word"), ("--stratum", "--residual"),
+    ("--stratum", "--word", "--residual"), ("--interior", "--stratum"), (),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command with its datum and required flags, each other flag with
+    odds of three in four, and one value in four malformed."""
+    command = draw(st.sampled_from(sorted(_FLAG_COMMANDS)))
+    flags = list(_FLAG_COMMANDS[command])
+    if command in ("stabilizer", "project"):
+        flags += draw(st.sampled_from(_POINT_SOURCES))
+    argv = [command]
+    for flag in flags:
+        if flag not in _ALWAYS and draw(st.integers(0, 3)) == 0:
+            continue
+        if flag == "--all":
+            argv.append(flag)
+            continue
+        valid, malformed = _FLAG_TOKENS[_FLAG_KINDS[flag]]
+        tokens = malformed if draw(st.integers(0, 3)) == 0 else valid
+        argv.append(f"{flag}={draw(st.sampled_from(tokens))}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_command_lines())
+def test_command_line_flags_of_any_value_exit_cleanly(argv):
+    """Whatever the flags hold, the command exits 0, 2 or 3 (argparse's own
+    exit counts as 2), never with a traceback, and an error ends stderr with
+    an error: line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert "error:" in err.getvalue().splitlines()[-1]
 
 
 def test_missing_point_source(capsys):
@@ -722,3 +829,7 @@ def test_no_arguments_shows_usage():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()

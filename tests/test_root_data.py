@@ -26,8 +26,11 @@ from weylscope.root_data import (
     weyl_elements,
 )
 
-ROOT_COUNTS = {"A1": 2, "A2": 6, "A3": 12, "B2": 8, "B3": 18, "C3": 18, "G2": 12, "D4": 24}
-WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12}
+ROOT_COUNTS = {
+    "A1": 2, "A2": 6, "A3": 12, "B2": 8, "B3": 18, "C3": 18, "G2": 12, "D4": 24,
+    "F4": 48, "B5": 50, "C5": 50, "D5": 40,
+}
+WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "F4": 1152}
 PARABOLIC_COUNTS = {"A1": 3, "A2": 13, "A3": 75, "B2": 17, "G2": 25}
 
 
@@ -79,6 +82,68 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.delenv("WEYLSCOPE_ENUM_CAP", raising=False)
     with pytest.raises(EnumerationCapError):
         weyl_elements(build_named("A5"), cap=10)
+
+
+def test_cap_error_names_the_datum_and_stores_nothing(monkeypatch):
+    monkeypatch.delenv("WEYLSCOPE_ENUM_CAP", raising=False)
+    for datum, what in (
+        (build_named("A5"), "of A5"),
+        (build_from_cartan(((2, -3, 0), (-1, 2, 0), (0, 0, 2))), "of a rank-3 datum"),
+    ):
+        monkeypatch.delitem(root_data._TABLES, datum, raising=False)
+        with pytest.raises(EnumerationCapError) as exc:
+            weyl_elements(datum, cap=10)
+        assert f"{what} exceeded cap 10 at 11 elements" in str(exc.value)
+        tables = root_data.DatumTables.of(datum)
+        assert tables.weyl is None and tables.permutations == {}
+    # A group already enumerated reports its order against a smaller cap.
+    datum = build_named("A3")
+    monkeypatch.delitem(root_data._TABLES, datum, raising=False)
+    weyl_elements(datum)
+    with pytest.raises(EnumerationCapError, match="of A3 exceeded cap 5 at 24 elements"):
+        weyl_elements(datum, cap=5)
+
+
+def test_caps_below_one_are_invalid(monkeypatch):
+    datum = build_named("A2")
+    for cap in (0, -1):
+        with pytest.raises(ValidationError, match="at least 1"):
+            weyl_elements(datum, cap=cap)
+    monkeypatch.setenv("WEYLSCOPE_ENUM_CAP", "0")
+    with pytest.raises(ValidationError, match="WEYLSCOPE_ENUM_CAP must be at least 1"):
+        weyl_elements(datum)
+
+
+_PERMUTED = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4")
+
+
+@pytest.mark.parametrize("name", _PERMUTED + ("A1xA1",))
+def test_enumeration_stores_the_permutation_of_every_element(monkeypatch, name):
+    if name == "A1xA1":
+        datum = build_from_cartan(((2, 0), (0, 2)))
+    else:
+        datum = build_named(name)
+    # A fresh table, so every stored permutation comes from the enumeration.
+    monkeypatch.delitem(root_data._TABLES, datum, raising=False)
+    elements = weyl_elements(datum)
+    stored = root_data.DatumTables.of(datum).permutations
+    assert len(stored) == len(elements)
+    for w in elements:
+        assert stored[w.matrix] == oracles.matrix_permutation(datum, w)
+
+
+def test_rank_five_weyl_orders_need_an_explicit_cap():
+    for name, order in {"B5": 3840, "C5": 3840, "D5": 1920}.items():
+        assert len(weyl_elements(build_named(name), cap=order)) == order
+    # Bourbaki's F4 has a1, a2 long and a3, a4 short; C5 is dual to B5.
+    assert build_named("F4").cartan[2][1] == -2 and build_named("F4").cartan[1][2] == -1
+    assert build_named("C5").cartan == tuple(zip(*build_named("B5").cartan))
+
+
+def test_f4_parabolics_are_the_orbits_of_the_standard_ones():
+    datum = build_named("F4")
+    parabolics = all_parabolics(datum)
+    assert [(q.members, q.type_label) for q in parabolics] == oracles.orbit_parabolics(datum)
 
 
 def test_cartan_validation():

@@ -117,6 +117,18 @@ def test_standard_relevant_labels_a3_hyperplane_type():
     assert sorted(labels) == [[0, 1], [0, 1, 2], [0, 2], [1, 2]]
 
 
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2"]
+)
+def test_relevant_labels_select_the_relevant_parabolics(name):
+    datum = build_named(name)
+    parabolics = all_parabolics(datum)
+    for t in oracles.all_type_labels(datum.rank):
+        labels = frozenset(type_geometry.relevant_labels(datum, t))
+        by_label = tuple(q for q in parabolics if q.type_label in labels)
+        assert by_label == tuple(q for q in parabolics if is_relevant(q, t))
+
+
 def test_minimal_relevant_is_relevant_and_minimal():
     datum = build_named("B2")
     for t in oracles.all_type_labels(2):
