@@ -144,11 +144,11 @@ def make_context(
     cap: Optional[int] = None,
 ) -> ApartmentContext:
     label = type_geometry._check_type(datum, frozenset(t))
-    parabolics = root_data.all_parabolics(datum, cap)
-    labels = frozenset(type_geometry.relevant_labels(datum, label))
-    relevant = tuple(q for q in parabolics if q.type_label in labels)
+    root_data.weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
+    labels = type_geometry.relevant_labels(datum, label)
+    relevant = root_data.parabolics_of(datum, labels, cap)
     cones = tuple(type_geometry.type_cone(q, label).cone for q in relevant)
-    charts = tuple((p, chart_generators(p)) for p in parabolics if p.type_label == label)
+    charts = tuple((p, chart_generators(p)) for p in root_data.parabolics_of(datum, (label,), cap))
     return ApartmentContext(
         datum=datum,
         type_label=label,
@@ -194,8 +194,9 @@ def limit_point(
     ctx: ApartmentContext, u0: Sequence, v: Sequence
 ) -> CompactApartmentPoint:
     """Limit of the ray u0 + n*v: the stratum whose cone holds v in its
-    relative interior, with residual the class of u0."""
-    vv = linalg.vec(v)
+    relative interior, with residual the class of u0.  Only signs of
+    pairings with v decide that, so v is scaled to integers once."""
+    vv = linalg.integer_row(v)
     for q, c in zip(ctx.parabolics, ctx.prefan.cones):
         if polyfan.in_relative_interior(c, vv):
             return CompactApartmentPoint(

@@ -294,13 +294,20 @@ def _fractions(values: Sequence) -> List[str]:
     return [str(Fraction(v)) for v in values]
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}")
+
+
 def _emit(args, report: Dict, summary: List[str]) -> None:
     for line in summary:
         print(line)
     text = json.dumps(report, indent=2, sort_keys=True)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text + "\n")
         print(f"report written to {args.out}")
     else:
         print(text)
@@ -471,11 +478,8 @@ def _cmd_relevant(args) -> int:
         "count": len(labels),
     }
     if args.all:
-        relevant = frozenset(labels)
         everything = [
-            _parabolic_id(q)
-            for q in root_data.all_parabolics(datum, args.cap)
-            if q.type_label in relevant
+            _parabolic_id(q) for q in root_data.parabolics_of(datum, labels, args.cap)
         ]
         report["all_relevant"] = everything
         report["all_count"] = len(everything)
@@ -727,9 +731,7 @@ def _cmd_render(args) -> int:
         )
     t = _parse_type(args.type, datum)
     ctx = apartment.make_context(datum, t, cap=args.cap)
-    svg = render.render_svg(datum, t, ctx)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_text(args.out, render.render_svg(datum, t, ctx))
     _, dim_text = _dim_counts(ctx.prefan.cones)
     print(
         f"wrote SVG for {datum.name or 'datum'} type {type_name(t)} "

@@ -47,8 +47,9 @@ def is_zero(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
-def _integer_row(u: Sequence) -> List[int]:
-    """The row times the least common multiple of its denominators."""
+def integer_row(u: Sequence) -> List[int]:
+    """The row times the least common multiple of its denominators: a
+    positive factor, so every sign the row gives a pairing is kept."""
     if all(type(a) is int for a in u):
         return list(u)
     fr = [Fraction(a) for a in u]
@@ -58,7 +59,7 @@ def _integer_row(u: Sequence) -> List[int]:
 
 def primitive(u: Sequence) -> IntVector:
     """Scale a rational vector to coprime integers, first nonzero entry > 0."""
-    ints = _integer_row(u)
+    ints = integer_row(u)
     g = gcd(*ints)
     if g == 0:
         return (0,) * len(ints)
@@ -75,7 +76,7 @@ def _reduce(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     unnormalized, plus the pivot columns.  Each updated row is divided by
     its content, which keeps the entries small.
     """
-    mat = [_integer_row(r) for r in rows]
+    mat = [integer_row(r) for r in rows]
     pivots: List[int] = []
     r = 0
     for c in range(len(mat[0]) if mat else 0):
@@ -132,7 +133,7 @@ def nullspace(rows: Sequence[Sequence], n: int) -> List[IntVector]:
 
 def in_row_span(rows: Sequence[Sequence], v: Sequence) -> bool:
     red, pivots = _reduce(rows)
-    w = _integer_row(v)
+    w = integer_row(v)
     for row, p in zip(red, pivots):
         if w[p] != 0:
             w = [row[p] * a - w[p] * b for a, b in zip(w, row)]
@@ -156,7 +157,7 @@ def reduce_mod_span(basis_vectors: Sequence[Sequence], v: Sequence) -> Vector:
 
 def _normalize_constraint(row: Sequence, strict: bool) -> Constraint:
     """The row as coprime integers, same direction."""
-    ints = _integer_row(row)
+    ints = integer_row(row)
     g = gcd(*ints)
     if g > 1:
         ints = [a // g for a in ints]

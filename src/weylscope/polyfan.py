@@ -248,17 +248,23 @@ def is_strictly_convex(cone: Cone) -> bool:
 
 
 def contains_point(cone: Cone, u: Sequence) -> bool:
-    return all(linalg.dot(u, f) <= 0 for f in cone.ineqs) and all(
-        linalg.dot(u, e) == 0 for e in cone.eqs
+    """Whether u lies in the cone: a sign test, so u is first scaled to
+    integers by a positive factor and every pairing is an int."""
+    x = linalg.integer_row(u)
+    return all(linalg.dot(x, f) <= 0 for f in cone.ineqs) and all(
+        linalg.dot(x, e) == 0 for e in cone.eqs
     )
 
 
 def in_relative_interior(cone: Cone, u: Sequence) -> bool:
-    if not contains_point(cone, u):
+    """Whether u lies in the cone with every inequality that is not tight
+    on the whole cone strict; scaled to integers as in contains_point."""
+    x = linalg.integer_row(u)
+    if not contains_point(cone, x):
         return False
     tight = set(implied_equalities(cone))
     return all(
-        linalg.dot(u, f) < 0 for f in cone.ineqs if f not in tight
+        linalg.dot(x, f) < 0 for f in cone.ineqs if f not in tight
     )
 
 

@@ -10,10 +10,11 @@ Parabolics come from Lie theory rather than from searches of the Weyl group
 (Bourbaki, *Lie Groups*, ch. IV-VI; Humphreys 1990, section 1.10).  The
 standard parabolic of a type label Y, kept once per label in the datum's
 table, holds the positive roots and the negatives of those supported on Y.
-Its orbit is W/W_Y, so `all_parabolics` runs over the minimal coset
-representatives.  `standard_position` descends by simple reflections, each
-adding one positive root, so the element it builds has the least length any
-solution can have; the least element of the solution coset is unique.
+Its orbit is W/W_Y, so `parabolics_of` builds it from the minimal coset
+representatives, once per label and only for the labels asked for.
+`standard_position` descends by simple reflections, each adding one
+positive root, so the element it builds has the least length any solution
+can have; the least element of the solution coset is unique.
 """
 
 from __future__ import annotations
@@ -38,7 +39,21 @@ class ValidationError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """The Weyl group is larger than the configured enumeration cap."""
+    """The Weyl group is larger than the configured enumeration cap.
+
+    Carries the name of the datum the caller passed (None when it has none),
+    the cap, and the number of elements reached when enumeration stopped.
+    """
+
+    def __init__(self, datum: "RootDatum", cap: int, reached: int):
+        what = datum.name or f"a rank-{datum.rank} datum"
+        super().__init__(
+            f"Weyl enumeration of {what} exceeded cap {cap} at {reached} elements"
+            f" (set {ENUM_CAP_ENV} to raise it)"
+        )
+        self.datum_name = datum.name
+        self.cap = cap
+        self.reached = reached
 
 
 def resolve_enum_cap(cap: Optional[int] = None) -> int:
@@ -58,14 +73,6 @@ def resolve_enum_cap(cap: Optional[int] = None) -> int:
     if value < 1:
         raise ValidationError(f"{ENUM_CAP_ENV} must be at least 1, got {value}")
     return value
-
-
-def _cap_error(datum: RootDatum, reached: int, limit: int) -> EnumerationCapError:
-    what = datum.name or f"a rank-{datum.rank} datum"
-    return EnumerationCapError(
-        f"Weyl enumeration of {what} exceeded cap {limit} at {reached} elements"
-        f" (set {ENUM_CAP_ENV} to raise it)"
-    )
 
 
 def _mat_vec(m: IntMatrix, v: Sequence[int]) -> IntVector:
@@ -290,16 +297,23 @@ class _Weyl(NamedTuple):
     inverse: Dict[IntMatrix, WeylElement]
 
 
+def _type_labels(rank: int) -> Iterable[TypeLabel]:
+    """Every subset of the simple roots, in type-label order (by size, then
+    index set)."""
+    return (frozenset(y) for k in range(rank + 1) for y in combinations(range(rank), k))
+
+
 class DatumTables:
     """Every combinatorial table of one root datum, shared by all equal data.
 
     The root index is built with the table, the Weyl group and the root
     permutation of each of its elements on first use, and the standard
-    parabolic of each type label, the parabolics, standard positions and
-    subsystem roots only when something asks for them: one label's standard
-    parabolic never builds the other 2^rank - 1.  Each entry is computed in
-    full before one assignment stores it, and computing it again gives an
-    equal value, so threads may share a table without a lock.
+    parabolic, the orbit of parabolics and the subsystem roots of each type
+    label, and the standard positions, only when something asks for them:
+    one label's standard parabolic or orbit never builds the other
+    2^rank - 1.  Each entry is computed in full before one assignment
+    stores it, and computing it again gives an equal value, so threads may
+    share a table without a lock.
     """
 
     def __init__(self, datum: RootDatum):
@@ -307,7 +321,7 @@ class DatumTables:
         self.root_index: Dict[IntVector, int] = {r: i for i, r in enumerate(datum.roots)}
         self.weyl: Optional[_Weyl] = None
         self.standard: Dict[TypeLabel, ParabolicSet] = {}
-        self.parabolics: Optional[Tuple[ParabolicSet, ...]] = None
+        self.orbits: Dict[TypeLabel, Tuple[ParabolicSet, ...]] = {}
         self.positions: Dict[FrozenSet[IntVector], Tuple[WeylElement, TypeLabel]] = {}
         self.permutations: Dict[IntMatrix, Tuple[int, ...]] = {}
         self.subsystem_roots: Dict[TypeLabel, Tuple[IntVector, ...]] = {}
@@ -319,25 +333,26 @@ class DatumTables:
             tables = _TABLES.setdefault(datum, DatumTables(datum))
         return tables
 
-    def weyl_group(self, cap: Optional[int] = None) -> _Weyl:
+    def weyl_group(self, datum: RootDatum, cap: Optional[int] = None) -> _Weyl:
         """The Weyl group, enumerated on first use; raises
         EnumerationCapError, and stores nothing, when it is larger than the
-        cap."""
+        cap.  The error names datum, the caller's own: equal data share the
+        table, which keeps the name of the first of them."""
         limit = resolve_enum_cap(cap)
         weyl = self.weyl
         if weyl is None:
-            weyl = self.weyl = self._enumerate_weyl(limit)
+            weyl = self.weyl = self._enumerate_weyl(datum, limit)
         elif len(weyl.elements) > limit:
-            raise _cap_error(self.datum, len(weyl.elements), limit)
+            raise EnumerationCapError(datum, limit, len(weyl.elements))
         return weyl
 
-    def enumerated_weyl_group(self) -> _Weyl:
+    def enumerated_weyl_group(self, datum: RootDatum) -> _Weyl:
         """The Weyl group for a lookup: as an entry point (weyl_elements,
-        all_parabolics) enumerated it, under the cap that entry point was
+        parabolics_of) enumerated it, under the cap that entry point was
         given, else enumerated now under the default cap."""
-        return self.weyl or self.weyl_group()
+        return self.weyl or self.weyl_group(datum)
 
-    def _enumerate_weyl(self, limit: int) -> _Weyl:
+    def _enumerate_weyl(self, caller: RootDatum, limit: int) -> _Weyl:
         """Breadth-first over words in simple-reflection index order, so the
         first word reaching a matrix is the ShortLex-least reduced word.
 
@@ -375,7 +390,7 @@ class DatumTables:
                     order.append(elem)
                     nxt.append(elem)
                     if len(order) > limit:
-                        raise _cap_error(datum, len(order), limit)
+                        raise EnumerationCapError(caller, limit, len(order))
             level = nxt
         self.permutations.update(perms)
         inverse = {mat: seen[inv] for mat, inv in inv_of.items()}
@@ -396,12 +411,7 @@ class DatumTables:
         """The standard parabolic of every type label, in type-label order
         (by size, then index set): one per subset of the simple roots, so
         only for callers that bounded the rank first."""
-        rank = self.datum.rank
-        return tuple(
-            self.standard_parabolic(frozenset(y))
-            for k in range(rank + 1)
-            for y in combinations(range(rank), k)
-        )
+        return tuple(self.standard_parabolic(y) for y in _type_labels(self.datum.rank))
 
     def permutation(self, w: WeylElement) -> Tuple[int, ...]:
         """The permutation w induces on root indices: stored for every
@@ -426,7 +436,7 @@ _TABLES: Dict[RootDatum, DatumTables] = {}
 
 def weyl_elements(datum: RootDatum, cap: Optional[int] = None) -> Tuple[WeylElement, ...]:
     """All Weyl elements in ShortLex order of their canonical reduced words."""
-    return DatumTables.of(datum).weyl_group(cap).elements
+    return DatumTables.of(datum).weyl_group(datum, cap).elements
 
 
 def identity_element(datum: RootDatum) -> WeylElement:
@@ -435,12 +445,12 @@ def identity_element(datum: RootDatum) -> WeylElement:
 
 def compose(datum: RootDatum, a: WeylElement, b: WeylElement) -> WeylElement:
     """Canonical form of a∘b (a applied after b)."""
-    weyl = DatumTables.of(datum).enumerated_weyl_group()
+    weyl = DatumTables.of(datum).enumerated_weyl_group(datum)
     return weyl.by_matrix[_mat_mul(a.matrix, b.matrix)]
 
 
 def inverse(datum: RootDatum, a: WeylElement) -> WeylElement:
-    return DatumTables.of(datum).enumerated_weyl_group().inverse[a.matrix]
+    return DatumTables.of(datum).enumerated_weyl_group(datum).inverse[a.matrix]
 
 
 def act_on_dual(datum: RootDatum, w: WeylElement, u: Sequence) -> Tuple:
@@ -522,49 +532,66 @@ def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
     if u == simple:
         w = identity_element(datum)
     else:
-        w = tables.enumerated_weyl_group().by_matrix[u]
+        w = tables.enumerated_weyl_group(datum).by_matrix[u]
     result = (w, label)
     tables.positions[p.members] = result
     return result
 
 
-def all_parabolics(datum: RootDatum, cap: Optional[int] = None) -> Tuple[ParabolicSet, ...]:
-    """Every closed generating root subset, tagged with its type label;
-    deterministic order (type labels by size then index set, orbits in
-    ShortLex order of the conjugating element).
+def _label_key(label: TypeLabel) -> Tuple[int, Tuple[int, ...]]:
+    """Type-label order: by size, then by index set."""
+    return len(label), tuple(sorted(label))
+
+
+def parabolics_of(
+    datum: RootDatum, labels: Iterable[TypeLabel], cap: Optional[int] = None
+) -> Tuple[ParabolicSet, ...]:
+    """The parabolics whose type label is one of labels, in the order of
+    all_parabolics (labels in type-label order, each orbit in ShortLex order
+    of the conjugating element).
 
     The orbit of the standard parabolic of Y is W/W_Y: w·P_Y meets each
     parabolic of it once as w runs over the minimal coset representatives,
     the w with no right descent in Y (w·α_i > 0 for every i in Y).  Each is
     the ShortLex-first element reaching its parabolic, and w^{-1} is its
-    standard position.
+    standard position.  Only the orbits the table lacks are built, and only
+    their standard positions are seeded.
     """
     tables = DatumTables.of(datum)
-    weyl = tables.weyl_group(cap)
-    if tables.parabolics is not None:
-        return tables.parabolics
-    roots = datum.roots
-    negative = [not datum.is_positive(r) for r in roots]
-    simple = [tables.root_index[a] for a in _identity_matrix(datum.rank)]
-    perms = [tables.permutation(w) for w in weyl.elements]
-    # Bit i of a descent mask is set when w·α_i < 0.
-    descents = [
-        sum(1 << i for i, k in enumerate(simple) if negative[perm[k]]) for perm in perms
-    ]
-    out: List[ParabolicSet] = []
-    for std in tables.standard_parabolics():
-        y = std.type_label
-        mask = sum(1 << i for i in y)
-        std_idx = [tables.root_index[r] for r in std.members]
-        for w, perm, down in zip(weyl.elements, perms, descents):
-            if down & mask:
-                continue
-            members = frozenset([roots[perm[i]] for i in std_idx])
-            out.append(ParabolicSet(datum=datum, members=members, type_label=y))
-            tables.positions[members] = (weyl.inverse[w.matrix], y)
-    result = tuple(out)
-    tables.parabolics = result
-    return result
+    weyl = tables.weyl_group(datum, cap)
+    wanted = sorted({frozenset(y) for y in labels}, key=_label_key)
+    for y in wanted:
+        if any(i < 0 or i >= datum.rank for i in y):
+            raise ValidationError(f"type label {sorted(y)} out of range for rank {datum.rank}")
+    missing = [y for y in wanted if y not in tables.orbits]
+    if missing:
+        roots = datum.roots
+        negative = [not datum.is_positive(r) for r in roots]
+        simple = [tables.root_index[a] for a in _identity_matrix(datum.rank)]
+        perms = [tables.permutation(w) for w in weyl.elements]
+        # Bit i of a descent mask is set when w·α_i < 0.
+        descents = [
+            sum(1 << i for i, k in enumerate(simple) if negative[perm[k]]) for perm in perms
+        ]
+        for y in missing:
+            mask = sum(1 << i for i in y)
+            std_idx = [tables.root_index[r] for r in tables.standard_parabolic(y).members]
+            orbit: List[ParabolicSet] = []
+            for w, perm, down in zip(weyl.elements, perms, descents):
+                if down & mask:
+                    continue
+                members = frozenset([roots[perm[i]] for i in std_idx])
+                orbit.append(ParabolicSet(datum=datum, members=members, type_label=y))
+                tables.positions[members] = (weyl.inverse[w.matrix], y)
+            tables.orbits[y] = tuple(orbit)
+    return tuple(q for y in wanted for q in tables.orbits[y])
+
+
+def all_parabolics(datum: RootDatum, cap: Optional[int] = None) -> Tuple[ParabolicSet, ...]:
+    """Every closed generating root subset, tagged with its type label: the
+    parabolics of every label, in the order of parabolics_of."""
+    weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
+    return parabolics_of(datum, _type_labels(datum.rank), cap)
 
 
 def levi_roots(p: ParabolicSet) -> FrozenSet[IntVector]:

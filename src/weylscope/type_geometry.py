@@ -244,10 +244,9 @@ def prefan_of_type(datum: RootDatum, t: TypeLabel, cap: Optional[int] = None) ->
     """Prefan whose cones are the type cones of the t-relevant parabolics, in
     parabolic enumeration order."""
     t = _check_type(datum, t)
-    parabolics = root_data.all_parabolics(datum, cap)
-    labels = frozenset(relevant_labels(datum, t))
-    cones = [type_cone(q, t).cone for q in parabolics if q.type_label in labels]
-    return polyfan.make_prefan(cones)
+    root_data.weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
+    relevant = root_data.parabolics_of(datum, relevant_labels(datum, t), cap)
+    return polyfan.make_prefan([type_cone(q, t).cone for q in relevant])
 
 
 def _relint_meets(cone: Cone, region: Cone) -> bool:

@@ -297,6 +297,22 @@ def scanned_stratum(ctx, x):
 
 
 # ---------------------------------------------------------------------------
+# points: the membership tests that polyfan ran in Fraction arithmetic before
+# it cleared the point's denominators, kept to check its integer sign tests.
+
+
+def fraction_contains_point(cone, u: Sequence) -> bool:
+    return all(dot(u, f) <= 0 for f in cone.ineqs) and all(dot(u, e) == 0 for e in cone.eqs)
+
+
+def fraction_in_relative_interior(cone, u: Sequence) -> bool:
+    if not fraction_contains_point(cone, u):
+        return False
+    tight = set(polyfan.implied_equalities(cone))
+    return all(dot(u, f) < 0 for f in cone.ineqs if f not in tight)
+
+
+# ---------------------------------------------------------------------------
 # cones: the subset-enumerating ray search and the promote-and-recompute face
 # lattice that polyfan used before its double description and incidence
 # faces, kept to check them.  The search runs on linalg's integer kernel,

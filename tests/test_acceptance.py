@@ -121,6 +121,45 @@ def test_criterion_03_relevancy_criterion_matches_maximality():
     _budget(started, 60.0)
 
 
+def test_criterion_01_on_f4_types_of_three_letters():
+    """Criterion 1 on F4 for the four types of three letters: each of them
+    scans all 5,089 Weyl cones, about 3 s a type, so the other twelve types
+    are left to the rank <= 3 data."""
+    started = time.monotonic()
+    datum = root_data.build_named("F4")
+    for t in _types(4):
+        if len(t) == 3:
+            p = root_data.standard_parabolic(datum, t)
+            assert type_geometry.union_weyl_oracle(p), sorted(t)
+    _budget(started, 60.0)
+
+
+def test_criterion_03_on_f4():
+    """Criterion 3 on F4 for every type.  Both sides are W-invariant, so
+    the standard parabolic of each label is checked against the whole list,
+    together with a seeded sample of 40 parabolics of any position."""
+    started = time.monotonic()
+    datum = root_data.build_named("F4")
+    parabolics = root_data.all_parabolics(datum)
+    queries = list(root_data.DatumTables.of(datum).standard_parabolics())
+    queries += random.Random(4).sample(parabolics, 40)
+    for t in _types(datum.rank):
+        cones = {}
+
+        def cone_of(q, t=t, cones=cones):
+            if q.members not in cones:
+                cones[q.members] = type_geometry.type_cone(q, t).cone
+            return cones[q.members]
+
+        for q in queries:
+            brute = oracles.maximality_relevant(
+                q, t, parabolics, lambda q2, _t: cone_of(q2), polyfan.cones_equal
+            )
+            where = (sorted(t), root_data.parabolic_name(q))
+            assert type_geometry.is_relevant(q, t) == brute, where
+    _budget(started, 20.0)
+
+
 def test_criterion_04_chain_type_cones_match_closed_form():
     started = time.monotonic()
     for d in range(1, 6):

@@ -538,6 +538,16 @@ def test_reports_match_pinned_digests(tmp_path, capsys, argv):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_REPORTS[argv]
 
 
+def test_f4_prefan_stdout_matches_its_pinned_digest(capsys):
+    """The whole stdout (summary line and report) of the F4 prefan of type
+    {a2}, recorded while the parabolics of every label were still built."""
+    code, out, _ = _run(capsys, "prefan", "--datum", "F4", "--type", "a2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "677a7092aaf3bcc75779ecd0c771ab22b9e3ba8bc23cb291e7300779defdeff1"
+    )
+
+
 def test_bad_type_token(capsys):
     code, _, err = _run(capsys, "prefan", "--datum", "A2", "--type", "a9")
     assert code == 2
@@ -769,7 +779,7 @@ _FLAG_COMMANDS = {
     "limit": ("--datum", "--type", "--u0", "--v", "--cap"),
     "project": ("--datum", "--type", "--to-type", "--cap"),
 }
-_ALWAYS = ("--datum", "--label", "--to-type")
+_ALWAYS = ("--datum", "--label", "--to-type", "--poly")
 # The point flags of stabilizer and project: one source mostly, else both
 # or none.
 _POINT_SOURCES = (
@@ -779,12 +789,12 @@ _POINT_SOURCES = (
 
 
 @st.composite
-def _command_lines(draw):
+def _command_lines(draw, commands=_FLAG_COMMANDS):
     """A command with its datum and required flags, each other flag with
     odds of three in four, and one value in four malformed."""
-    command = draw(st.sampled_from(sorted(_FLAG_COMMANDS)))
-    flags = list(_FLAG_COMMANDS[command])
-    if command in ("stabilizer", "project"):
+    command = draw(st.sampled_from(sorted(commands)))
+    flags = list(commands[command])
+    if command in ("stabilizer", "project", "seminorm"):
         flags += draw(st.sampled_from(_POINT_SOURCES))
     argv = [command]
     for flag in flags:
@@ -799,12 +809,9 @@ def _command_lines(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(argv=_command_lines())
-def test_command_line_flags_of_any_value_exit_cleanly(argv):
-    """Whatever the flags hold, the command exits 0, 2 or 3 (argparse's own
-    exit counts as 2), never with a traceback, and an error ends stderr with
-    an error: line."""
+def _assert_exits_cleanly(argv):
+    """The command exits 0, 2 or 3 (argparse's own exit counts as 2), never
+    with a traceback, and an error ends stderr with an error: line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -815,6 +822,63 @@ def test_command_line_flags_of_any_value_exit_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if code:
         assert "error:" in err.getvalue().splitlines()[-1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_command_lines())
+def test_command_line_flags_of_any_value_exit_cleanly(argv):
+    _assert_exits_cleanly(argv)
+
+
+# Files for the flags that read or write one: "{dir}" stands for a
+# directory holding a valid file of each kind and a malformed one.
+_FLAG_TOKENS.update({
+    "poly": (["{dir}/poly.json"], ["{dir}/bad.json", "{dir}/missing.json"]),
+    "seminorm": (["{dir}/seminorm.json"], ["{dir}/poly.json", "{dir}/bad.json"]),
+    "datum-file": (["{dir}/datum.json"], ["{dir}/seminorm.json", "{dir}/missing.json"]),
+    "out": (["{dir}/out"], ["{dir}", "{dir}/missing/out"]),
+    "chart": (["0", "1", "2"], ["-1", "99", "x", _LONG]),
+    "values": (
+        ["0", "0,-1", "0,-1,-inf", "1/2,-3,0,-inf", "0,0,0,0"],
+        ["-inf,-inf", "", "x,0", "0,1/0", "+inf,0", "1e999,0", "0," + _LONG],
+    ),
+})
+_FLAG_KINDS.update({
+    "--poly": "poly", "--seminorm-file": "seminorm", "--datum-file": "datum-file",
+    "--out": "out", "--chart": "chart", "--values": "values",
+})
+_MORE_FLAG_COMMANDS = {
+    "seminorm": ("--datum", "--type", "--poly", "--chart", "--cap"),
+    "pgl": ("--values", "--seminorm-file"),
+    "render": ("--datum", "--type", "--cap", "--out"),
+    "datum-info": ("--datum", "--datum-file", "--cap", "--out"),
+}
+_FLAG_FILES = {
+    "poly.json": '[{"exponents": {"0": 1, "1": 2}, "log_coeff": "1/2"}, {"exponents": {}}]',
+    "seminorm.json": '{"values": ["0", "-1/2", "-inf"]}',
+    "datum.json": '{"rank": 2, "cartan": [[2, -1], [-1, 2]]}',
+    "bad.json": '[{"exponents": ',
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_command_lines(_MORE_FLAG_COMMANDS))
+def test_flags_of_seminorm_pgl_render_and_datum_info_exit_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _FLAG_FILES.items():
+            Path(tmp, name).write_text(text)
+        _assert_exits_cleanly([a.replace("{dir}", tmp) for a in argv])
+
+
+def test_unwritable_out_paths_exit_with_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing" / "out"
+    for argv in (
+        ["datum-info", "--datum", "A2"],
+        ["render", "--datum", "A2", "--type", "a1"],
+    ):
+        code, _, err = _run(capsys, *argv, "--out", str(missing))
+        assert code == 2
+        assert err == f"error: {missing}: No such file or directory\n"
 
 
 def test_missing_point_source(capsys):

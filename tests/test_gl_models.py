@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from weylscope import apartment, polyfan
+from weylscope import apartment, polyfan, root_data, type_geometry
 from weylscope.gl_models import (
     DiagSeminorm,
     chi_diff,
+    datum_for,
     degeneration_ray,
     from_apartment_point,
     gl_context,
@@ -191,3 +192,21 @@ def test_residual_rank_matches_quotient_dimension():
             x = to_apartment_point(s)
             sa = apartment.stratum_apartment(ctx, x.stratum_parabolic)
             assert sa.residual_datum.rank == d - len(kernel(s))
+
+
+def test_a5_context_builds_only_the_orbits_it_indexes(monkeypatch):
+    """gl_context(5) on a fresh A5 table builds the orbits of its relevant
+    labels (its chart label among them) and no other: 63 of the 4,683
+    parabolics.  Standard positions are known for those and for the
+    standard parabolics that relevancy reads."""
+    datum = datum_for(5)
+    tables = root_data.DatumTables(datum)
+    monkeypatch.setitem(root_data._TABLES, datum, tables)
+    ctx = gl_context.__wrapped__(5)
+    labels = type_geometry.relevant_labels(datum, hyperplane_type(5))
+    assert set(tables.orbits) == set(labels)
+    assert hyperplane_type(5) in tables.orbits
+    built = [q for orbit in tables.orbits.values() for q in orbit]
+    assert len(built) == len(ctx.parabolics) == 63
+    standard = {q.members for q in tables.standard_parabolics()}
+    assert set(tables.positions) <= {q.members for q in built} | standard

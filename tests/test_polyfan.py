@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -307,3 +308,55 @@ def test_double_description_on_random_cones(data):
     assert facets(a) == oracles.promoted_facets(a)
     b = data.draw(_random_cone(a.space_dim))
     _check_common_face(a, b)
+
+
+RANK_LE_3 = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
+
+
+@lru_cache(maxsize=None)
+def _stratifying_cones():
+    """Every cone of every stratifying prefan of the named data of rank at
+    most 3, each once, in a fixed order."""
+    cones = set()
+    for name in RANK_LE_3:
+        datum = root_data.build_named(name)
+        for t in oracles.all_type_labels(datum.rank):
+            cones.update(type_geometry.prefan_of_type(datum, t).cones)
+    return sorted(cones, key=lambda c: (c.space_dim, c.ineqs, c.eqs))
+
+
+_COEFFS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=5, max_denominator=9),
+    st.fractions(min_value=-2, max_value=0, max_denominator=9),
+)
+_SCALES = st.builds(Fraction, st.integers(1, 1000), st.integers(1, 97))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_sign_tests_agree_with_the_fraction_oracle(data):
+    """On a cone of a stratifying prefan of rank <= 3, a rational point -- a
+    combination of the cone's rays and lineality, often on a face or
+    outside it, plus at times any point -- and its positive rational
+    multiples get the answers of the Fraction tests."""
+    cone = data.draw(st.sampled_from(_stratifying_cones()))
+    lin, rays = generators(cone)
+    n = cone.space_dim
+    u = [Fraction(0)] * n
+    for v in lin + rays:
+        c = data.draw(_COEFFS)
+        u = [a + c * b for a, b in zip(u, v)]
+    if data.draw(st.booleans()):
+        shift = data.draw(st.lists(_COEFFS, min_size=n, max_size=n))
+        u = [a + b for a, b in zip(u, shift)]
+    inside = oracles.fraction_contains_point(cone, u)
+    interior = oracles.fraction_in_relative_interior(cone, u)
+    for k in [Fraction(1)] + data.draw(st.lists(_SCALES, min_size=1, max_size=3)):
+        point = tuple(k * a for a in u)
+        assert contains_point(cone, point) == inside
+        assert in_relative_interior(cone, point) == interior
+        if all(a.denominator == 1 for a in point):
+            ints = tuple(int(a) for a in point)
+            assert contains_point(cone, ints) == inside
+            assert in_relative_interior(cone, ints) == interior

@@ -20,6 +20,7 @@ from weylscope.root_data import (
     inverse,
     is_osculatory,
     levi_roots,
+    parabolics_of,
     standard_parabolic,
     standard_position,
     unipotent_radical_roots,
@@ -102,6 +103,27 @@ def test_cap_error_names_the_datum_and_stores_nothing(monkeypatch):
     weyl_elements(datum)
     with pytest.raises(EnumerationCapError, match="of A3 exceeded cap 5 at 24 elements"):
         weyl_elements(datum, cap=5)
+
+
+def test_cap_error_names_the_callers_datum(monkeypatch):
+    """Equal data share one table, which keeps the name of the first; the
+    cap error names the datum the caller passed, cold or enumerated."""
+    monkeypatch.delenv("WEYLSCOPE_ENUM_CAP", raising=False)
+    named = build_named("A3")
+    unnamed = build_from_cartan(named.cartan)
+    monkeypatch.setitem(root_data._TABLES, unnamed, root_data.DatumTables(unnamed))
+    for datum, expected in ((named, ("A3", 10, 11)), (unnamed, (None, 10, 11))):
+        with pytest.raises(EnumerationCapError) as exc:
+            weyl_elements(datum, cap=10)
+        assert (exc.value.datum_name, exc.value.cap, exc.value.reached) == expected
+    weyl_elements(unnamed)
+    for datum, what in ((named, "of A3"), (unnamed, "of a rank-3 datum")):
+        with pytest.raises(EnumerationCapError) as exc:
+            all_parabolics(datum, cap=5)
+        assert f"Weyl enumeration {what} exceeded cap 5 at 24 elements" in str(exc.value)
+        assert (exc.value.datum_name, exc.value.cap, exc.value.reached) == (
+            datum.name, 5, 24
+        )
 
 
 def test_caps_below_one_are_invalid(monkeypatch):
@@ -197,6 +219,43 @@ def test_standard_position_word_is_minimal(monkeypatch):
         for q in parabolics:
             if q.members in scanned:
                 assert standard_position(q) == scanned[q.members]
+
+
+_ORBIT_DATA = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4")
+
+
+@pytest.mark.parametrize("name", _ORBIT_DATA)
+def test_parabolics_of_any_labels_filters_all_parabolics(monkeypatch, name):
+    """parabolics_of on a set of labels is all_parabolics filtered by label,
+    order included; a fresh table then holds those orbits and seeds the
+    standard positions of their members only, and later calls add the
+    missing orbits to it."""
+    datum = build_named(name)
+    everything = [(q.members, q.type_label) for q in all_parabolics(datum)]
+    shared = root_data.DatumTables.of(datum)
+    labels = oracles.all_type_labels(datum.rank)
+    rng = random.Random(name)
+    subsets = [[], labels[:1], labels[-1:], labels[::-1]]
+    subsets += [rng.sample(labels, rng.randint(1, len(labels))) for _ in range(4)]
+    for subset in subsets:
+        fresh = root_data.DatumTables(datum)
+        # Spares enumerating W again; the permutations are all stored.
+        fresh.weyl, fresh.permutations = shared.weyl, shared.permutations
+        monkeypatch.setitem(root_data._TABLES, datum, fresh)
+        got = parabolics_of(datum, subset)
+        assert [(q.members, q.type_label) for q in got] == [
+            e for e in everything if e[1] in subset
+        ]
+        assert set(fresh.orbits) == set(subset)
+        assert set(fresh.positions) == {q.members for q in got}
+    assert [(q.members, q.type_label) for q in parabolics_of(datum, labels)] == everything
+    assert [(q.members, q.type_label) for q in all_parabolics(datum)] == everything
+
+
+def test_parabolics_of_rejects_labels_out_of_range():
+    datum = build_named("A2")
+    with pytest.raises(ValidationError, match="out of range"):
+        parabolics_of(datum, [frozenset({2})])
 
 
 def test_standard_position_rejects_non_parabolic_sets():
