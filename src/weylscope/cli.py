@@ -175,7 +175,7 @@ def _load_datum(args) -> RootDatum:
     elif not args.datum:
         raise ValidationError("no root datum given: use --datum or --datum-file")
     elif args.datum.upper() in ("A1XA1", "A1*A1"):
-        datum = root_data.build_from_cartan(((2, 0), (0, 2)), name="A1xA1")
+        datum = root_data.build_named("A1xA1")
     else:
         datum = root_data.build_named(args.datum)
     if args.cap is not None:

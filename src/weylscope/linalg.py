@@ -1,25 +1,21 @@
-"""Exact linear algebra and linear-arithmetic decisions over the rationals.
+"""Exact linear algebra over the rationals.
 
-Integers in, integers out wherever no division happens: functionals, rays
-and constraint rows are integer tuples, elimination is fraction-free
-Gauss-Jordan on integer rows (each row divided by its content), and
-nullspace bases are primitive integer vectors.  Fraction appears only where
-a division is unavoidable: the reduced row echelon form and the residual
-classes built on it, and the back-substitution of feasible_point.  Nothing
-here touches floating point.  Constraint systems are homogeneous
-throughout: a constraint is a pair (row, strict) meaning row·x <= 0, or
-row·x < 0 when strict.
+Integers in, integers out wherever no division happens: functionals and
+rays are integer tuples, elimination is fraction-free Gauss-Jordan on
+integer rows (each row divided by its content), and nullspace bases are
+primitive integer vectors.  Fraction appears only where a division is
+unavoidable: the reduced row echelon form and the residual classes built
+on it.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 IntVector = Tuple[int, ...]
-Constraint = Tuple[IntVector, bool]
 
 
 def vec(entries: Iterable) -> Vector:
@@ -131,15 +127,6 @@ def nullspace(rows: Sequence[Sequence], n: int) -> List[IntVector]:
     return basis
 
 
-def in_row_span(rows: Sequence[Sequence], v: Sequence) -> bool:
-    red, pivots = _reduce(rows)
-    w = integer_row(v)
-    for row, p in zip(red, pivots):
-        if w[p] != 0:
-            w = [row[p] * a - w[p] * b for a, b in zip(w, row)]
-    return is_zero(w)
-
-
 def reduce_mod_span(basis_vectors: Sequence[Sequence], v: Sequence) -> Vector:
     """Canonical representative of v modulo the span of the given vectors.
 
@@ -153,110 +140,3 @@ def reduce_mod_span(basis_vectors: Sequence[Sequence], v: Sequence) -> Vector:
             f = out[p]
             out = [a - f * b for a, b in zip(out, row)]
     return tuple(out)
-
-
-def _normalize_constraint(row: Sequence, strict: bool) -> Constraint:
-    """The row as coprime integers, same direction."""
-    ints = integer_row(row)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [a // g for a in ints]
-    return tuple(ints), strict
-
-
-def _eliminate(cons: List[Constraint], k: int) -> Optional[List[Constraint]]:
-    """One Fourier-Motzkin step on coordinate k; None when 0 < 0 is derived."""
-    pos: List[Constraint] = []
-    negs: List[Constraint] = []
-    rest: List[Constraint] = []
-    for row, strict in cons:
-        if row[k] > 0:
-            pos.append((row, strict))
-        elif row[k] < 0:
-            negs.append((row, strict))
-        else:
-            rest.append((row, strict))
-    seen = {c for c in rest}
-    out = list(seen)
-    for prow, pstrict in pos:
-        for nrow, nstrict in negs:
-            comb = tuple(
-                -nrow[k] * a + prow[k] * b for a, b in zip(prow, nrow)
-            )
-            strict = pstrict or nstrict
-            if is_zero(comb):
-                if strict:
-                    return None
-                continue
-            c = _normalize_constraint(comb, strict)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-    return out
-
-
-def feasible_point(
-    constraints: Sequence[Tuple[Sequence, bool]], n: int
-) -> Optional[Vector]:
-    """A rational point satisfying every homogeneous constraint, else None.
-
-    Constraints are (row, strict) with meaning row·x <= 0 / < 0.  Decided by
-    Fourier-Motzkin elimination with back-substitution; exact and complete
-    over Q.
-    """
-    cons: List[Constraint] = []
-    for row, strict in constraints:
-        c = _normalize_constraint(row, strict)
-        if is_zero(c[0]):
-            if c[1]:
-                return None
-            continue
-        cons.append(c)
-    stages: List[List[Constraint]] = []
-    current = cons
-    for k in range(n):
-        stages.append(current)
-        nxt = _eliminate(current, k)
-        if nxt is None:
-            return None
-        current = nxt
-    for row, strict in current:
-        if strict:  # rows are now all-zero
-            return None
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        lo: Optional[Fraction] = None
-        lo_strict = False
-        hi: Optional[Fraction] = None
-        hi_strict = False
-        for row, strict in stages[k]:
-            coef = row[k]
-            if coef == 0:
-                continue
-            rest = sum(row[j] * x[j] for j in range(k + 1, n))
-            bound = Fraction(-rest, coef)
-            if coef > 0:  # x_k <= bound
-                if hi is None or bound < hi:
-                    hi, hi_strict = bound, strict
-                elif bound == hi:
-                    hi_strict = hi_strict or strict
-            else:  # x_k >= bound
-                if lo is None or bound > lo:
-                    lo, lo_strict = bound, strict
-                elif bound == lo:
-                    lo_strict = lo_strict or strict
-        if lo is None and hi is None:
-            x[k] = Fraction(0)
-        elif lo is None:
-            x[k] = hi - 1 if hi_strict else min(hi, Fraction(0))
-        elif hi is None:
-            x[k] = lo + 1 if lo_strict else max(lo, Fraction(0))
-        elif lo == hi:
-            x[k] = lo
-        else:
-            x[k] = (lo + hi) / 2 if (lo_strict or hi_strict) else lo
-    return tuple(x)
-
-
-def feasible(constraints: Sequence[Tuple[Sequence, bool]], n: int) -> bool:
-    return feasible_point(constraints, n) is not None

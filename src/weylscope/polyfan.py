@@ -51,12 +51,19 @@ class DimensionCapError(RuntimeError):
 
 
 class FanAxiomViolation(Exception):
-    """Two cones meet in a set that is not a common face; carries a witness
-    point inside the offending region."""
+    """A prefan axiom fails; carries a witness point inside the offending
+    region and, when raised by verify_prefan, the indices of the cones at
+    fault."""
 
-    def __init__(self, message: str, witness: Optional[Vector] = None):
+    def __init__(
+        self,
+        message: str,
+        witness: Optional[Vector] = None,
+        cones: Tuple[int, ...] = (),
+    ):
         super().__init__(message)
         self.witness = witness
+        self.cones = cones
 
 
 class IndeterminateValueError(ValueError):
@@ -123,14 +130,6 @@ def make_cone(space_dim: int, ineqs: Sequence[Sequence[int]], eqs: Sequence[Sequ
     )
 
 
-@lru_cache(maxsize=None)
-def lineality_basis(cone: Cone) -> Tuple[IntVector, ...]:
-    """Canonical basis of the largest linear subspace inside the cone: the
-    common kernel of every description functional (description-independent,
-    since any valid description spans the annihilator of the lineality)."""
-    return tuple(linalg.nullspace(cone.ineqs + cone.eqs, cone.space_dim))
-
-
 def _combine(a: int, u: IntVector, b: int, v: IntVector) -> IntVector:
     """a·u + b·v divided by its content (a positive divisor, so the direction
     is kept)."""
@@ -156,7 +155,10 @@ def generators(cone: Cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]
     then canonicalized modulo the lineality (primitive integer direction),
     so the pair is a normal form: two H-descriptions cut out the same set
     iff they produce identical pairs.  The cone is the lineality span plus
-    the nonnegative hull of the rays.
+    the nonnegative hull of the rays.  The lineality basis is canonical:
+    the nullspace basis of every description functional (description-
+    independent, since any valid description spans the annihilator of the
+    lineality).
     """
     basis = linalg.nullspace(cone.eqs, cone.space_dim)
     rays: List[Tuple[IntVector, int]] = []  # (ray, zero set: bit k for the k-th inequality)
@@ -197,10 +199,15 @@ def generators(cone: Cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]
         rays = kept
     if not basis:  # strictly convex: the rays are primitive already
         return (), tuple(sorted(r for r, _ in rays))
-    lin = lineality_basis(cone)
+    lin = tuple(linalg.nullspace(cone.ineqs + cone.eqs, cone.space_dim))
     return lin, tuple(
         sorted(_primitive_ray(linalg.reduce_mod_span(lin, r)) for r, _ in rays)
     )
+
+
+def lineality_basis(cone: Cone) -> Tuple[IntVector, ...]:
+    """Canonical basis of the largest linear subspace inside the cone."""
+    return generators(cone)[0]
 
 
 def _canonical_key(cone: Cone):
@@ -423,10 +430,9 @@ def common_face(a: Cone, b: Cone) -> Cone:
 @dataclass(frozen=True)
 class Prefan:
     """A finite cone family closed under faces with pairwise common-face
-    intersections; is_fan records strict convexity of every cone."""
+    intersections."""
 
     cones: Tuple[Cone, ...]
-    is_fan: bool
 
     @property
     def space_dim(self) -> int:
@@ -434,24 +440,31 @@ class Prefan:
 
 
 def make_prefan(cones: Sequence[Cone]) -> Prefan:
-    cs = tuple(cones)
-    return Prefan(cones=cs, is_fan=all(is_strictly_convex(c) for c in cs))
+    return Prefan(cones=tuple(cones))
 
 
 def verify_prefan(prefan: Prefan) -> None:
-    """Face closure and pairwise common-face axioms; raises on violation."""
+    """Face closure and pairwise common-face axioms; a violation names the
+    cone whose face is missing, or the pair whose intersection is not a
+    common face."""
     keys = {_canonical_key(c) for c in prefan.cones}
-    for c in prefan.cones:
+    for i, c in enumerate(prefan.cones):
         lin = lineality_basis(c)
         for tight, rays in _face_table(c, FACE_DIM_CAP):
             if (c.space_dim, lin, frozenset(rays)) not in keys:
                 raise FanAxiomViolation(
-                    "face closure fails",
+                    f"face closure fails: a face of cone {i} is not in the prefan",
                     witness=relative_interior_point(_promoted(c, tight)),
+                    cones=(i,),
                 )
     for i, a in enumerate(prefan.cones):
-        for b in prefan.cones[i + 1 :]:
-            common_face(a, b)
+        for j, b in enumerate(prefan.cones[i + 1 :], i + 1):
+            try:
+                common_face(a, b)
+            except FanAxiomViolation as err:
+                raise FanAxiomViolation(
+                    f"cones {i} and {j}: {err}", witness=err.witness, cones=(i, j)
+                ) from None
 
 
 def _sample_grid(n: int) -> List[IntVector]:

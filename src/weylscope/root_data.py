@@ -202,6 +202,7 @@ def _register_named() -> None:
     f4[2][1] = -2
     _NAMED_CARTAN["F4"] = tuple(map(tuple, f4))
     _NAMED_CARTAN["G2"] = ((2, -3), (-1, 2))
+    _NAMED_CARTAN["A1xA1"] = ((2, 0), (0, 2))
 
 
 _register_named()
@@ -282,7 +283,7 @@ def build_from_cartan(
 @lru_cache(maxsize=None)
 def build_named(name: str) -> RootDatum:
     """Built-in datum by classical label (A1-A6, B2-B5, C2-C5, D4, D5, F4,
-    G2)."""
+    G2, A1xA1)."""
     if name not in _NAMED_CARTAN:
         raise ValidationError(f"unknown root datum name: {name!r}")
     return build_from_cartan(_NAMED_CARTAN[name], name=name)

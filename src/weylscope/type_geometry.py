@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from . import linalg, polyfan, root_data
 from .polyfan import Cone, Prefan
@@ -247,39 +247,3 @@ def prefan_of_type(datum: RootDatum, t: TypeLabel, cap: Optional[int] = None) ->
     root_data.weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
     relevant = root_data.parabolics_of(datum, relevant_labels(datum, t), cap)
     return polyfan.make_prefan([type_cone(q, t).cone for q in relevant])
-
-
-def _relint_meets(cone: Cone, region: Cone) -> bool:
-    """Whether the relative interior of cone meets the (closed) region."""
-    cons: List[Tuple[Sequence, bool]] = [(f, False) for f in region.ineqs]
-    for e in region.eqs:
-        cons.append((e, False))
-        cons.append((linalg.neg_int(e), False))
-    tight = set(polyfan.implied_equalities(cone))
-    for e in tight:
-        cons.append((e, False))
-        cons.append((linalg.neg_int(e), False))
-    for f in cone.ineqs:
-        if f not in tight:
-            cons.append((f, True))
-    return linalg.feasible(cons, cone.space_dim)
-
-
-def union_weyl_oracle(p: ParabolicSet, cone: Optional[Cone] = None) -> bool:
-    """Certify that the candidate cone (default: the max type cone of p)
-    equals the union of the Weyl cones of all parabolics contained in p:
-    each such Weyl cone must lie inside it, and every Weyl cone whose
-    relative interior meets it must contain some parabolic below p."""
-    datum = p.datum
-    region = cone if cone is not None else type_cone_max(p)
-    everything = root_data.all_parabolics(datum)
-    subs = [q for q in everything if q.members <= p.members]
-    for q in subs:
-        if not polyfan.cone_subset(weyl_cone(q), region):
-            return False
-    sub_members = [q.members for q in subs]
-    for q2 in everything:
-        if _relint_meets(weyl_cone(q2), region):
-            if not any(m <= q2.members for m in sub_members):
-                return False
-    return True

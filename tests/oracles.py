@@ -3,7 +3,8 @@
 Everything here works on plain tuples and Fractions, re-deriving facts
 from first principles rather than calling back into the code under test
 (except where a check is explicitly about comparing two library routes,
-as the cone oracles at the end do on top of linalg's integer kernel).
+as the cone and feasibility oracles at the end do on top of linalg's
+integer kernel).
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from weylscope import linalg, polyfan, root_data
+from weylscope import linalg, polyfan, root_data, type_geometry
 
 IntVector = Tuple[int, ...]
 
@@ -165,6 +167,18 @@ def nullspace(rows: Sequence[Sequence], n: int) -> List[Tuple[Fraction, ...]]:
             x[p] = -row[f]
         basis.append(tuple(x))
     return basis
+
+
+def integer_nullspace(rows: Sequence[Sequence], n: int) -> Tuple[IntVector, ...]:
+    """The RREF basis of the kernel, each vector scaled to coprime integers
+    by a positive factor (it is 1 on its free column)."""
+    out = []
+    for v in nullspace(rows, n):
+        m = lcm(*(a.denominator for a in v))
+        ints = [int(a * m) for a in v]
+        g = gcd(*ints)
+        out.append(tuple(a // g for a in ints))
+    return tuple(out)
 
 
 def span_of(vectors: Sequence[Sequence[Fraction]], n: int) -> List[Tuple[Fraction, ...]]:
@@ -358,7 +372,7 @@ def enumerated_generators(cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector,
         null = linalg.nullspace(tuple(cone.eqs) + subset, n)
         if len(null) != ell + 1:
             continue
-        v0 = next((b for b in null if not linalg.in_row_span(lin, b)), None)
+        v0 = next((b for b in null if not in_row_span(lin, b)), None)
         if v0 is None:
             continue
         for cand in (v0, neg(v0)):
@@ -444,3 +458,204 @@ def common_face_witness(a, b) -> Optional[IntVector]:
             if not _contains(inter, r):
                 return r
     return None
+
+
+# ---------------------------------------------------------------------------
+# rational feasibility: Fourier-Motzkin elimination over homogeneous
+# constraint systems, and the certificate of criterion 1 built on it (each
+# type cone is the union of the Weyl cones below it), which type_geometry
+# and linalg carried before any command needed them.  A constraint is a pair
+# (row, strict) meaning row·x <= 0, or row·x < 0 when strict.
+
+Constraint = Tuple[IntVector, bool]
+
+
+def in_row_span(rows: Sequence[Sequence], v: Sequence) -> bool:
+    red, pivots = linalg._reduce(rows)
+    w = linalg.integer_row(v)
+    for row, p in zip(red, pivots):
+        if w[p] != 0:
+            w = [row[p] * a - w[p] * b for a, b in zip(w, row)]
+    return linalg.is_zero(w)
+
+
+def _normalize_constraint(row: Sequence, strict: bool) -> Constraint:
+    """The row as coprime integers, same direction."""
+    ints = linalg.integer_row(row)
+    g = gcd(*ints)
+    if g > 1:
+        ints = [a // g for a in ints]
+    return tuple(ints), strict
+
+
+def _eliminate(cons: List[Constraint], k: int) -> Optional[List[Constraint]]:
+    """One Fourier-Motzkin step on coordinate k; None when 0 < 0 is derived."""
+    pos: List[Constraint] = []
+    negs: List[Constraint] = []
+    rest: List[Constraint] = []
+    for row, strict in cons:
+        if row[k] > 0:
+            pos.append((row, strict))
+        elif row[k] < 0:
+            negs.append((row, strict))
+        else:
+            rest.append((row, strict))
+    seen = {c for c in rest}
+    out = list(seen)
+    for prow, pstrict in pos:
+        for nrow, nstrict in negs:
+            comb = tuple(
+                -nrow[k] * a + prow[k] * b for a, b in zip(prow, nrow)
+            )
+            strict = pstrict or nstrict
+            if linalg.is_zero(comb):
+                if strict:
+                    return None
+                continue
+            c = _normalize_constraint(comb, strict)
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
+    return out
+
+
+def feasible_point(
+    constraints: Sequence[Tuple[Sequence, bool]], n: int
+) -> Optional[Tuple[Fraction, ...]]:
+    """A rational point satisfying every homogeneous constraint, else None.
+
+    Constraints are (row, strict) with meaning row·x <= 0 / < 0.  Decided by
+    Fourier-Motzkin elimination with back-substitution; exact and complete
+    over Q.
+    """
+    cons: List[Constraint] = []
+    for row, strict in constraints:
+        c = _normalize_constraint(row, strict)
+        if linalg.is_zero(c[0]):
+            if c[1]:
+                return None
+            continue
+        cons.append(c)
+    stages: List[List[Constraint]] = []
+    current = cons
+    for k in range(n):
+        stages.append(current)
+        nxt = _eliminate(current, k)
+        if nxt is None:
+            return None
+        current = nxt
+    for row, strict in current:
+        if strict:  # rows are now all-zero
+            return None
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        lo: Optional[Fraction] = None
+        lo_strict = False
+        hi: Optional[Fraction] = None
+        hi_strict = False
+        for row, strict in stages[k]:
+            coef = row[k]
+            if coef == 0:
+                continue
+            rest = sum(row[j] * x[j] for j in range(k + 1, n))
+            bound = Fraction(-rest, coef)
+            if coef > 0:  # x_k <= bound
+                if hi is None or bound < hi:
+                    hi, hi_strict = bound, strict
+                elif bound == hi:
+                    hi_strict = hi_strict or strict
+            else:  # x_k >= bound
+                if lo is None or bound > lo:
+                    lo, lo_strict = bound, strict
+                elif bound == lo:
+                    lo_strict = lo_strict or strict
+        if lo is None and hi is None:
+            x[k] = Fraction(0)
+        elif lo is None:
+            x[k] = hi - 1 if hi_strict else min(hi, Fraction(0))
+        elif hi is None:
+            x[k] = lo + 1 if lo_strict else max(lo, Fraction(0))
+        elif lo == hi:
+            x[k] = lo
+        else:
+            x[k] = (lo + hi) / 2 if (lo_strict or hi_strict) else lo
+    return tuple(x)
+
+
+def feasible(constraints: Sequence[Tuple[Sequence, bool]], n: int) -> bool:
+    return feasible_point(constraints, n) is not None
+
+
+def _relint_meets(cone, region) -> bool:
+    """Whether the relative interior of cone meets the (closed) region."""
+    cons: List[Tuple[Sequence, bool]] = [(f, False) for f in region.ineqs]
+    for e in region.eqs:
+        cons.append((e, False))
+        cons.append((linalg.neg_int(e), False))
+    tight = set(polyfan.implied_equalities(cone))
+    for e in tight:
+        cons.append((e, False))
+        cons.append((linalg.neg_int(e), False))
+    for f in cone.ineqs:
+        if f not in tight:
+            cons.append((f, True))
+    return feasible(cons, cone.space_dim)
+
+
+def _relint_meets_by_signs(cone, region) -> Optional[bool]:
+    """Whether the relative interior of a pointed cone meets the region,
+    decided by signs on its rays, or None.  The sum of the rays lies in the
+    relative interior, so it meets the region when the sum lies in it; every
+    point of the relative interior is a positive combination of the rays, so
+    it misses the region when one inequality of the region is positive on
+    every ray, or one equality has the same strict sign on every ray."""
+    lin, rays = polyfan.generators(cone)
+    if lin:
+        return None
+    total = tuple(map(sum, zip(*rays))) if rays else (0,) * cone.space_dim
+    if polyfan.contains_point(region, total):
+        return True
+    for f in region.ineqs:
+        if all(_pairing(r, f) > 0 for r in rays):
+            return False
+    for e in region.eqs:
+        signs = {(_pairing(r, e) > 0) - (_pairing(r, e) < 0) for r in rays}
+        if signs in ({1}, {-1}):
+            return False
+    return None
+
+
+def relint_meets(cone, region) -> bool:
+    """_relint_meets, with Fourier-Motzkin run only where the sign tests
+    leave the answer open."""
+    decided = _relint_meets_by_signs(cone, region)
+    return _relint_meets(cone, region) if decided is None else decided
+
+
+@lru_cache(maxsize=None)
+def _weyl_cones(datum) -> tuple:
+    """(members, Weyl cone) of every parabolic of the datum, built once for
+    all the types the oracle below is asked about."""
+    return tuple(
+        (q.members, type_geometry.weyl_cone(q)) for q in root_data.all_parabolics(datum)
+    )
+
+
+def union_weyl_oracle(p, cone=None, meets=relint_meets) -> bool:
+    """Certify that the candidate cone (default: the max type cone of p)
+    equals the union of the Weyl cones of all parabolics contained in p:
+    each such Weyl cone must lie inside it, and every Weyl cone whose
+    relative interior meets it must contain some parabolic below p.  The
+    meeting test is meets: relint_meets, or the plain _relint_meets."""
+    region = cone if cone is not None else type_geometry.type_cone_max(p)
+    everything = _weyl_cones(p.datum)
+    subs = [(m, c) for m, c in everything if m <= p.members]
+    for _, c in subs:
+        if not polyfan.cone_subset(c, region):
+            return False
+    sub_members = [m for m, _ in subs]
+    for members, c in everything:
+        if meets(c, region):
+            if not any(m <= members for m in sub_members):
+                return False
+    return True

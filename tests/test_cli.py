@@ -306,6 +306,19 @@ def test_datum_file_by_name(tmp_path, capsys):
     assert report["weyl_order"] == 8
 
 
+def test_datum_file_naming_a1xa1_matches_the_named_flag(tmp_path, capsys):
+    f = tmp_path / "datum.json"
+    f.write_text(json.dumps({"name": "A1xA1"}))
+    named, from_file = tmp_path / "named.json", tmp_path / "file.json"
+    assert _run(capsys, "datum-info", "--datum", "A1xA1", "--out", str(named))[0] == 0
+    code, _, err = _run(capsys, "datum-info", "--datum-file", str(f), "--out", str(from_file))
+    assert code == 0, err
+    assert from_file.read_bytes() == named.read_bytes()
+    assert _run(capsys, "datum-info", "--datum-file", str(f)) == _run(
+        capsys, "datum-info", "--datum", "A1xA1"
+    )
+
+
 def test_datum_file_by_cartan(tmp_path, capsys):
     f = tmp_path / "datum.json"
     f.write_text(json.dumps({"rank": 2, "cartan": [[2, -1], [-2, 2]]}))
@@ -868,6 +881,56 @@ def test_flags_of_seminorm_pgl_render_and_datum_info_exit_cleanly(argv):
         for name, text in _FLAG_FILES.items():
             Path(tmp, name).write_text(text)
         _assert_exits_cleanly([a.replace("{dir}", tmp) for a in argv])
+
+
+_SUCCESS_RANKS = {"A1": 1, "A2": 2, "B2": 2, "G2": 2, "A1xA1": 2, "A3": 3}
+_COORDINATES = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 4)),
+)
+_CONSTANT_POLY = '[{"exponents": {}, "log_coeff": "1/2"}]'
+
+
+@st.composite
+def _valid_command_lines(draw):
+    """limit, stabilizer, project or seminorm on a named datum, with a valid
+    type, point vectors of the datum's rank, a target type containing the
+    type for project, and a constant polynomial for seminorm."""
+    name = draw(st.sampled_from(sorted(_SUCCESS_RANKS)))
+    rank = _SUCCESS_RANKS[name]
+    letters = st.sets(st.integers(1, rank))
+    t = draw(letters)
+
+    def tokens(label):
+        return ",".join(f"a{i}" for i in sorted(label))
+
+    def point():
+        return ",".join(draw(st.lists(_COORDINATES, min_size=rank, max_size=rank)))
+
+    command = draw(st.sampled_from(("limit", "project", "seminorm", "stabilizer")))
+    argv = [command, "--datum", name, f"--type={tokens(t)}"]
+    if command == "limit":
+        return argv + [f"--u0={point()}", f"--v={point()}"]
+    argv.append(f"--interior={point()}")
+    if command == "project":
+        argv.append(f"--to-type={tokens(t | draw(letters))}")
+    if command == "seminorm":
+        argv += ["--poly", "{dir}/poly.json"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_valid_command_lines())
+def test_valid_points_of_limit_stabilizer_project_and_seminorm_succeed(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "poly.json").write_text(_CONSTANT_POLY)
+        out = Path(tmp, "report.json")
+        argv = [a.replace("{dir}", tmp) for a in argv] + ["--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 0, (argv, err.getvalue())
+        assert isinstance(json.loads(out.read_text()), dict)
 
 
 def test_unwritable_out_paths_exit_with_one_line(tmp_path, capsys):

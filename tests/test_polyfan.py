@@ -148,9 +148,21 @@ def test_prefan_verification_and_covering():
     verify_prefan(prefan)
     assert covers(prefan)
     broken = make_prefan(quads[:4])  # no shared faces listed
-    with pytest.raises(FanAxiomViolation):
+    with pytest.raises(FanAxiomViolation) as err:
         verify_prefan(broken)
+    assert err.value.cones == (0,)
+    assert "cone 0" in str(err.value)
+    assert contains_point(quads[0], err.value.witness)
     assert not covers(make_prefan([QUADRANT, ORIGIN]))
+    # closed under faces, but cones 1 and 2 overlap without a common face
+    wide = make_cone(2, [(1, -1), (-1, -1)])   # |x| <= y
+    tilted = make_cone(2, [(1, -2), (-1, 0)])  # x >= 0, x <= 2y
+    overlapping = make_prefan([ORIGIN, wide, tilted] + faces(wide) + faces(tilted))
+    with pytest.raises(FanAxiomViolation) as err:
+        verify_prefan(overlapping)
+    assert err.value.cones == (1, 2)
+    assert "cones 1 and 2" in str(err.value)
+    assert err.value.witness is not None
 
 
 def test_extended_value_arithmetic_and_order():
@@ -278,6 +290,7 @@ def test_double_description_matches_enumeration(name):
     fans, cones = _skeleton_cones(name)
     for c in cones:
         assert generators(c) == oracles.enumerated_generators(c), c
+        assert lineality_basis(c) == oracles.integer_nullspace(c.ineqs + c.eqs, c.space_dim), c
         assert faces(c) == oracles.promoted_faces(c), c
         assert facets(c) == oracles.promoted_facets(c), c
     for a, b in _intersection_pairs(name, fans, cones):
@@ -304,6 +317,7 @@ def _random_cone(draw, n=None):
 def test_double_description_on_random_cones(data):
     a = data.draw(_random_cone())
     assert generators(a) == oracles.enumerated_generators(a)
+    assert lineality_basis(a) == oracles.integer_nullspace(a.ineqs + a.eqs, a.space_dim)
     assert faces(a) == oracles.promoted_faces(a)
     assert facets(a) == oracles.promoted_facets(a)
     b = data.draw(_random_cone(a.space_dim))

@@ -24,7 +24,6 @@ from weylscope.type_geometry import (
     type_cone,
     type_cone_max,
     type_support,
-    union_weyl_oracle,
     weyl_cone,
     weyl_fan,
 )
@@ -255,14 +254,32 @@ def test_weyl_cone_rays_are_conjugate_coweights(name):
 def test_union_weyl_oracle_true_for_standard_parabolics():
     datum = build_named("A2")
     for y in oracles.all_type_labels(2):
-        assert union_weyl_oracle(standard_parabolic(datum, y))
+        assert oracles.union_weyl_oracle(standard_parabolic(datum, y))
 
 
 def test_union_weyl_oracle_rejects_wrong_cone():
     datum = build_named("A2")
     p = standard_parabolic(datum, (0,))
     wrong = make_cone(2, [(1, 1)])  # a half-plane unrelated to the chart cone
-    assert not union_weyl_oracle(p, wrong)
+    assert not oracles.union_weyl_oracle(p, wrong)
+    assert not oracles.union_weyl_oracle(p, wrong, meets=oracles._relint_meets)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_sign_tests_agree_with_fourier_motzkin(name):
+    """The relative interior test of the criterion 1 oracle, with and
+    without its sign tests, on every Weyl cone against the max cone of
+    every type; the sign tests must decide some of the cases."""
+    datum = build_named(name)
+    decided = 0
+    for t in oracles.all_type_labels(datum.rank):
+        region = type_cone_max(standard_parabolic(datum, t))
+        for q in all_parabolics(datum):
+            c = weyl_cone(q)
+            exact = oracles._relint_meets(c, region)
+            assert oracles.relint_meets(c, region) == exact, (sorted(t), q)
+            decided += oracles._relint_meets_by_signs(c, region) is not None
+    assert decided > 0
 
 
 def test_type_cone_rejects_bad_type():
