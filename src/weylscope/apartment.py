@@ -20,8 +20,9 @@ from .polyfan import BoundaryPoint, Cone, ExtendedValue, NEG_INF, Prefan, finite
 from .root_data import ParabolicSet, RootDatum, TypeLabel, ValidationError, WeylElement
 
 
-class ChartMismatchError(ValueError):
-    """The point lies outside the requested big-cell chart."""
+class ChartMismatchError(ValidationError):
+    """The point lies outside the requested big-cell chart: an input error,
+    like every ValidationError."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +145,13 @@ def make_context(
     cap: Optional[int] = None,
 ) -> ApartmentContext:
     label = type_geometry._check_type(datum, frozenset(t))
-    root_data.weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
-    labels = type_geometry.relevant_labels(datum, label)
-    relevant = root_data.parabolics_of(datum, labels, cap)
-    cones = tuple(type_geometry.type_cone(q, label).cone for q in relevant)
+    strata = type_geometry.type_cone_orbits(datum, label, cap)
     charts = tuple((p, chart_generators(p)) for p in root_data.parabolics_of(datum, (label,), cap))
     return ApartmentContext(
         datum=datum,
         type_label=label,
-        prefan=polyfan.make_prefan(cones),
-        parabolics=relevant,
+        prefan=polyfan.make_prefan(strata.cones),
+        parabolics=strata.parabolics,
         charts=charts,
     )
 

@@ -1,5 +1,9 @@
 """Command-line surface: root-datum ingestion, queries over the library,
-and deterministic JSON reports; `render` writes the SVG of weylscope.render."""
+and deterministic JSON reports; `render` writes the SVG of weylscope.render.
+
+apartment, gl_models and render are imported by the handlers that use
+them, so that `datum-info`, `relevant`, `fan`, `prefan` and `cone` do not
+load them."""
 
 from __future__ import annotations
 
@@ -9,10 +13,9 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import apartment, gl_models, polyfan, render, root_data, type_geometry
-from .apartment import ApartmentContext, ChartMismatchError, CompactApartmentPoint
+from . import polyfan, root_data, type_geometry
 from .polyfan import (
     Cone,
     DimensionCapError,
@@ -28,6 +31,11 @@ from .root_data import (
     parabolic_name,
     type_name,
 )
+from .type_geometry import ConeGeometry
+
+if TYPE_CHECKING:
+    from . import apartment
+    from .apartment import ApartmentContext, CompactApartmentPoint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -249,33 +257,33 @@ def _type_names(t) -> List[str]:
     return [f"a{i + 1}" for i in sorted(t)]
 
 
-def _cone_report(cone: Cone) -> Dict:
-    lin, rays = polyfan.generators(cone)
+def _cone_report(cone: Cone, geometry: ConeGeometry) -> Dict:
     return {
         "space_dim": cone.space_dim,
-        "dim": polyfan.dim(cone),
+        "dim": geometry.dim,
         "ineqs": [list(phi) for phi in cone.ineqs],
         "eqs": [list(phi) for phi in cone.eqs],
-        "lineality_dim": len(lin),
-        "rays": [[str(c) for c in r] for r in rays],
+        "lineality_dim": len(geometry.lineality),
+        "rays": [[str(c) for c in r] for r in geometry.rays],
     }
 
 
-def _cone_list(parabolics: Sequence[ParabolicSet], cones: Sequence[Cone]) -> List[Dict]:
-    """Report entries of the cones, numbered and labelled by their parabolics."""
+def _cone_list(family: type_geometry.ConeOrbits) -> List[Dict]:
+    """Report entries of the cones, numbered and labelled by their
+    parabolics, with the rays and dimensions carried along each orbit."""
     entries = []
-    for i, (q, c) in enumerate(zip(parabolics, cones)):
-        entry = _cone_report(c)
+    for i, (q, c, g) in enumerate(zip(family.parabolics, family.cones, family.geometry())):
+        entry = _cone_report(c, g)
         entry["index"] = i
         entry["parabolic"] = _parabolic_id(q)
         entries.append(entry)
     return entries
 
 
-def _dim_counts(cones: Sequence[Cone]) -> Tuple[Dict[str, int], str]:
+def _dim_counts(dims: Sequence[int]) -> Tuple[Dict[str, int], str]:
     """The number of cones of each dimension, as a report map and as
     summary text."""
-    counts = sorted(Counter(polyfan.dim(c) for c in cones).items())
+    counts = sorted(Counter(dims).items())
     return {str(k): v for k, v in counts}, ", ".join(f"dim {k}: {v}" for k, v in counts)
 
 
@@ -320,6 +328,8 @@ def _json_vector(values, rank: int, where: str) -> Tuple[Fraction, ...]:
 
 
 def _point_from_args(ctx: ApartmentContext, args) -> CompactApartmentPoint:
+    from . import apartment
+
     datum = ctx.datum
     sources = [s for s in (args.point_file, args.interior, args.stratum) if s is not None]
     if len(sources) != 1:
@@ -351,6 +361,8 @@ def _point_from_args(ctx: ApartmentContext, args) -> CompactApartmentPoint:
 
 
 def _polynomial_from_file(path: str) -> apartment.TropicalPolynomial:
+    from . import apartment
+
     data = _load_json(path)
     if not isinstance(data, list):
         raise ValidationError(f"{path}: expected a JSON list of monomials")
@@ -417,10 +429,8 @@ def _cmd_datum_info(args) -> int:
 
 def _cmd_fan(args) -> int:
     datum = _load_datum(args)
-    parabolics = root_data.all_parabolics(datum, args.cap)
-    prefan = type_geometry.weyl_fan(datum, args.cap)
-    cones = _cone_list(parabolics, prefan.cones)
-    dims, dim_text = _dim_counts(prefan.cones)
+    cones = _cone_list(type_geometry.weyl_cone_orbits(datum, args.cap))
+    dims, dim_text = _dim_counts([c["dim"] for c in cones])
     report = {
         "command": "fan",
         "datum": datum.name,
@@ -440,9 +450,8 @@ def _cmd_fan(args) -> int:
 def _cmd_prefan(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    ctx = apartment.make_context(datum, t, cap=args.cap)
-    cones = _cone_list(ctx.parabolics, ctx.prefan.cones)
-    dims, dim_text = _dim_counts(ctx.prefan.cones)
+    cones = _cone_list(type_geometry.type_cone_orbits(datum, t, args.cap))
+    dims, dim_text = _dim_counts([c["dim"] for c in cones])
     lin = type_geometry.lineality_space(datum, t)
     report = {
         "command": "prefan",
@@ -519,7 +528,7 @@ def _cmd_cone(args) -> int:
         "kind": args.kind,
         "type": _type_names(t),
         "parabolic": _parabolic_id(q),
-        "cone": _cone_report(cone),
+        "cone": _cone_report(cone, ConeGeometry(*polyfan.generators(cone), polyfan.dim(cone))),
     }
     report.update(extra)
     summary = [
@@ -539,6 +548,8 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    from . import apartment
+
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
     if args.ray_file:
@@ -582,6 +593,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_seminorm(args) -> int:
+    from . import apartment
+
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
     ctx = apartment.make_context(datum, t, cap=args.cap)
@@ -623,6 +636,8 @@ def _cmd_seminorm(args) -> int:
 
 
 def _cmd_stabilizer(args) -> int:
+    from . import apartment
+
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
     ctx = apartment.make_context(datum, t, cap=args.cap)
@@ -650,6 +665,8 @@ def _cmd_stabilizer(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from . import apartment
+
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
     t2 = _parse_type(args.to_type, datum, "--to-type")
@@ -679,6 +696,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_pgl(args) -> int:
+    from . import gl_models
+
     if args.seminorm_file:
         data = _load_json(args.seminorm_file)
         if not isinstance(data, dict) or not isinstance(data.get("values"), list):
@@ -724,6 +743,8 @@ def _cmd_pgl(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import apartment, render
+
     datum = _load_datum(args)
     if datum.rank != 2:
         raise ValidationError(
@@ -732,7 +753,7 @@ def _cmd_render(args) -> int:
     t = _parse_type(args.type, datum)
     ctx = apartment.make_context(datum, t, cap=args.cap)
     _write_text(args.out, render.render_svg(datum, t, ctx))
-    _, dim_text = _dim_counts(ctx.prefan.cones)
+    _, dim_text = _dim_counts([polyfan.dim(c) for c in ctx.prefan.cones])
     print(
         f"wrote SVG for {datum.name or 'datum'} type {type_name(t)} "
         f"({dim_text}) to {args.out}"
@@ -867,7 +888,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ENUM_CAP
     except (
         ValidationError,
-        ChartMismatchError,
         IndeterminateValueError,
         FanAxiomViolation,
         DimensionCapError,

@@ -10,8 +10,10 @@ Parabolics come from Lie theory rather than from searches of the Weyl group
 (Bourbaki, *Lie Groups*, ch. IV-VI; Humphreys 1990, section 1.10).  The
 standard parabolic of a type label Y, kept once per label in the datum's
 table, holds the positive roots and the negatives of those supported on Y.
-Its orbit is W/W_Y, so `parabolics_of` builds it from the minimal coset
-representatives, once per label and only for the labels asked for.
+Its orbit is W/W_Y, so `orbits_of` builds it from the minimal coset
+representatives, once per label and only for the labels asked for, and
+keeps each representative's root permutation and inverse next to its
+parabolic: cones of P_Y carry to the rest of the orbit through them.
 `standard_position` descends by simple reflections, each adding one
 positive root, so the element it builds has the least length any solution
 can have; the least element of the solution coset is unique.
@@ -23,7 +25,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
 IntMatrix = Tuple[IntVector, ...]
@@ -289,6 +291,25 @@ def build_named(name: str) -> RootDatum:
     return build_from_cartan(_NAMED_CARTAN[name], name=name)
 
 
+@dataclass(frozen=True)
+class Orbit:
+    """The orbit of the standard parabolic P_Y of a type label: the
+    parabolics w·P_Y in ShortLex order of their minimal coset
+    representatives w, and for each the permutation w induces on root
+    indices and w^{-1}, its standard position.  Iterating an orbit gives
+    its parabolics."""
+
+    parabolics: Tuple[ParabolicSet, ...]
+    permutations: Tuple[Tuple[int, ...], ...]
+    inverses: Tuple[WeylElement, ...]
+
+    def __iter__(self) -> Iterator[ParabolicSet]:
+        return iter(self.parabolics)
+
+    def __len__(self) -> int:
+        return len(self.parabolics)
+
+
 class _Weyl(NamedTuple):
     """The Weyl group of a datum: its elements in ShortLex order, and every
     element and its inverse by action matrix."""
@@ -309,12 +330,14 @@ class DatumTables:
 
     The root index is built with the table, the Weyl group and the root
     permutation of each of its elements on first use, and the standard
-    parabolic, the orbit of parabolics and the subsystem roots of each type
-    label, and the standard positions, only when something asks for them:
-    one label's standard parabolic or orbit never builds the other
-    2^rank - 1.  Each entry is computed in full before one assignment
-    stores it, and computing it again gives an equal value, so threads may
-    share a table without a lock.
+    parabolic, the orbit and the subsystem roots of each type label, and
+    the standard positions, only when something asks for them: one label's
+    standard parabolic or orbit never builds the other 2^rank - 1.  An
+    orbit holds its parabolics with the root permutation and the inverse
+    of each one's coset representative (see Orbit).  Each entry is
+    computed in full before one assignment stores it, and computing it
+    again gives an equal value, so threads may share a table without a
+    lock.
     """
 
     def __init__(self, datum: RootDatum):
@@ -322,7 +345,7 @@ class DatumTables:
         self.root_index: Dict[IntVector, int] = {r: i for i, r in enumerate(datum.roots)}
         self.weyl: Optional[_Weyl] = None
         self.standard: Dict[TypeLabel, ParabolicSet] = {}
-        self.orbits: Dict[TypeLabel, Tuple[ParabolicSet, ...]] = {}
+        self.orbits: Dict[TypeLabel, Orbit] = {}
         self.positions: Dict[FrozenSet[IntVector], Tuple[WeylElement, TypeLabel]] = {}
         self.permutations: Dict[IntMatrix, Tuple[int, ...]] = {}
         self.subsystem_roots: Dict[TypeLabel, Tuple[IntVector, ...]] = {}
@@ -544,19 +567,19 @@ def _label_key(label: TypeLabel) -> Tuple[int, Tuple[int, ...]]:
     return len(label), tuple(sorted(label))
 
 
-def parabolics_of(
+def orbits_of(
     datum: RootDatum, labels: Iterable[TypeLabel], cap: Optional[int] = None
-) -> Tuple[ParabolicSet, ...]:
-    """The parabolics whose type label is one of labels, in the order of
-    all_parabolics (labels in type-label order, each orbit in ShortLex order
-    of the conjugating element).
+) -> Tuple[Orbit, ...]:
+    """The orbits of the standard parabolics of labels, in type-label order.
 
     The orbit of the standard parabolic of Y is W/W_Y: w·P_Y meets each
     parabolic of it once as w runs over the minimal coset representatives,
     the w with no right descent in Y (w·α_i > 0 for every i in Y).  Each is
     the ShortLex-first element reaching its parabolic, and w^{-1} is its
     standard position.  Only the orbits the table lacks are built, and only
-    their standard positions are seeded.
+    their standard positions are seeded; each orbit keeps, next to every
+    parabolic, the root permutation of w (read from the Weyl enumeration)
+    and w^{-1}, so that nothing downstream looks an element up by matrix.
     """
     tables = DatumTables.of(datum)
     weyl = tables.weyl_group(datum, cap)
@@ -577,22 +600,48 @@ def parabolics_of(
         for y in missing:
             mask = sum(1 << i for i in y)
             std_idx = [tables.root_index[r] for r in tables.standard_parabolic(y).members]
-            orbit: List[ParabolicSet] = []
+            parabolics: List[ParabolicSet] = []
+            orbit_perms: List[Tuple[int, ...]] = []
+            inverses: List[WeylElement] = []
             for w, perm, down in zip(weyl.elements, perms, descents):
                 if down & mask:
                     continue
                 members = frozenset([roots[perm[i]] for i in std_idx])
-                orbit.append(ParabolicSet(datum=datum, members=members, type_label=y))
-                tables.positions[members] = (weyl.inverse[w.matrix], y)
-            tables.orbits[y] = tuple(orbit)
-    return tuple(q for y in wanted for q in tables.orbits[y])
+                inv = weyl.inverse[w.matrix]
+                parabolics.append(ParabolicSet(datum=datum, members=members, type_label=y))
+                orbit_perms.append(perm)
+                inverses.append(inv)
+                tables.positions[members] = (inv, y)
+            tables.orbits[y] = Orbit(
+                parabolics=tuple(parabolics),
+                permutations=tuple(orbit_perms),
+                inverses=tuple(inverses),
+            )
+    return tuple(tables.orbits[y] for y in wanted)
+
+
+def parabolics_of(
+    datum: RootDatum, labels: Iterable[TypeLabel], cap: Optional[int] = None
+) -> Tuple[ParabolicSet, ...]:
+    """The parabolics whose type label is one of labels, in the order of
+    all_parabolics (labels in type-label order, each orbit in ShortLex order
+    of the conjugating element): the parabolics of the orbits of orbits_of,
+    one orbit after the other.  Those orbits, kept in the table, also hold
+    the root permutation and the inverse of each parabolic's coset
+    representative."""
+    return tuple(q for orbit in orbits_of(datum, labels, cap) for q in orbit)
+
+
+def all_orbits(datum: RootDatum, cap: Optional[int] = None) -> Tuple[Orbit, ...]:
+    """The orbit of every type label, in type-label order."""
+    weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
+    return orbits_of(datum, _type_labels(datum.rank), cap)
 
 
 def all_parabolics(datum: RootDatum, cap: Optional[int] = None) -> Tuple[ParabolicSet, ...]:
     """Every closed generating root subset, tagged with its type label: the
-    parabolics of every label, in the order of parabolics_of."""
-    weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
-    return parabolics_of(datum, _type_labels(datum.rank), cap)
+    parabolics of every orbit, in the order of parabolics_of."""
+    return tuple(q for orbit in all_orbits(datum, cap) for q in orbit)
 
 
 def levi_roots(p: ParabolicSet) -> FrozenSet[IntVector]:

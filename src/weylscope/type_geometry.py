@@ -1,17 +1,26 @@
 """Type cones attached to parabolic root sets, the prefan of a type,
 relevancy combinatorics on the Dynkin diagram, and the induced
-decomposition of Levi roots into vanishing and nonvanishing parts."""
+decomposition of Levi roots into vanishing and nonvanishing parts.
+
+The Weyl fan and every stratifying prefan are W-stable, and their cones are
+built one W-orbit at a time (ConeOrbits): the cone of w·P_Y is that of the
+standard parabolic P_Y with every functional, a root, moved by the root
+permutation of w, and its rays are those of the standard cone times
+M(w^{-1}).  So only one cone per orbit is described from its roots, and
+only that one goes through the double description."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import linalg, polyfan, root_data
 from .polyfan import Cone, Prefan
 from .root_data import (
+    IntMatrix,
     IntVector,
+    Orbit,
     ParabolicSet,
     RootDatum,
     TypeLabel,
@@ -60,15 +69,10 @@ def weyl_cone(p: ParabolicSet) -> Cone:
     """Closed cone of dual vectors nonnegative on the unipotent radical and
     zero on the Levi part."""
     datum = p.datum
-    eqs = sorted(b for b in root_data.levi_roots(p) if datum.is_positive(b))
-    ineqs = sorted(linalg.neg_int(b) for b in root_data.unipotent_radical_roots(p))
+    levi = root_data.levi_roots(p)
+    eqs = sorted(b for b in levi if datum.is_positive(b))
+    ineqs = sorted(linalg.neg_int(b) for b in p.members - levi)
     return polyfan.make_cone(datum.rank, ineqs, eqs)
-
-
-def weyl_fan(datum: RootDatum, cap: Optional[int] = None) -> Prefan:
-    return polyfan.make_prefan(
-        [weyl_cone(p) for p in root_data.all_parabolics(datum, cap)]
-    )
 
 
 def type_cone_max(p: ParabolicSet) -> Cone:
@@ -240,10 +244,104 @@ def lineality_space(datum: RootDatum, t: TypeLabel) -> Tuple[linalg.Vector, ...]
     return tuple(basis)
 
 
+# ---------------------------------------------------------------------------
+# cones by W-orbit
+
+
+class ConeGeometry(NamedTuple):
+    """What polyfan.generators and polyfan.dim give for a cone: its
+    canonical lineality basis, its canonical rays and its dimension."""
+
+    lineality: Tuple[IntVector, ...]
+    rays: Tuple[IntVector, ...]
+    dim: int
+
+
+def _row_times(v: Sequence[int], m: IntMatrix) -> IntVector:
+    """The row vector v times the matrix m."""
+    return tuple(sum(a * b for a, b in zip(v, col)) for col in zip(*m))
+
+
+@dataclass(frozen=True)
+class ConeOrbits:
+    """One cone per parabolic of some whole W-orbits, in the order of
+    root_data.parabolics_of: the cone of w·P_Y is the image under w of the
+    cone of the standard parabolic P_Y, the first of its orbit."""
+
+    orbits: Tuple[Orbit, ...]
+    cones: Tuple[Cone, ...]
+
+    @property
+    def parabolics(self) -> Tuple[ParabolicSet, ...]:
+        return tuple(q for orbit in self.orbits for q in orbit)
+
+    def geometry(self) -> Iterator[ConeGeometry]:
+        """The generators and dimension of every cone, in order, with the
+        double description run on the first cone of each orbit only.
+
+        u lies in C(P_Y) iff u·M(w^{-1}) lies in C(w·P_Y), so the rays of
+        C(w·P_Y) are v·M(w^{-1}) for the rays v of C(P_Y), still primitive
+        since M(w^{-1}) is unimodular, and the dimension is that of C(P_Y).
+        They need no reduction modulo the lineality either.  A Weyl cone
+        has none; a type-t cone has the coordinate axes of the components
+        inside t, the same canonical basis for every cone, and generators
+        reduces a ray modulo it by zeroing those coordinates.  M(w^{-1})
+        acts component by component, so the moved rays keep them zero."""
+        start = 0
+        for orbit in self.orbits:
+            std = self.cones[start]
+            start += len(orbit)
+            lin, rays = polyfan.generators(std)
+            d = polyfan.dim(std)
+            for inv in orbit.inverses:
+                moved = sorted([_row_times(v, inv.matrix) for v in rays])
+                yield ConeGeometry(lin, tuple(moved), d)
+
+
+def _cone_orbits(
+    orbits: Tuple[Orbit, ...], standard_cone: Callable[[ParabolicSet], Cone]
+) -> ConeOrbits:
+    """The cone standard_cone gives the first parabolic P_Y of each orbit,
+    and its image under each representative w for w·P_Y: the images w·φ of
+    its functionals cut that out, and as every φ is a root, w·φ is read
+    off the root permutation of w."""
+    cones: List[Cone] = []
+    for orbit in orbits:
+        std = standard_cone(orbit.parabolics[0])
+        datum = orbit.parabolics[0].datum
+        index = root_data.DatumTables.of(datum).root_index
+        ineqs = [index[f] for f in std.ineqs]
+        eqs = [index[f] for f in std.eqs]
+        for perm in orbit.permutations:
+            moved_ineqs = sorted([datum.roots[perm[i]] for i in ineqs])
+            moved_eqs = sorted([datum.roots[perm[i]] for i in eqs])
+            cones.append(Cone(std.space_dim, tuple(moved_ineqs), tuple(moved_eqs)))
+    return ConeOrbits(orbits=orbits, cones=tuple(cones))
+
+
+def weyl_cone_orbits(datum: RootDatum, cap: Optional[int] = None) -> ConeOrbits:
+    """The Weyl cone of every parabolic, orbit by orbit.  Its equalities
+    stay the positive Levi roots, as weyl_cone takes them: a minimal coset
+    representative w has no right descent in Y, so it maps the positive
+    roots supported on Y to positive roots."""
+    return _cone_orbits(root_data.all_orbits(datum, cap), weyl_cone)
+
+
+def weyl_fan(datum: RootDatum, cap: Optional[int] = None) -> Prefan:
+    return polyfan.make_prefan(weyl_cone_orbits(datum, cap).cones)
+
+
+def type_cone_orbits(datum: RootDatum, t: TypeLabel, cap: Optional[int] = None) -> ConeOrbits:
+    """The type-t cone of every t-relevant parabolic, orbit by orbit: the
+    companion w·P_t and the Levi roots of w·P_Y are the images under w of
+    those of P_Y, so type_cone(w·P_Y, t) is the image of type_cone(P_Y, t)."""
+    t = _check_type(datum, t)
+    root_data.weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
+    orbits = root_data.orbits_of(datum, relevant_labels(datum, t), cap)
+    return _cone_orbits(orbits, lambda p: type_cone(p, t).cone)
+
+
 def prefan_of_type(datum: RootDatum, t: TypeLabel, cap: Optional[int] = None) -> Prefan:
     """Prefan whose cones are the type cones of the t-relevant parabolics, in
     parabolic enumeration order."""
-    t = _check_type(datum, t)
-    root_data.weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
-    relevant = root_data.parabolics_of(datum, relevant_labels(datum, t), cap)
-    return polyfan.make_prefan([type_cone(q, t).cone for q in relevant])
+    return polyfan.make_prefan(type_cone_orbits(datum, t, cap).cones)

@@ -416,6 +416,27 @@ def _run_child(*argv):
     )
 
 
+def test_fan_loads_no_point_layer_module():
+    """fan runs in a fresh process without importing apartment, gl_models
+    or render: each module a process imports costs it its compile time."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        "from weylscope import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['fan', '--datum', 'A2'])\n"
+        "names = ('apartment', 'gl_models', 'render')\n"
+        "print(code, [n for n in names if 'weylscope.' + n in sys.modules])\n"
+    )
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]
+
+
 def _diagonal_datum_file(tmp_path, rank):
     f = tmp_path / "datum.json"
     cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]

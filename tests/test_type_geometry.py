@@ -291,3 +291,37 @@ def test_type_cone_rejects_bad_type():
 def test_weyl_fan_deterministic():
     datum = build_named("B2")
     assert weyl_fan(datum).cones == weyl_fan(datum).cones
+
+
+def _assert_carried(family, per_parabolic_cone) -> int:
+    """Every cone of the family is the per-parabolic cone of its parabolic,
+    and its transported geometry is the double description of that cone."""
+    geometry = list(family.geometry())
+    assert len(family.cones) == len(geometry) == len(family.parabolics)
+    for q, cone, g in zip(family.parabolics, family.cones, geometry):
+        assert cone == per_parabolic_cone(q), root_data.parabolic_name(q)
+        lin, rays = polyfan.generators(cone)
+        assert (g.lineality, g.rays, g.dim) == (lin, rays, dim(cone)), root_data.parabolic_name(q)
+    return len(geometry)
+
+
+_RANK_AT_MOST_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "A1xA1")
+
+
+@pytest.mark.parametrize("name", _RANK_AT_MOST_4)
+def test_orbit_transport_matches_every_cone_of_rank_at_most_4(name):
+    """The Weyl fan and the prefan of every type, built one orbit at a time,
+    agree cone by cone with weyl_cone and type_cone on each parabolic, and
+    their carried rays, lineality and dimension with the double description
+    run on each cone."""
+    datum = build_named(name)
+    checked = _assert_carried(type_geometry.weyl_cone_orbits(datum), weyl_cone)
+    for t in oracles.all_type_labels(datum.rank):
+        family = type_geometry.type_cone_orbits(datum, t)
+        checked += _assert_carried(family, lambda q: type_cone(q, t).cone)
+    assert checked > len(all_parabolics(datum))
+
+
+def test_orbit_transport_matches_every_cone_of_the_f4_fan():
+    datum = build_named("F4")
+    assert _assert_carried(type_geometry.weyl_cone_orbits(datum), weyl_cone) == 5089
