@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -402,6 +402,21 @@ def _violation_witness(
     return None
 
 
+def _face_witness(
+    c: Cone, closure, inter: Cone, inter_rays: Sequence[IntVector]
+) -> Optional[IntVector]:
+    """A generator of the face of c cut out by the inequalities tight on its
+    subcone inter (rays inter_rays; closure is _face_closure(c)) that leaves
+    inter; None when that face is inter, that is, when inter is a face of c."""
+    tight = sum(
+        1 << i
+        for i, f in enumerate(c.ineqs)
+        if all(linalg.dot(r, f) == 0 for r in inter_rays)
+    )
+    _, rays = closure(tight)
+    return _violation_witness(lineality_basis(c), rays, inter)
+
+
 def common_face(a: Cone, b: Cone) -> Cone:
     """The intersection, when it is a face of both; FanAxiomViolation with a
     witness point otherwise.  The face of each side is the one cut out by
@@ -413,13 +428,7 @@ def common_face(a: Cone, b: Cone) -> Cone:
     )
     _, inter_rays = generators(inter)
     for c in (a, b):
-        tight = sum(
-            1 << i
-            for i, f in enumerate(c.ineqs)
-            if all(linalg.dot(r, f) == 0 for r in inter_rays)
-        )
-        _, rays = _face_closure(c)(tight)
-        witness = _violation_witness(lineality_basis(c), rays, inter)
+        witness = _face_witness(c, _face_closure(c), inter, inter_rays)
         if witness is not None:
             raise FanAxiomViolation(
                 "intersection is not a face of both cones", witness=witness
@@ -445,26 +454,65 @@ def make_prefan(cones: Sequence[Cone]) -> Prefan:
 
 def verify_prefan(prefan: Prefan) -> None:
     """Face closure and pairwise common-face axioms; a violation names the
-    cone whose face is missing, or the pair whose intersection is not a
-    common face."""
-    keys = {_canonical_key(c) for c in prefan.cones}
-    for i, c in enumerate(prefan.cones):
+    two cones in different ambient spaces, the cone whose face is missing,
+    or the first pair in index order whose intersection is not a common
+    face.
+
+    Once the family is closed under faces, the common-face check runs only
+    on pairs of maximal cones, those that are not a proper face of another
+    cone; every cone is a face of a maximal one.  That is exact: if A is a
+    face of M1, B a face of M2 and F = M1 ∩ M2 a face of both, then A ∩ F
+    and B ∩ F are faces of F, so A ∩ B = (A ∩ F) ∩ (B ∩ F) is a face of F,
+    hence of A and of B (Ziegler 1995, Lectures on Polytopes, §7.1).  A cone
+    that lies inside a maximal cone without being one of its faces is
+    maximal itself, so it gets paired."""
+    cones = prefan.cones
+    for j, c in enumerate(cones):
+        if c.space_dim != cones[0].space_dim:
+            raise FanAxiomViolation(
+                f"cones 0 and {j} live in different ambient spaces", cones=(0, j)
+            )
+    keys = [_canonical_key(c) for c in cones]
+    members = set(keys)
+    proper_faces = set()
+    for i, c in enumerate(cones):
         lin = lineality_basis(c)
         for tight, rays in _face_table(c, FACE_DIM_CAP):
-            if (c.space_dim, lin, frozenset(rays)) not in keys:
+            key = (c.space_dim, lin, frozenset(rays))
+            if key not in members:
                 raise FanAxiomViolation(
                     f"face closure fails: a face of cone {i} is not in the prefan",
                     witness=relative_interior_point(_promoted(c, tight)),
                     cones=(i,),
                 )
-    for i, a in enumerate(prefan.cones):
-        for j, b in enumerate(prefan.cones[i + 1 :], i + 1):
-            try:
-                common_face(a, b)
-            except FanAxiomViolation as err:
-                raise FanAxiomViolation(
-                    f"cones {i} and {j}: {err}", witness=err.witness, cones=(i, j)
-                ) from None
+            if key != keys[i]:
+                proper_faces.add(key)
+    maximal = [
+        (c, _face_closure(c))
+        for c, key in zip(cones, keys)
+        if key not in proper_faces
+    ]
+    for (a, closure_a), (b, closure_b) in combinations(maximal, 2):
+        inter = Cone(
+            space_dim=a.space_dim, ineqs=a.ineqs + b.ineqs, eqs=a.eqs + b.eqs
+        )
+        _, inter_rays = generators(inter)
+        if (
+            _face_witness(a, closure_a, inter, inter_rays) is not None
+            or _face_witness(b, closure_b, inter, inter_rays) is not None
+        ):
+            break
+    else:
+        return
+    # Some pair fails.  Name the first failing pair in index order; the scan
+    # reaches the maximal pair just found at the latest.
+    for i, j in combinations(range(len(cones)), 2):
+        try:
+            common_face(cones[i], cones[j])
+        except FanAxiomViolation as err:
+            raise FanAxiomViolation(
+                f"cones {i} and {j}: {err}", witness=err.witness, cones=(i, j)
+            ) from None
 
 
 def _sample_grid(n: int) -> List[IntVector]:

@@ -461,6 +461,36 @@ def common_face_witness(a, b) -> Optional[IntVector]:
 
 
 # ---------------------------------------------------------------------------
+# prefans: the certificate that verify_prefan gave before it paired only
+# maximal cones, kept to check it.  It calls polyfan's face tables and
+# common_face, so it checks the pairing, not the face lattice.
+
+
+def all_pairs_verify_prefan(prefan) -> None:
+    """Face closure, then common_face on every pair of cones in index
+    order; raises the FanAxiomViolation of the first cone or pair at
+    fault."""
+    keys = {polyfan._canonical_key(c) for c in prefan.cones}
+    for i, c in enumerate(prefan.cones):
+        lin = polyfan.lineality_basis(c)
+        for tight, rays in polyfan._face_table(c, polyfan.FACE_DIM_CAP):
+            if (c.space_dim, lin, frozenset(rays)) not in keys:
+                raise polyfan.FanAxiomViolation(
+                    f"face closure fails: a face of cone {i} is not in the prefan",
+                    witness=polyfan.relative_interior_point(polyfan._promoted(c, tight)),
+                    cones=(i,),
+                )
+    for i, a in enumerate(prefan.cones):
+        for j, b in enumerate(prefan.cones[i + 1 :], i + 1):
+            try:
+                polyfan.common_face(a, b)
+            except polyfan.FanAxiomViolation as err:
+                raise polyfan.FanAxiomViolation(
+                    f"cones {i} and {j}: {err}", witness=err.witness, cones=(i, j)
+                ) from None
+
+
+# ---------------------------------------------------------------------------
 # rational feasibility: Fourier-Motzkin elimination over homogeneous
 # constraint systems, and the certificate of criterion 1 built on it (each
 # type cone is the union of the Weyl cones below it), which type_geometry

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -163,6 +164,93 @@ def test_prefan_verification_and_covering():
     assert err.value.cones == (1, 2)
     assert "cones 1 and 2" in str(err.value)
     assert err.value.witness is not None
+
+
+def test_verify_prefan_rejects_cones_in_different_ambient_spaces():
+    half_space = make_cone(3, [(0, 0, -1)])  # z >= 0
+    mixed = make_prefan(faces(QUADRANT) + faces(half_space))
+    with pytest.raises(FanAxiomViolation) as err:
+        verify_prefan(mixed)
+    assert err.value.cones == (0, 4)
+    assert str(err.value) == "cones 0 and 4 live in different ambient spaces"
+
+
+def _verdict(check, prefan):
+    """What a prefan check says about a family: None when it passes, else
+    the message, cones and witness of its FanAxiomViolation."""
+    try:
+        check(prefan)
+    except FanAxiomViolation as err:
+        return str(err), err.cones, err.witness
+    return None
+
+
+_QUADRANT_FAN = [
+    ORIGIN,
+    QUADRANT,
+    make_cone(2, [(1, 0), (0, -1)]),
+    make_cone(2, [(1, 0), (0, 1)]),
+    make_cone(2, [(-1, 0), (0, 1)]),
+    make_cone(2, [(0, -1)], [(1, 0)]),
+    make_cone(2, [(0, 1)], [(1, 0)]),
+    make_cone(2, [(-1, 0)], [(0, 1)]),
+    make_cone(2, [(1, 0)], [(0, 1)]),
+]
+_WIDE = make_cone(2, [(1, -1), (-1, -1)])    # |x| <= y
+_TILTED = make_cone(2, [(1, -2), (-1, 0)])   # x >= 0, x <= 2y
+_UPPER_LEFT = make_cone(2, [(0, -1), (1, -1)])  # y >= 0, y >= x: meets QUADRANT in half of it
+_DIAGONAL = make_cone(2, [(-1, 0)], [(1, -1)])  # the ray through (1, 1)
+
+BROKEN_FAMILIES = {
+    "quadrants without their faces": (_QUADRANT_FAN[1:5], (0,)),
+    "overlapping cones": ([ORIGIN, _WIDE, _TILTED] + faces(_WIDE) + faces(_TILTED), (1, 2)),
+    "a ray through a quadrant's interior": (_QUADRANT_FAN[:5] + [_DIAGONAL] + _QUADRANT_FAN[5:], (1, 5)),
+    "a half-overlap": ([ORIGIN, QUADRANT, _UPPER_LEFT] + faces(QUADRANT) + faces(_UPPER_LEFT), (1, 2)),
+    "a duplicated maximal cone": (_QUADRANT_FAN + [QUADRANT], None),
+}
+
+
+@pytest.mark.parametrize("family", BROKEN_FAMILIES)
+def test_verify_prefan_names_the_pair_the_all_pairs_check_names(family):
+    cones, at_fault = BROKEN_FAMILIES[family]
+    prefan = make_prefan(cones)
+    verdict = _verdict(verify_prefan, prefan)
+    assert verdict == _verdict(oracles.all_pairs_verify_prefan, prefan)
+    assert (verdict and verdict[1]) == at_fault
+
+
+@pytest.mark.parametrize("name", ("A1xA1", "A2", "B2", "G2", "A3", "B3"))
+def test_verify_prefan_matches_the_all_pairs_check_on_every_type(name):
+    datum = root_data.build_named(name)
+    for t in oracles.all_type_labels(datum.rank):
+        prefan = type_geometry.prefan_of_type(datum, t)
+        assert _verdict(verify_prefan, prefan) is None, sorted(t)
+        assert _verdict(oracles.all_pairs_verify_prefan, prefan) is None, sorted(t)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_verify_prefan_matches_the_all_pairs_check_on_random_families(data):
+    """Families closed under faces: the faces of two to four random cones
+    in dimension 2 or 3, in a random order, sometimes with one cone
+    repeated.  About three in five of them fail on some pair."""
+    n = data.draw(st.integers(min_value=2, max_value=3))
+    roots = data.draw(st.lists(_random_cone(n), min_size=2, max_size=4))
+    cones = [f for c in roots for f in faces(c)]
+    cones += data.draw(st.lists(st.sampled_from(cones), max_size=1))
+    prefan = make_prefan(data.draw(st.permutations(cones)))
+    assert _verdict(verify_prefan, prefan) == _verdict(oracles.all_pairs_verify_prefan, prefan)
+
+
+def test_every_type_of_a4_is_certified():
+    started = time.monotonic()
+    datum = root_data.build_named("A4")
+    for t in oracles.all_type_labels(datum.rank):
+        prefan = type_geometry.prefan_of_type(datum, t)
+        verify_prefan(prefan)
+        assert covers(prefan), sorted(t)
+    elapsed = time.monotonic() - started
+    assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
 
 
 def test_extended_value_arithmetic_and_order():
