@@ -16,12 +16,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import polyfan, root_data, type_geometry
-from .polyfan import (
-    Cone,
-    DimensionCapError,
-    FanAxiomViolation,
-    IndeterminateValueError,
-)
+from .polyfan import Cone, IndeterminateValueError
 from .root_data import (
     EnumerationCapError,
     ParabolicSet,
@@ -886,12 +881,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENUM_CAP
-    except (
-        ValidationError,
-        IndeterminateValueError,
-        FanAxiomViolation,
-        DimensionCapError,
-    ) as exc:
+    except (ValidationError, IndeterminateValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -20,10 +20,11 @@ inequalities, and its tight inequalities are those vanishing on its rays.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,8 +32,6 @@ from . import linalg
 from .linalg import IntVector, Vector
 
 Functional = Tuple[int, ...]
-
-FACE_DIM_CAP = 8
 
 
 def _primitive_ray(v: Sequence) -> IntVector:
@@ -43,11 +42,6 @@ def _primitive_ray(v: Sequence) -> IntVector:
     if next((x for x in v if x != 0), 0) < 0:
         return linalg.neg_int(p)
     return p
-
-
-class DimensionCapError(RuntimeError):
-    """Ambient dimension exceeds the configured cap for the generic face
-    algorithm."""
 
 
 class FanAxiomViolation(Exception):
@@ -138,9 +132,9 @@ def _combine(a: int, u: IntVector, b: int, v: IntVector) -> IntVector:
     return tuple(x // g for x in w) if g > 1 else tuple(w)
 
 
-@lru_cache(maxsize=None)
-def generators(cone: Cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
-    """(lineality basis, extreme-ray representatives).
+def _double_description(cone: Cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
+    """(lineality basis, extreme-ray representatives), uncached: the
+    throwaway intersections of verify_prefan and common_face come here.
 
     Double description (Motzkin et al. 1953; Fukuda and Prodon 1996): start
     from the subspace cut out by the equalities, with no rays, and add the
@@ -203,6 +197,13 @@ def generators(cone: Cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]
     return lin, tuple(
         sorted(_primitive_ray(linalg.reduce_mod_span(lin, r)) for r, _ in rays)
     )
+
+
+@lru_cache(maxsize=None)
+def generators(cone: Cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
+    """(lineality basis, extreme-ray representatives) of _double_description,
+    kept for every cone asked about."""
+    return _double_description(cone)
 
 
 def lineality_basis(cone: Cone) -> Tuple[IntVector, ...]:
@@ -333,14 +334,10 @@ def _face_closure(cone: Cone):
     return closure
 
 
-def _face_table(cone: Cone, dim_cap: int) -> List[Tuple[int, Tuple[IntVector, ...]]]:
+def _face_table(cone: Cone) -> List[Tuple[int, Tuple[IntVector, ...]]]:
     """Every face as (tight set, rays), found breadth-first by adding one
     inequality at a time to a tight set and closing it, and sorted by the
     size and then the indices of the tight set."""
-    if cone.space_dim > dim_cap:
-        raise DimensionCapError(
-            f"ambient dimension {cone.space_dim} exceeds face cap {dim_cap}"
-        )
     closure = _face_closure(cone)
     start, rays = closure(0)
     table = {start: rays}
@@ -363,28 +360,35 @@ def _face_table(cone: Cone, dim_cap: int) -> List[Tuple[int, Tuple[IntVector, ..
     return sorted(table.items(), key=lambda item: order(item[0]))
 
 
-def faces(cone: Cone, dim_cap: int = FACE_DIM_CAP) -> List[Cone]:
+def faces(cone: Cone) -> List[Cone]:
     """Complete face list (cone itself included), each face the cone with its
     tight inequalities promoted to equalities; finite and deduplicated."""
-    return [_promoted(cone, tight) for tight, _ in _face_table(cone, dim_cap)]
+    return [_promoted(cone, tight) for tight, _ in _face_table(cone)]
+
+
+def _facet_table(cone: Cone) -> List[Tuple[int, Tuple[IntVector, ...]]]:
+    """Every codimension-one face as (tight set, rays), in the order of the
+    first inequality cutting it out.  Each facet is cut out by one
+    inequality of an H-description, and every proper face lies in a facet,
+    so the facets are the proper faces cut out by one inequality whose
+    tight sets are minimal among those."""
+    closure = _face_closure(cone)
+    whole, _ = closure(0)
+    cut = {}
+    for i in range(len(cone.ineqs)):
+        key, rays = closure(1 << i)
+        if key != whole:
+            cut.setdefault(key, rays)
+    return [
+        (key, rays)
+        for key, rays in cut.items()
+        if not any(other != key and other & key == other for other in cut)
+    ]
 
 
 def facets(cone: Cone) -> List[Cone]:
-    """Codimension-one faces, each cut out by one inequality (sufficient for
-    H-descriptions), in the order of the first inequality cutting it out."""
-    d = dim(cone)
-    ell = len(lineality_basis(cone))
-    closure = _face_closure(cone)
-    out: List[Cone] = []
-    seen: set = set()
-    for i in range(len(cone.ineqs)):
-        key, rays = closure(1 << i)
-        if key in seen:
-            continue
-        seen.add(key)
-        if ell + linalg.rank(rays) == d - 1:
-            out.append(_promoted(cone, key))
-    return out
+    """Codimension-one faces, in the order of _facet_table."""
+    return [_promoted(cone, tight) for tight, _ in _facet_table(cone)]
 
 
 def _violation_witness(
@@ -426,7 +430,7 @@ def common_face(a: Cone, b: Cone) -> Cone:
     inter = Cone(
         space_dim=a.space_dim, ineqs=a.ineqs + b.ineqs, eqs=a.eqs + b.eqs
     )
-    _, inter_rays = generators(inter)
+    _, inter_rays = _double_description(inter)
     for c in (a, b):
         witness = _face_witness(c, _face_closure(c), inter, inter_rays)
         if witness is not None:
@@ -477,7 +481,7 @@ def verify_prefan(prefan: Prefan) -> None:
     proper_faces = set()
     for i, c in enumerate(cones):
         lin = lineality_basis(c)
-        for tight, rays in _face_table(c, FACE_DIM_CAP):
+        for tight, rays in _face_table(c):
             key = (c.space_dim, lin, frozenset(rays))
             if key not in members:
                 raise FanAxiomViolation(
@@ -496,7 +500,7 @@ def verify_prefan(prefan: Prefan) -> None:
         inter = Cone(
             space_dim=a.space_dim, ineqs=a.ineqs + b.ineqs, eqs=a.eqs + b.eqs
         )
-        _, inter_rays = generators(inter)
+        _, inter_rays = _double_description(inter)
         if (
             _face_witness(a, closure_a, inter, inter_rays) is not None
             or _face_witness(b, closure_b, inter, inter_rays) is not None
@@ -515,36 +519,31 @@ def verify_prefan(prefan: Prefan) -> None:
             ) from None
 
 
-def _sample_grid(n: int) -> List[IntVector]:
-    """Integer points of the cube [-2, 2]^n (n <= 3) or [-1, 1]^n, in
-    lexicographic order."""
-    bound = 2 if n <= 3 else 1
-    return list(product(range(-bound, bound + 1), repeat=n))
-
-
 def covers(prefan: Prefan) -> bool:
     """Whether the cones cover the ambient space: every facet of every
-    maximal cone is a linear subspace or shared with exactly one other
-    maximal cone, and every integer sample point lies in some cone."""
+    full-dimensional cone is a facet of exactly one other full-dimensional
+    cone (cones are compared as sets, so a repeated cone counts once and a
+    cone equal to it is not another).
+
+    Exact for a family that passes verify_prefan.  Facets are keyed as
+    verify_prefan keys faces, by (space_dim, lineality, rays): two cones of
+    such a family share a facet F exactly when F lies in both, since their
+    intersection is a face of each.  Suppose the cones do not cover the
+    space.  The boundary of their union then has dimension n - 1, so it
+    meets the relative interior of some facet F of a cone C away from every
+    face of codimension 2.  The one other cone containing F meets C only in
+    their common face F, so it lies on the other side of F, and that
+    boundary point is interior to the union: a contradiction."""
     n = prefan.space_dim
-    maximal = [c for c in prefan.cones if dim(c) == n]
-    if not maximal:
+    full = [c for c in prefan.cones if dim(c) == n]
+    if not full:
         return n == 0 and bool(prefan.cones)
-    for c in maximal:
-        for f in facets(c):
-            if dim(f) == len(lineality_basis(f)):
-                continue  # a linear subspace: boundary only of the lineality locus
-            others = [
-                c2
-                for c2 in maximal
-                if c2 is not c and not cones_equal(c, c2) and cone_subset(f, c2)
-            ]
-            if len(others) != 1:
-                return False
-    for pt in _sample_grid(n):
-        if not any(contains_point(c, pt) for c in prefan.cones):
-            return False
-    return True
+    holders = defaultdict(set)  # facet key -> canonical keys of its cones
+    for c in full:
+        lin = lineality_basis(c)
+        for _, rays in _facet_table(c):
+            holders[(n, lin, frozenset(rays))].add(_canonical_key(c))
+    return all(len(keys) == 2 for keys in holders.values())
 
 
 @dataclass(frozen=True)

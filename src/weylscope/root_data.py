@@ -497,16 +497,6 @@ def standard_parabolic(datum: RootDatum, label: Iterable[int]) -> ParabolicSet:
     return DatumTables.of(datum).standard_parabolic(y)
 
 
-def is_closed(datum: RootDatum, members: FrozenSet[IntVector]) -> bool:
-    root_set = set(datum.roots)
-    for a in members:
-        for b in members:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in root_set and s not in members:
-                return False
-    return True
-
-
 def is_generating(datum: RootDatum, members: FrozenSet[IntVector]) -> bool:
     return all(
         r in members or tuple(-c for c in r) in members for r in datum.roots
@@ -663,11 +653,12 @@ def outside_roots(p: ParabolicSet) -> FrozenSet[IntVector]:
 
 
 def is_osculatory(p: ParabolicSet, q: ParabolicSet) -> bool:
-    """Whether the intersection is again parabolic (closed and generating)."""
+    """Whether the intersection of the parabolic sets p and q is again
+    parabolic.  The intersection of two closed root sets is closed, so only
+    generation is tested."""
     if p.datum != q.datum:
         raise ValidationError("parabolic sets live in different root data")
-    inter = p.members & q.members
-    return is_closed(p.datum, inter) and is_generating(p.datum, inter)
+    return is_generating(p.datum, p.members & q.members)
 
 
 def type_name(t: Iterable[int]) -> str:

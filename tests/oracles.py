@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -461,9 +461,10 @@ def common_face_witness(a, b) -> Optional[IntVector]:
 
 
 # ---------------------------------------------------------------------------
-# prefans: the certificate that verify_prefan gave before it paired only
-# maximal cones, kept to check it.  It calls polyfan's face tables and
-# common_face, so it checks the pairing, not the face lattice.
+# prefans: the certificates that verify_prefan and covers gave before they
+# paired only maximal cones and keyed facets, kept to check them.  They call
+# polyfan's face tables, facets and common_face, so they check the pairing,
+# not the face lattice.
 
 
 def all_pairs_verify_prefan(prefan) -> None:
@@ -473,7 +474,7 @@ def all_pairs_verify_prefan(prefan) -> None:
     keys = {polyfan._canonical_key(c) for c in prefan.cones}
     for i, c in enumerate(prefan.cones):
         lin = polyfan.lineality_basis(c)
-        for tight, rays in polyfan._face_table(c, polyfan.FACE_DIM_CAP):
+        for tight, rays in polyfan._face_table(c):
             if (c.space_dim, lin, frozenset(rays)) not in keys:
                 raise polyfan.FanAxiomViolation(
                     f"face closure fails: a face of cone {i} is not in the prefan",
@@ -488,6 +489,42 @@ def all_pairs_verify_prefan(prefan) -> None:
                 raise polyfan.FanAxiomViolation(
                     f"cones {i} and {j}: {err}", witness=err.witness, cones=(i, j)
                 ) from None
+
+
+def _sample_grid(n: int) -> List[IntVector]:
+    """Integer points of the cube [-2, 2]^n (n <= 3) or [-1, 1]^n, in
+    lexicographic order."""
+    bound = 2 if n <= 3 else 1
+    return list(product(range(-bound, bound + 1), repeat=n))
+
+
+def sample_grid_covers(prefan) -> bool:
+    """The covering test polyfan.covers ran before it became one exact facet
+    pass, kept to check it: every facet of every maximal cone is a linear
+    subspace or shared with exactly one other maximal cone, and every
+    integer sample point lies in some cone.  A heuristic: the grid can miss
+    a thin uncovered region."""
+    n = prefan.space_dim
+    maximal = [c for c in prefan.cones if polyfan.dim(c) == n]
+    if not maximal:
+        return n == 0 and bool(prefan.cones)
+    for c in maximal:
+        for f in polyfan.facets(c):
+            if polyfan.dim(f) == len(polyfan.lineality_basis(f)):
+                continue  # a linear subspace: boundary only of the lineality locus
+            others = [
+                c2
+                for c2 in maximal
+                if c2 is not c
+                and not polyfan.cones_equal(c, c2)
+                and polyfan.cone_subset(f, c2)
+            ]
+            if len(others) != 1:
+                return False
+    for pt in _sample_grid(n):
+        if not any(polyfan.contains_point(c, pt) for c in prefan.cones):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

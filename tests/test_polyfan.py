@@ -6,10 +6,10 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -109,10 +109,11 @@ def test_faces_of_quadrant():
     assert len(facets(QUADRANT)) == 2
 
 
-def test_faces_dimension_cap():
-    big = make_cone(9, [tuple(-1 if j == i else 0 for j in range(9)) for i in range(9)])
-    with pytest.raises(polyfan.DimensionCapError):
-        faces(big)
+def test_faces_of_the_9_dim_orthant():
+    orthant = make_cone(9, [tuple(-1 if j == i else 0 for j in range(9)) for i in range(9)])
+    fs = faces(orthant)
+    assert len(fs) == 512
+    assert sorted(dim(f) for f in fs) == sorted(bin(m).count("1") for m in range(512))
 
 
 def test_common_face_of_adjacent_quadrants():
@@ -240,6 +241,91 @@ def test_verify_prefan_matches_the_all_pairs_check_on_random_families(data):
     cones += data.draw(st.lists(st.sampled_from(cones), max_size=1))
     prefan = make_prefan(data.draw(st.permutations(cones)))
     assert _verdict(verify_prefan, prefan) == _verdict(oracles.all_pairs_verify_prefan, prefan)
+
+
+def test_covers_needs_the_other_side_of_a_linear_facet():
+    """A half-plane and its boundary line pass verify_prefan; the line is a
+    facet of the half-plane that no other cone holds."""
+    prefan = make_prefan([HALF, LINE])
+    verify_prefan(prefan)
+    assert not covers(prefan)
+    assert covers(make_prefan([HALF, LINE, make_cone(2, [(0, 1)])]))
+
+
+def test_covers_counts_a_repeated_cone_once():
+    """A repeated maximal cone leaves the union unchanged; the sample-grid
+    oracle counts it twice across each of its facets."""
+    prefan = make_prefan(_QUADRANT_FAN + [QUADRANT])
+    verify_prefan(prefan)
+    assert covers(prefan)
+    assert not oracles.sample_grid_covers(prefan)
+
+
+def test_verify_prefan_caches_no_intersection():
+    """verify_prefan adds to the generators cache at most the cones it is
+    given: the intersections of its pair checks are not kept."""
+    datum = root_data.build_named("A3")
+    prefan = type_geometry.prefan_of_type(datum, frozenset({1}))
+    before = generators.cache_info().currsize
+    verify_prefan(prefan)
+    assert generators.cache_info().currsize - before <= len(prefan.cones)
+
+
+@pytest.mark.parametrize("name", ("A1xA1", "A2", "B2", "G2", "A3", "B3", "C3"))
+def test_covers_matches_the_sample_grid_oracle_on_every_fan(name):
+    datum = root_data.build_named(name)
+    fans = [type_geometry.weyl_fan(datum)] + [
+        type_geometry.prefan_of_type(datum, t) for t in oracles.all_type_labels(datum.rank)
+    ]
+    for fan in fans:
+        verify_prefan(fan)
+        assert covers(fan) and oracles.sample_grid_covers(fan)
+
+
+@st.composite
+def _arrangement_fan(draw):
+    """The cones of a complete fan in dimension 2 or 3: every face of every
+    chamber of an arrangement of up to four random hyperplanes through the
+    origin (none at all gives the whole space; fewer than n independent
+    ones give lineality), each once."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    normals = draw(st.lists(st.tuples(*[_row] * n), max_size=4))
+    chambers = {}
+    for signs in product((1, -1), repeat=len(normals)):
+        c = make_cone(n, [tuple(s * x for x in h) for s, h in zip(signs, normals)])
+        if dim(c) == n:
+            chambers.setdefault(polyfan._canonical_key(c), c)
+    return list(chambers.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_covers_matches_the_sample_grid_oracle_on_random_families(data):
+    """Face-closed families that pass verify_prefan: the faces of all
+    chambers of a random arrangement, of all but one, of some of them, or
+    of one or two random cones; at times with one cone repeated, in a
+    random order.  The oracle sees each cone once: it counts a repeated
+    maximal cone twice across a facet."""
+    kind = data.draw(st.sampled_from(("all", "all but one", "some", "random cones")))
+    if kind == "random cones":
+        n = data.draw(st.integers(min_value=2, max_value=3))
+        chambers = data.draw(st.lists(_random_cone(n), min_size=1, max_size=2))
+    else:
+        chambers = data.draw(_arrangement_fan())
+        if kind == "all but one" and len(chambers) > 1:
+            chambers.pop(data.draw(st.integers(0, len(chambers) - 1)))
+        elif kind == "some":
+            chambers = data.draw(st.lists(st.sampled_from(chambers), unique=True, min_size=1))
+    faces_of = {}
+    for c in chambers:
+        for f in faces(c):
+            faces_of.setdefault(polyfan._canonical_key(f), f)
+    cones = list(faces_of.values())
+    assume(_verdict(verify_prefan, make_prefan(cones)) is None)
+    repeated = data.draw(st.lists(st.sampled_from(cones), max_size=1))
+    prefan = make_prefan(data.draw(st.permutations(cones + repeated)))
+    verify_prefan(prefan)
+    assert covers(prefan) == oracles.sample_grid_covers(make_prefan(cones))
 
 
 def test_every_type_of_a4_is_certified():
