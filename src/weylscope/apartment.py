@@ -10,9 +10,8 @@ monomials of log-coefficient plus weighted generator values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg, polyfan, root_data, type_geometry
 from .linalg import IntVector, Vector
@@ -29,8 +28,7 @@ class ChartMismatchError(ValidationError):
 # tropical polynomials
 
 
-@dataclass(frozen=True, order=True)
-class TropicalMonomial:
+class TropicalMonomial(NamedTuple):
     """One monomial: exponents over generator indices (sorted, positive),
     a log-magnitude coefficient, and an optional character tag (weight zero
     in every evaluation; only used by the group big cell)."""
@@ -40,8 +38,7 @@ class TropicalMonomial:
     character: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class TropicalPolynomial:
+class TropicalPolynomial(NamedTuple):
     """Finite max-plus combination of monomials; the empty combination is
     the zero polynomial (value -inf everywhere)."""
 
@@ -120,8 +117,7 @@ def tropical_product(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPo
 # context and points
 
 
-@dataclass(frozen=True)
-class ApartmentContext:
+class ApartmentContext(NamedTuple):
     """A root datum with a fixed type: the stratifying prefan (one cone per
     relevant parabolic, aligned index-wise), and one big-cell chart per
     type-t parabolic, carrying its generator roots."""
@@ -156,8 +152,7 @@ def make_context(
     )
 
 
-@dataclass(frozen=True)
-class CompactApartmentPoint:
+class CompactApartmentPoint(NamedTuple):
     """A point of the compactified apartment: a boundary point of the type
     prefan plus the relevant parabolic indexing its stratum."""
 
@@ -341,8 +336,7 @@ def stratum_of(ctx: ApartmentContext, x: CompactApartmentPoint) -> ParabolicSet:
     return q
 
 
-@dataclass(frozen=True)
-class StratumApartment:
+class StratumApartment(NamedTuple):
     """The residual apartment of a stratum: the root datum of the active
     Dynkin part, plus exact extraction/embedding between stratum residuals
     and residual coordinates."""
@@ -443,8 +437,7 @@ def project(
 # stabilizers
 
 
-@dataclass(frozen=True)
-class StabilizerProfile:
+class StabilizerProfile(NamedTuple):
     """Root-group data of the stabilizer of a point: full unipotent root
     groups, full Levi root groups, filtered Levi root groups with exact
     levels, and a symbolic marker for the normalizer factor."""

@@ -10,10 +10,9 @@ lattice characters here)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import apartment, linalg, root_data
 from .apartment import ApartmentContext, CompactApartmentPoint
@@ -22,8 +21,7 @@ from .polyfan import ExtendedValue, NEG_INF, finite
 from .root_data import ParabolicSet, RootDatum, ValidationError
 
 
-@dataclass(frozen=True)
-class DiagSeminorm:
+class DiagSeminorm(NamedTuple):
     """A diagonal seminorm class modulo scaling: tuple of log values, max
     finite entry 0, kernel (-inf entries) a proper subset."""
 
@@ -150,8 +148,7 @@ def from_apartment_point(x: CompactApartmentPoint) -> DiagSeminorm:
     return make_seminorm(out)
 
 
-@dataclass(frozen=True)
-class GlStabilizerBlocks:
+class GlStabilizerBlocks(NamedTuple):
     """Block description of the stabilizer of a diagonal seminorm class:
     full root groups on the unipotent radical and the kernel block, exact
     filtration levels on the quotient block."""

@@ -21,12 +21,11 @@ inequalities, and its tight inequalities are those vanishing on its rays.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import IntVector, Vector
@@ -65,8 +64,7 @@ class IndeterminateValueError(ValueError):
     converging to the point can realize different limits."""
 
 
-@dataclass(frozen=True, order=True)
-class ExtendedValue:
+class ExtendedValue(NamedTuple):
     """A rational, -infinity, or +infinity; ordered, with partial addition."""
 
     kind: int  # -1, 0, +1
@@ -105,8 +103,7 @@ def finite(q) -> ExtendedValue:
     return ExtendedValue.of(q)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """H-description: integer functionals phi with <u,phi> <= 0 (ineqs) and
     <u,phi> = 0 (eqs).  Equality of Cone objects is by description; use
     cones_equal for set equality."""
@@ -249,6 +246,15 @@ def span_basis(cone: Cone) -> Tuple[IntVector, ...]:
 
 def dim(cone: Cone) -> int:
     return len(span_basis(cone))
+
+
+def _is_full_dimensional(cone: Cone) -> bool:
+    """Whether dim(cone) is the ambient dimension, read off the generators:
+    the lineality basis and the rays span the cone's linear span, so no
+    implied_equalities or span_basis is built (nor cached) for the cone."""
+    lin, rays = generators(cone)
+    n = cone.space_dim
+    return len(lin) + len(rays) >= n and linalg.rank(lin + rays) == n
 
 
 def is_strictly_convex(cone: Cone) -> bool:
@@ -440,8 +446,7 @@ def common_face(a: Cone, b: Cone) -> Cone:
     return inter
 
 
-@dataclass(frozen=True)
-class Prefan:
+class Prefan(NamedTuple):
     """A finite cone family closed under faces with pairwise common-face
     intersections."""
 
@@ -535,7 +540,7 @@ def covers(prefan: Prefan) -> bool:
     their common face F, so it lies on the other side of F, and that
     boundary point is interior to the union: a contradiction."""
     n = prefan.space_dim
-    full = [c for c in prefan.cones if dim(c) == n]
+    full = [c for c in prefan.cones if _is_full_dimensional(c)]
     if not full:
         return n == 0 and bool(prefan.cones)
     holders = defaultdict(set)  # facet key -> canonical keys of its cones
@@ -546,18 +551,21 @@ def covers(prefan: Prefan) -> bool:
     return all(len(keys) == 2 for keys in holders.values())
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class _BoundaryPointFields(NamedTuple):
+    stratum: Cone
+    residual: Vector
+
+
+class BoundaryPoint(_BoundaryPointFields):
     """A point of the compactified space: stratum cone plus a residual
     vector modulo the stratum's linear span (stored canonically, so equality
     is the intended congruence)."""
 
-    stratum: Cone
-    residual: Vector
+    __slots__ = ()
 
-    def __post_init__(self):
-        canon = linalg.reduce_mod_span(span_basis(self.stratum), self.residual)
-        object.__setattr__(self, "residual", canon)
+    def __new__(cls, stratum: Cone, residual: Vector) -> "BoundaryPoint":
+        canon = linalg.reduce_mod_span(span_basis(stratum), residual)
+        return super().__new__(cls, stratum, canon)
 
 
 def interior_kind(point: BoundaryPoint) -> bool:

@@ -22,7 +22,6 @@ can have; the least element of the solution coset is unique.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -88,16 +87,6 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _times_reflection(m: IntMatrix, j: int, cartan: IntMatrix) -> IntMatrix:
-    """m·s_j = m - (column j of m) ⊗ (row j of the Cartan matrix): only the
-    rows with a nonzero entry in column j change."""
-    c = cartan[j]
-    return tuple(
-        row if row[j] == 0 else tuple(a - row[j] * b for a, b in zip(row, c))
-        for row in m
-    )
-
-
 def _reflection_times(j: int, m: IntMatrix, cartan: IntMatrix) -> IntMatrix:
     """s_j·m: row j becomes row j minus the Cartan-row-j combination of the
     rows of m; every other row stays."""
@@ -113,8 +102,7 @@ def _identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A Weyl group element: ShortLex-least reduced word plus its action
     matrix on the character lattice."""
 
@@ -125,17 +113,74 @@ class WeylElement:
         return _mat_vec(self.matrix, chi)
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class _Record:
+    """Base of the immutable records that are not NamedTuples, because a
+    field stays out of equality or the record iterates over something else.
+    A subclass lists its fields in __slots__, in constructor order, and sets
+    them once with object.__setattr__; equality and hash are those of _key,
+    every field unless the subclass says otherwise."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class RootDatum(_Record):
     """Roots, simple base, coroots and Cartan data of a split semisimple
     group; cartan[i][j] is the pairing of simple root j with simple coroot i.
+    Equality and hash ignore the name; the hash, asked for by every table
+    lookup, is computed once.
     """
 
-    rank: int
-    cartan: IntMatrix
-    roots: Tuple[IntVector, ...]
-    coroots: Tuple[IntVector, ...]
-    name: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("rank", "cartan", "roots", "coroots", "name", "_hash")
+
+    def __init__(
+        self,
+        rank: int,
+        cartan: IntMatrix,
+        roots: Tuple[IntVector, ...],
+        coroots: Tuple[IntVector, ...],
+        name: Optional[str] = None,
+    ):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "coroots", coroots)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(self._key()))
+
+    def _key(self):
+        return self.rank, self.cartan, self.roots, self.coroots
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return RootDatum, self._key() + (self.name,)
+
+    def __repr__(self):
+        return (
+            f"RootDatum(rank={self.rank!r}, cartan={self.cartan!r}, roots={self.roots!r},"
+            f" coroots={self.coroots!r}, name={self.name!r})"
+        )
 
     def is_positive(self, root: Sequence[int]) -> bool:
         return any(c > 0 for c in root)
@@ -159,14 +204,28 @@ class RootDatum:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class ParabolicSet:
+class ParabolicSet(_Record):
     """A closed generating subset of the roots (a parabolic containing the
-    fixed maximal split torus, identified with its root set)."""
+    fixed maximal split torus, identified with its root set).  Equality,
+    hash and repr ignore the type label."""
 
-    datum: RootDatum
-    members: FrozenSet[IntVector]
-    type_label: Optional[TypeLabel] = field(default=None, compare=False, repr=False)
+    __slots__ = ("datum", "members", "type_label")
+
+    def __init__(
+        self,
+        datum: RootDatum,
+        members: FrozenSet[IntVector],
+        type_label: Optional[TypeLabel] = None,
+    ):
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "type_label", type_label)
+
+    def _key(self):
+        return self.datum, self.members
+
+    def __repr__(self):
+        return f"ParabolicSet(datum={self.datum!r}, members={self.members!r})"
 
 
 _NAMED_CARTAN: Dict[str, IntMatrix] = {}
@@ -291,17 +350,30 @@ def build_named(name: str) -> RootDatum:
     return build_from_cartan(_NAMED_CARTAN[name], name=name)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(_Record):
     """The orbit of the standard parabolic P_Y of a type label: the
     parabolics w·P_Y in ShortLex order of their minimal coset
     representatives w, and for each the permutation w induces on root
     indices and w^{-1}, its standard position.  Iterating an orbit gives
     its parabolics."""
 
-    parabolics: Tuple[ParabolicSet, ...]
-    permutations: Tuple[Tuple[int, ...], ...]
-    inverses: Tuple[WeylElement, ...]
+    __slots__ = ("parabolics", "permutations", "inverses")
+
+    def __init__(
+        self,
+        parabolics: Tuple[ParabolicSet, ...],
+        permutations: Tuple[Tuple[int, ...], ...],
+        inverses: Tuple[WeylElement, ...],
+    ):
+        object.__setattr__(self, "parabolics", parabolics)
+        object.__setattr__(self, "permutations", permutations)
+        object.__setattr__(self, "inverses", inverses)
+
+    def __repr__(self):
+        return (
+            f"Orbit(parabolics={self.parabolics!r}, permutations={self.permutations!r},"
+            f" inverses={self.inverses!r})"
+        )
 
     def __iter__(self) -> Iterator[ParabolicSet]:
         return iter(self.parabolics)
@@ -378,47 +450,60 @@ class DatumTables:
 
     def _enumerate_weyl(self, caller: RootDatum, limit: int) -> _Weyl:
         """Breadth-first over words in simple-reflection index order, so the
-        first word reaching a matrix is the ShortLex-least reduced word.
+        first word reaching an element is its ShortLex-least reduced word
+        (Björner and Brenti 2005, section 3.4).
 
-        Each new element w·s_j gets its permutation of the root indices,
-        i ↦ perm(w)[perm(s_j)[i]], where s_j sends r to r - <r, α_j∨> α_j;
-        the permutations are stored once the whole group fits under the
-        cap."""
+        An element w is keyed by the root indices of w·α_1, ..., w·α_r,
+        which fix it.  With s_j sending r to r - <r, α_j∨> α_j, and perm(w)
+        the permutation w induces on root indices, w·s_j has the key
+        perm(w)[s_j(α_k)] and, when new, the permutation i ↦
+        perm(w)[perm(s_j)[i]]; its inverse s_j·w^{-1} has the key
+        perm(s_j) read over the key of w^{-1}.  Each matrix is built once,
+        at the end: its columns are the roots at the key.  The permutations
+        are stored once the whole group fits under the cap."""
         datum = self.datum
+        roots = datum.roots
         cartan = datum.cartan
         reflections = [
             tuple(
                 self.root_index[r[:j] + (r[j] - datum.pairing(r, cartan[j]),) + r[j + 1 :]]
-                for r in datum.roots
+                for r in roots
             )
             for j in range(datum.rank)
         ]
-        ident = WeylElement(word=(), matrix=_identity_matrix(datum.rank))
-        seen: Dict[IntMatrix, WeylElement] = {ident.matrix: ident}
-        inv_of: Dict[IntMatrix, IntMatrix] = {ident.matrix: ident.matrix}
-        perms: Dict[IntMatrix, Tuple[int, ...]] = {ident.matrix: tuple(range(len(datum.roots)))}
-        order: List[WeylElement] = [ident]
-        level = [ident]
+        simple = tuple(self.root_index[a] for a in _identity_matrix(datum.rank))
+        # The key of s_j: the root indices of s_j·α_k.
+        simple_images = [tuple([s_j[i] for i in simple]) for s_j in reflections]
+        index_of: Dict[IntVector, int] = {simple: 0}
+        words: List[Tuple[int, ...]] = [()]
+        keys: List[IntVector] = [simple]
+        perms: List[Tuple[int, ...]] = [tuple(range(len(roots)))]
+        inverse_keys: List[IntVector] = [simple]
+        level = [0]
         while level:
-            nxt: List[WeylElement] = []
+            nxt: List[int] = []
             for w in level:
-                for j, s_j in enumerate(reflections):
-                    mat = _times_reflection(w.matrix, j, cartan)
-                    if mat in seen:
+                perm_w = perms[w]
+                for j, (s_j, images) in enumerate(zip(reflections, simple_images)):
+                    key = tuple([perm_w[i] for i in images])
+                    if key in index_of:
                         continue
-                    elem = WeylElement(word=w.word + (j,), matrix=mat)
-                    seen[mat] = elem
-                    inv_of[mat] = _reflection_times(j, inv_of[w.matrix], cartan)
-                    perm_w = perms[w.matrix]
-                    perms[mat] = tuple([perm_w[i] for i in s_j])
-                    order.append(elem)
-                    nxt.append(elem)
-                    if len(order) > limit:
-                        raise EnumerationCapError(caller, limit, len(order))
+                    index_of[key] = len(keys)
+                    nxt.append(len(keys))
+                    words.append(words[w] + (j,))
+                    keys.append(key)
+                    perms.append(tuple([perm_w[i] for i in s_j]))
+                    inverse_keys.append(tuple([s_j[i] for i in inverse_keys[w]]))
+                    if len(keys) > limit:
+                        raise EnumerationCapError(caller, limit, len(keys))
             level = nxt
-        self.permutations.update(perms)
-        inverse = {mat: seen[inv] for mat, inv in inv_of.items()}
-        return _Weyl(elements=tuple(order), by_matrix=seen, inverse=inverse)
+        matrices = [tuple(zip(*[roots[i] for i in key])) for key in keys]
+        elements = tuple(map(WeylElement, words, matrices))
+        self.permutations.update(zip(matrices, perms))
+        inverse = {
+            mat: elements[index_of[inv]] for mat, inv in zip(matrices, inverse_keys)
+        }
+        return _Weyl(elements=elements, by_matrix=dict(zip(matrices, elements)), inverse=inverse)
 
     def standard_parabolic(self, label: TypeLabel) -> ParabolicSet:
         """Positive roots plus the negatives of the roots supported on the

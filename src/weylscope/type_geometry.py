@@ -11,7 +11,6 @@ only that one goes through the double description."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -28,8 +27,7 @@ from .root_data import (
 )
 
 
-@dataclass(frozen=True)
-class TypeCone:
+class TypeCone(NamedTuple):
     """A type cone together with its provenance."""
 
     cone: Cone
@@ -37,8 +35,7 @@ class TypeCone:
     type_label: TypeLabel
 
 
-@dataclass(frozen=True)
-class RelevanceReport:
+class RelevanceReport(NamedTuple):
     """Dynkin-combinatorial relevancy data for a parabolic and a type."""
 
     query: ParabolicSet
@@ -49,8 +46,7 @@ class RelevanceReport:
     span_equalities: Tuple[IntVector, ...]
 
 
-@dataclass(frozen=True)
-class RtDecomposition:
+class RtDecomposition(NamedTuple):
     """Split of the Levi roots of Q by identical vanishing on the type cone."""
 
     nonvanishing: Tuple[IntVector, ...]
@@ -262,8 +258,7 @@ def _row_times(v: Sequence[int], m: IntMatrix) -> IntVector:
     return tuple(sum(a * b for a, b in zip(v, col)) for col in zip(*m))
 
 
-@dataclass(frozen=True)
-class ConeOrbits:
+class ConeOrbits(NamedTuple):
     """One cone per parabolic of some whole W-orbits, in the order of
     root_data.parabolics_of: the cone of w·P_Y is the image under w of the
     cone of the standard parabolic P_Y, the first of its orbit."""

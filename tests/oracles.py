@@ -9,7 +9,6 @@ integer kernel).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -245,6 +244,64 @@ def matrix_permutation(datum, w) -> Tuple[int, ...]:
     )
 
 
+def matrix_weyl_group(datum, cap: int):
+    """(elements, permutations, inverse) of W by the matrix breadth-first
+    search that root_data ran before it keyed elements by root indices:
+    elements are WeylElements in ShortLex order, permutations[k] is that of
+    elements[k] (perm(w·s_j) = perm(w) read through perm(s_j)), and inverse
+    maps each matrix to the inverse element.  Each step multiplies the
+    matrix of w by that of s_j, and the inverse's matrix by s_j on the left;
+    EnumerationCapError as root_data raises it."""
+    rank, cartan, roots = datum.rank, datum.cartan, datum.roots
+    index = {r: i for i, r in enumerate(roots)}
+
+    def times_reflection(m, j):  # m·s_j: column j of m against row j of cartan
+        return tuple(
+            tuple(a - row[j] * b for a, b in zip(row, cartan[j])) for row in m
+        )
+
+    def reflection_times(j, m):  # s_j·m: row j less cartan row j times m
+        new = tuple(
+            m[j][col] - sum(cartan[j][k] * m[k][col] for k in range(rank))
+            for col in range(rank)
+        )
+        return m[:j] + (new,) + m[j + 1 :]
+
+    reflections = [
+        tuple(
+            index[r[:j] + (r[j] - sum(a * b for a, b in zip(r, cartan[j])),) + r[j + 1 :]]
+            for r in roots
+        )
+        for j in range(rank)
+    ]
+    ident = root_data.WeylElement(
+        word=(), matrix=tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    )
+    seen = {ident.matrix: ident}
+    inv_of = {ident.matrix: ident.matrix}
+    perm_of = {ident.matrix: tuple(range(len(roots)))}
+    order = [ident]
+    level = [ident]
+    while level:
+        nxt = []
+        for w in level:
+            for j, s_j in enumerate(reflections):
+                mat = times_reflection(w.matrix, j)
+                if mat in seen:
+                    continue
+                elem = root_data.WeylElement(word=w.word + (j,), matrix=mat)
+                seen[mat] = elem
+                inv_of[mat] = reflection_times(j, inv_of[w.matrix])
+                perm_of[mat] = tuple(perm_of[w.matrix][i] for i in s_j)
+                order.append(elem)
+                nxt.append(elem)
+                if len(order) > cap:
+                    raise root_data.EnumerationCapError(datum, cap, len(order))
+        level = nxt
+    permutations = [perm_of[w.matrix] for w in order]
+    return tuple(order), permutations, {m: seen[inv] for m, inv in inv_of.items()}
+
+
 def orbit_parabolics(datum) -> List[Tuple[FrozenSet[IntVector], FrozenSet[int]]]:
     """(members, label) of every parabolic: the orbit of each standard
     parabolic in type-label order, each member set kept where the ShortLex
@@ -394,7 +451,11 @@ def _tight(cone, part) -> FrozenSet[int]:
 
 
 def _promoted(cone, tight: Iterable[int]):
-    return replace(cone, eqs=cone.eqs + tuple(cone.ineqs[i] for i in sorted(tight)))
+    return polyfan.Cone(
+        space_dim=cone.space_dim,
+        ineqs=cone.ineqs,
+        eqs=cone.eqs + tuple(cone.ineqs[i] for i in sorted(tight)),
+    )
 
 
 def _dim(cone) -> int:
@@ -447,7 +508,7 @@ def common_face_witness(a, b) -> Optional[IntVector]:
     """None when a ∩ b is a face of both; otherwise the first generator,
     lineality vectors before rays, of the face of a (then of b) cut out by
     the inequalities tight on a ∩ b, that leaves a ∩ b."""
-    inter = replace(a, ineqs=a.ineqs + b.ineqs, eqs=a.eqs + b.eqs)
+    inter = polyfan.Cone(space_dim=a.space_dim, ineqs=a.ineqs + b.ineqs, eqs=a.eqs + b.eqs)
     for c in (a, b):
         lin, rays = enumerated_generators(_promoted(c, _tight(c, inter)))
         for v in lin:

@@ -339,6 +339,17 @@ def test_every_type_of_a4_is_certified():
     assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
 
 
+@pytest.mark.parametrize("name", ("A2", "B2", "G2", "A3", "B3", "C3", "A4"))
+def test_full_dimensional_test_of_covers_agrees_with_dim(name):
+    datum = root_data.build_named(name)
+    fans = [type_geometry.weyl_fan(datum)] + [
+        type_geometry.prefan_of_type(datum, t) for t in oracles.all_type_labels(datum.rank)
+    ]
+    for fan in fans:
+        for c in fan.cones:
+            assert polyfan._is_full_dimensional(c) == (dim(c) == c.space_dim), c
+
+
 def test_extended_value_arithmetic_and_order():
     a = finite(Fraction(1, 2))
     b = finite(-2)
@@ -357,6 +368,12 @@ def test_boundary_point_residual_is_canonical():
     p2 = BoundaryPoint(stratum=ray, residual=(Fraction(5), Fraction(2)))
     assert p1.residual == p2.residual  # (5,2)-(3,0) = (2,2) lies in the span
     assert p1 == p2
+    # Canonical from construction on: the residual reduced modulo the span.
+    assert p1.residual == (0, -3)
+    assert repr(p1) == (
+        "BoundaryPoint(stratum=Cone(space_dim=2, ineqs=(), eqs=((1, -1),)),"
+        " residual=(Fraction(0, 1), Fraction(-3, 1)))"
+    )
 
 
 def test_eval_at_boundary_cases():

@@ -154,6 +154,39 @@ def test_enumeration_stores_the_permutation_of_every_element(monkeypatch, name):
         assert stored[w.matrix] == oracles.matrix_permutation(datum, w)
 
 
+_KEYED = ("A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4")
+
+
+@pytest.mark.parametrize("name", _KEYED)
+def test_root_index_enumeration_matches_the_matrix_search(monkeypatch, name):
+    """The enumeration on root-index keys gives the elements, words,
+    matrices, permutations and inverses of the matrix breadth-first search."""
+    datum = build_named(name)
+    monkeypatch.delitem(root_data._TABLES, datum, raising=False)
+    tables = root_data.DatumTables.of(datum)
+    weyl = tables.weyl_group(datum)
+    elements, permutations, inverses = oracles.matrix_weyl_group(datum, cap=1152)
+    assert [(w.word, w.matrix) for w in weyl.elements] == [
+        (w.word, w.matrix) for w in elements
+    ]
+    assert [tables.permutations[w.matrix] for w in weyl.elements] == permutations
+    assert weyl.inverse == inverses
+    assert weyl.by_matrix == {w.matrix: w for w in elements}
+
+
+def test_root_index_enumeration_stops_where_the_matrix_search_does(monkeypatch):
+    monkeypatch.delenv("WEYLSCOPE_ENUM_CAP", raising=False)
+    for name, cap in (("A5", 10), ("F4", 1151)):
+        datum = build_named(name)
+        with pytest.raises(EnumerationCapError) as expected:
+            oracles.matrix_weyl_group(datum, cap)
+        monkeypatch.delitem(root_data._TABLES, datum, raising=False)
+        with pytest.raises(EnumerationCapError) as got:
+            weyl_elements(datum, cap=cap)
+        assert (got.value.cap, got.value.reached) == (expected.value.cap, expected.value.reached)
+        assert root_data.DatumTables.of(datum).weyl is None
+
+
 def test_rank_five_weyl_orders_need_an_explicit_cap():
     for name, order in {"B5": 3840, "C5": 3840, "D5": 1920}.items():
         assert len(weyl_elements(build_named(name), cap=order)) == order
