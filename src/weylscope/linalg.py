@@ -22,10 +22,6 @@ def vec(entries: Iterable) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
-def zero(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def dot(u: Sequence, v: Sequence):
     """The pairing; an int when both vectors are integer."""
     return sum(a * b for a, b in zip(u, v))

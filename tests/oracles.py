@@ -379,8 +379,60 @@ def fraction_contains_point(cone, u: Sequence) -> bool:
 def fraction_in_relative_interior(cone, u: Sequence) -> bool:
     if not fraction_contains_point(cone, u):
         return False
-    tight = set(polyfan.implied_equalities(cone))
+    tight = set(implied_equalities(cone))
     return all(dot(u, f) < 0 for f in cone.ineqs if f not in tight)
+
+
+# ---------------------------------------------------------------------------
+# boundary points: the span-basis definitions polyfan used before it read a
+# stratum cone's dimension, residual class and boundary values off its
+# (lineality, rays) in one pass, kept to check those passes; with them,
+# fraction_in_relative_interior above is the old relative-interior test.
+
+
+def functional_vanishes(cone, phi: Sequence[int]) -> bool:
+    lin, rays = polyfan.generators(cone)
+    return all(_pairing(v, phi) == 0 for v in lin + rays)
+
+
+def cone_implies(cone, phi: Sequence[int]) -> bool:
+    """Whether <u,phi> <= 0 holds on all of the cone."""
+    lin, rays = polyfan.generators(cone)
+    return all(_pairing(v, phi) == 0 for v in lin) and all(_pairing(r, phi) <= 0 for r in rays)
+
+
+@lru_cache(maxsize=None)
+def implied_equalities(cone) -> Tuple[IntVector, ...]:
+    """Kept per cone: criterion 1 asks it of the same Weyl cones once for
+    every type."""
+    return tuple(cone.eqs) + tuple(f for f in cone.ineqs if functional_vanishes(cone, f))
+
+
+@lru_cache(maxsize=None)
+def span_basis(cone) -> Tuple[IntVector, ...]:
+    return tuple(linalg.nullspace(implied_equalities(cone), cone.space_dim))
+
+
+def span_dim(cone) -> int:
+    return len(span_basis(cone))
+
+
+def span_residual(stratum, residual: Sequence) -> Tuple[Fraction, ...]:
+    """The residual class of a boundary point, reduced modulo the span basis."""
+    return linalg.reduce_mod_span(span_basis(stratum), residual)
+
+
+def span_eval_at_boundary(point, phi: Sequence[int]):
+    """Finite when phi vanishes on the span basis of the stratum, then -inf
+    or +inf when it implies a sign on the cone, else indeterminate."""
+    f = tuple(int(x) for x in phi)
+    if all(_pairing(b, f) == 0 for b in span_basis(point.stratum)):
+        return polyfan.finite(dot(point.residual, f))
+    if cone_implies(point.stratum, f):
+        return polyfan.NEG_INF
+    if cone_implies(point.stratum, linalg.neg_int(f)):
+        return polyfan.POS_INF
+    raise polyfan.IndeterminateValueError(f"functional {f} changes sign on the stratum cone")
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +772,7 @@ def _relint_meets(cone, region) -> bool:
     for e in region.eqs:
         cons.append((e, False))
         cons.append((linalg.neg_int(e), False))
-    tight = set(polyfan.implied_equalities(cone))
+    tight = set(implied_equalities(cone))
     for e in tight:
         cons.append((e, False))
         cons.append((linalg.neg_int(e), False))

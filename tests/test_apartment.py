@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from weylscope import apartment, gl_models, linalg, polyfan, root_data, type_geometry
@@ -404,6 +407,42 @@ def test_project_lands_on_minimal_relevant():
         y = project(ctx, x, delta)
         expected = type_geometry.minimal_relevant(q, delta)
         assert y.stratum_parabolic.members == expected.members
+
+
+_PROJECTIONS = (
+    ("A2", frozenset({0}), frozenset({0, 1})),
+    ("A3", frozenset(), frozenset({0, 1})),
+    ("A3", frozenset({1}), frozenset({0, 1, 2})),
+    ("B3", frozenset({0}), frozenset({0, 2})),
+    ("C3", frozenset({2}), frozenset({1, 2})),
+    ("G2", frozenset({1}), frozenset({0, 1})),
+)
+
+
+@lru_cache(maxsize=None)
+def _cached_ctx(name, t):
+    return make_context(build_named(name), t)
+
+
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_project_commutes_with_translate(data):
+    """project(translate(x, w)) = translate(project(x), w): the residual is
+    reduced modulo span(C), then modulo span(C') on one side and modulo
+    span(C') alone on the other, and span(C) lies in span(C')."""
+    name, t, t2 = data.draw(st.sampled_from(_PROJECTIONS))
+    ctx = _cached_ctx(name, t)
+    n = ctx.datum.rank
+    q = data.draw(st.sampled_from(ctx.parabolics))
+    residual = data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    w = data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    x = stratum_point(ctx, q, residual)
+    moved_first = project(ctx, translate_point(ctx, x, w), t2)
+    projected_first = translate_point(ctx, project(ctx, x, t2), w)
+    assert moved_first == projected_first
 
 
 # ---------------------------------------------------------------------------

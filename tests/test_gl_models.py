@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from weylscope import apartment, polyfan, root_data, type_geometry
+from weylscope import apartment, linalg, polyfan, root_data, type_geometry
 from weylscope.gl_models import (
     DiagSeminorm,
     chi_diff,
@@ -72,7 +74,8 @@ def test_hyperplane_type_is_all_but_last():
 def test_origin_and_interior_points():
     s = make_seminorm([0, 0, 0])
     x = to_apartment_point(s)
-    assert polyfan.interior_kind(x.point)
+    stratum = x.point.stratum  # a linear subspace: an interior point
+    assert polyfan.dim(stratum) == len(polyfan.lineality_basis(stratum))
     assert x.point.residual == (Fraction(0), Fraction(0))
     assert from_apartment_point(x) == s
 
@@ -104,6 +107,34 @@ def test_round_trip_random():
             s = _random_seminorm(rng, d, with_kernel=True)
             x = to_apartment_point(s)
             assert from_apartment_point(x) == s
+
+
+_entries = st.one_of(
+    st.just("-inf"), st.fractions(min_value=-6, max_value=6, max_denominator=4)
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_round_trip_and_canonical_residual_on_random_seminorms(data):
+    """The pgl dictionary round-trips every seminorm with a proper kernel,
+    and its boundary point is in canonical form: rebuilding it from its
+    residual, or from that residual moved along the stratum's lineality and
+    rays, gives the same point."""
+    d = data.draw(st.integers(min_value=1, max_value=4))
+    entries = data.draw(st.lists(_entries, min_size=d + 1, max_size=d + 1))
+    assume(any(e != "-inf" for e in entries))
+    s = make_seminorm(entries)
+    x = to_apartment_point(s)
+    assert from_apartment_point(x) == s
+    stratum, residual = x.point
+    lin, rays = polyfan.generators(stratum)
+    shift = [0] * d
+    for g in lin + rays:
+        k = data.draw(st.integers(min_value=-3, max_value=3))
+        shift = [a + k * b for a, b in zip(shift, g)]
+    assert polyfan.BoundaryPoint(stratum, residual) == x.point
+    assert polyfan.BoundaryPoint(stratum, linalg.add(residual, shift)) == x.point
 
 
 def test_round_trip_is_deterministic():

@@ -27,7 +27,7 @@ def test_vector_basics():
     assert linalg.dot(u, v) == Fraction(-2)
     assert linalg.add(u, v) == (Fraction(1), Fraction(5, 2), Fraction(-2))
     assert linalg.neg_int(v) == (0, -2, -1)
-    assert linalg.is_zero(linalg.zero(4))
+    assert linalg.is_zero((Fraction(0),) * 4)
     assert not linalg.is_zero(u)
 
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylscope import polyfan, root_data, type_geometry
+from weylscope import apartment, gl_models, linalg, polyfan, root_data, type_geometry
 from weylscope.polyfan import (
     NEG_INF,
     POS_INF,
@@ -53,8 +53,6 @@ def test_dims_and_lineality():
     assert dim(LINE) == 1 and len(lineality_basis(LINE)) == 1
     assert dim(PLANE) == 2 and len(lineality_basis(PLANE)) == 2
     assert dim(ORIGIN) == 0
-    assert polyfan.is_strictly_convex(QUADRANT)
-    assert not polyfan.is_strictly_convex(HALF)
 
 
 def test_generators_reproduce_membership():
@@ -262,13 +260,73 @@ def test_covers_counts_a_repeated_cone_once():
 
 
 def test_verify_prefan_caches_no_intersection():
-    """verify_prefan adds to the generators cache at most the cones it is
-    given: the intersections of its pair checks are not kept."""
+    """verify_prefan asks the generators cache about at most the cones it
+    is given: the intersections of its pair checks bypass it.  Misses are
+    counted, not the size, which stops growing once the cache is full."""
     datum = root_data.build_named("A3")
     prefan = type_geometry.prefan_of_type(datum, frozenset({1}))
-    before = generators.cache_info().currsize
+    before = generators.cache_info().misses
     verify_prefan(prefan)
-    assert generators.cache_info().currsize - before <= len(prefan.cones)
+    assert generators.cache_info().misses - before <= len(prefan.cones)
+
+
+def test_generators_is_the_one_bounded_memo_table():
+    cached = [name for name, obj in vars(polyfan).items() if hasattr(obj, "cache_info")]
+    assert cached == ["generators"]
+    assert generators.cache_info().maxsize is not None
+
+
+def _stratum_contexts():
+    data = (("A3", {0}), ("B3", {0}), ("C3", {0, 1}), ("G2", {0}))
+    return [apartment.make_context(root_data.build_named(n), t) for n, t in data] + [
+        gl_models.gl_context(d) for d in range(2, 6)
+    ]
+
+
+def test_one_pass_boundary_reads_match_the_span_basis_oracles():
+    """dim, the BoundaryPoint residual, in_relative_interior and
+    eval_at_boundary, read off a stratum cone's (lineality, rays), agree
+    with their span-basis definitions on every stratum cone of eight
+    contexts: for every chart generator and its negation, at seeded
+    integer, rational and zero points and at the relative interior point
+    of every stratum (those of the lower-dimensional ones lie on walls)."""
+    rng = random.Random(67)
+    for ctx in _stratum_contexts():
+        n = ctx.datum.rank
+        cones = ctx.prefan.cones
+        functionals = sorted(
+            {g for _, psi in ctx.charts for a in psi for g in (a, linalg.neg_int(a))}
+        )
+        integer = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(3)]
+        rational = [
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+            for _ in range(3)
+        ]
+        walls = [relative_interior_point(c) for c in cones]
+        points = integer + rational + [(0,) * n] + walls
+        residuals = [integer[0], rational[0], (0,) * n, rng.choice(walls)]
+        for c in cones:
+            _check_one_pass_reads(c, points, residuals, functionals)
+
+
+def _check_one_pass_reads(cone, points, residuals, functionals):
+    assert dim(cone) == oracles.span_dim(cone), cone
+    assert polyfan.implied_equalities(cone) == oracles.implied_equalities(cone), cone
+    assert polyfan.span_basis(cone) == oracles.span_basis(cone), cone
+    for u in points:
+        assert in_relative_interior(cone, u) == oracles.fraction_in_relative_interior(cone, u), (
+            cone, u)
+    for u in residuals:
+        x = BoundaryPoint(cone, linalg.vec(u))
+        assert x.residual == oracles.span_residual(cone, u), (cone, u)
+        for f in functionals:
+            try:
+                expected = oracles.span_eval_at_boundary(x, f)
+            except IndeterminateValueError:
+                with pytest.raises(IndeterminateValueError):
+                    eval_at_boundary(x, f)
+            else:
+                assert eval_at_boundary(x, f) == expected, (cone, u, f)
 
 
 @pytest.mark.parametrize("name", ("A1xA1", "A2", "B2", "G2", "A3", "B3", "C3"))
@@ -513,6 +571,20 @@ def test_double_description_on_random_cones(data):
     assert facets(a) == oracles.promoted_facets(a)
     b = data.draw(_random_cone(a.space_dim))
     _check_common_face(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_pass_boundary_reads_on_random_cones(data):
+    """The same comparison on random cones, which unlike the stratum cones
+    often have lineality, with random functionals and points besides the
+    relative interior points of the cone's faces."""
+    cone = data.draw(_random_cone())
+    n = cone.space_dim
+    vectors = st.lists(st.tuples(*[_row] * n), min_size=1, max_size=4)
+    functionals = data.draw(vectors) + list(cone.ineqs + cone.eqs)
+    points = data.draw(vectors) + [relative_interior_point(f) for f in faces(cone)]
+    _check_one_pass_reads(cone, points, points[:3], functionals)
 
 
 RANK_LE_3 = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")

@@ -155,7 +155,7 @@ def test_relevance_report_fields():
     assert rep2.span_equalities == ((0, 0, 1),)
     cone = type_cone(rep2.query, delta).cone
     for e in rep2.span_equalities:
-        assert polyfan.functional_vanishes(cone, e)
+        assert oracles.functional_vanishes(cone, e)
 
 
 def test_dims_equal_characterization():
