@@ -135,14 +135,10 @@ def chart_generators(p: ParabolicSet) -> Tuple[IntVector, ...]:
     return tuple(sorted(root_data.outside_roots(p)))
 
 
-def make_context(
-    datum: RootDatum,
-    t: Iterable[int],
-    cap: Optional[int] = None,
-) -> ApartmentContext:
+def make_context(datum: RootDatum, t: Iterable[int]) -> ApartmentContext:
     label = type_geometry._check_type(datum, frozenset(t))
-    strata = type_geometry.type_cone_orbits(datum, label, cap)
-    charts = tuple((p, chart_generators(p)) for p in root_data.parabolics_of(datum, (label,), cap))
+    strata = type_geometry.type_cone_orbits(datum, label)
+    charts = tuple((p, chart_generators(p)) for p in root_data.parabolics_of(datum, (label,)))
     return ApartmentContext(
         datum=datum,
         type_label=label,

@@ -168,9 +168,12 @@ def _datum_from_file(path: str) -> RootDatum:
 
 
 def _load_datum(args) -> RootDatum:
-    """The datum of --datum or --datum-file.  An explicit --cap bounds the
-    whole command: the Weyl group is enumerated under it here, and later
-    lookups use that group instead of enumerating under the default cap."""
+    """The datum of --datum or --datum-file, and the one place where a
+    command settles its cap.  An explicit --cap bounds the whole command:
+    the Weyl group is enumerated under it here, and every later lookup uses
+    that group.  Without one, WEYLSCOPE_ENUM_CAP is validated here, so a
+    bad value exits 2 whether or not the command enumerates W, or finds it
+    already enumerated in this process."""
     if args.cap is not None and args.cap < 1:
         raise ValidationError(f"--cap must be at least 1, got {args.cap}")
     if args.datum_file:
@@ -183,6 +186,8 @@ def _load_datum(args) -> RootDatum:
         datum = root_data.build_named(args.datum)
     if args.cap is not None:
         root_data.weyl_elements(datum, args.cap)
+    else:
+        root_data.resolve_enum_cap()
     return datum
 
 
@@ -424,7 +429,7 @@ def _cmd_datum_info(args) -> int:
 
 def _cmd_fan(args) -> int:
     datum = _load_datum(args)
-    cones = _cone_list(type_geometry.weyl_cone_orbits(datum, args.cap))
+    cones = _cone_list(type_geometry.weyl_cone_orbits(datum))
     dims, dim_text = _dim_counts([c["dim"] for c in cones])
     report = {
         "command": "fan",
@@ -445,7 +450,7 @@ def _cmd_fan(args) -> int:
 def _cmd_prefan(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    cones = _cone_list(type_geometry.type_cone_orbits(datum, t, args.cap))
+    cones = _cone_list(type_geometry.type_cone_orbits(datum, t))
     dims, dim_text = _dim_counts([c["dim"] for c in cones])
     lin = type_geometry.lineality_space(datum, t)
     report = {
@@ -472,7 +477,7 @@ def _cmd_relevant(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
     # 2^rank <= |W|, so the cap on W also bounds the list of type labels.
-    root_data.weyl_elements(datum, args.cap)
+    root_data.DatumTables.of(datum).enumerated_weyl_group(datum)
     labels = type_geometry.relevant_labels(datum, t)
     report = {
         "command": "relevant",
@@ -482,9 +487,7 @@ def _cmd_relevant(args) -> int:
         "count": len(labels),
     }
     if args.all:
-        everything = [
-            _parabolic_id(q) for q in root_data.parabolics_of(datum, labels, args.cap)
-        ]
+        everything = [_parabolic_id(q) for q in root_data.parabolics_of(datum, labels)]
         report["all_relevant"] = everything
         report["all_count"] = len(everything)
     shown = ", ".join(type_name(y) for y in labels)
@@ -558,7 +561,7 @@ def _cmd_limit(args) -> int:
             raise ValidationError("give --u0 and --v, or --ray-file")
         u0 = _parse_vector(args.u0, datum.rank, "--u0")
         v = _parse_vector(args.v, datum.rank, "--v")
-    ctx = apartment.make_context(datum, t, cap=args.cap)
+    ctx = apartment.make_context(datum, t)
     x = apartment.limit_point(ctx, u0, v)
     coords = apartment.extract_residual(ctx, x)
     sa = apartment.stratum_apartment(ctx, x.stratum_parabolic)
@@ -592,7 +595,7 @@ def _cmd_seminorm(args) -> int:
 
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    ctx = apartment.make_context(datum, t, cap=args.cap)
+    ctx = apartment.make_context(datum, t)
     f = _polynomial_from_file(args.poly)
     x = _point_from_args(ctx, args)
     if args.chart is not None:
@@ -635,7 +638,7 @@ def _cmd_stabilizer(args) -> int:
 
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    ctx = apartment.make_context(datum, t, cap=args.cap)
+    ctx = apartment.make_context(datum, t)
     x = _point_from_args(ctx, args)
     prof = apartment.stabilizer_profile(ctx, x)
     report = {
@@ -665,7 +668,7 @@ def _cmd_project(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
     t2 = _parse_type(args.to_type, datum, "--to-type")
-    ctx = apartment.make_context(datum, t, cap=args.cap)
+    ctx = apartment.make_context(datum, t)
     x = _point_from_args(ctx, args)
     y = apartment.project(ctx, x, t2)
     report = {
@@ -746,7 +749,7 @@ def _cmd_render(args) -> int:
             f"render needs a rank-2 root datum, got rank {datum.rank}"
         )
     t = _parse_type(args.type, datum)
-    ctx = apartment.make_context(datum, t, cap=args.cap)
+    ctx = apartment.make_context(datum, t)
     _write_text(args.out, render.render_svg(datum, t, ctx))
     _, dim_text = _dim_counts([polyfan.dim(c) for c in ctx.prefan.cones])
     print(

@@ -6,7 +6,8 @@ A class is stored by log-magnitudes c_1..c_{d+1} of the basis vectors,
 normalized so the largest finite entry is 0; entries at -inf form the
 kernel.  Differences c_j - c_i are the well-defined pairings <u, chi_i -
 chi_j> of the dual vector u assigned to the class (individual chi_i are not
-lattice characters here)."""
+lattice characters here).  The stabilizer of a class is read off the
+apartment, as stabilizer_profile gives it at the class's point."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from functools import lru_cache
 from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import apartment, linalg, root_data
-from .apartment import ApartmentContext, CompactApartmentPoint
+from .apartment import ApartmentContext, CompactApartmentPoint, StabilizerProfile
 from .linalg import IntVector
 from .polyfan import ExtendedValue, NEG_INF, finite
 from .root_data import ParabolicSet, RootDatum, ValidationError
@@ -148,55 +149,13 @@ def from_apartment_point(x: CompactApartmentPoint) -> DiagSeminorm:
     return make_seminorm(out)
 
 
-class GlStabilizerBlocks(NamedTuple):
-    """Block description of the stabilizer of a diagonal seminorm class:
-    full root groups on the unipotent radical and the kernel block, exact
-    filtration levels on the quotient block."""
-
-    stratum_parabolic: ParabolicSet
-    full_unipotent: Tuple[IntVector, ...]
-    full_levi: Tuple[IntVector, ...]
-    filtered: Tuple[Tuple[IntVector, Fraction], ...]
-
-
-def stabilizer_blocks(s: DiagSeminorm) -> GlStabilizerBlocks:
-    """Built directly from the kernel/value data, then asserted against the
-    generic stabilizer_profile through the dictionary (one truth, checked
-    two ways)."""
-    d = s.dimension - 1
-    ker = kernel(s)
-    q = stratum_label(s)
-    full_unipotent = tuple(
-        sorted(chi_diff(d, i, j) for i in ker for j in range(d + 1) if j not in ker)
-    )
-    full_levi = tuple(
-        sorted(chi_diff(d, i, j) for i in ker for j in ker if i != j)
-    )
-    filtered = tuple(
-        sorted(
-            (
-                chi_diff(d, i, j),
-                s.values[i].value - s.values[j].value,
-            )
-            for i in range(d + 1)
-            for j in range(d + 1)
-            if i != j and i not in ker and j not in ker
-        )
-    )
-    blocks = GlStabilizerBlocks(
-        stratum_parabolic=q,
-        full_unipotent=full_unipotent,
-        full_levi=full_levi,
-        filtered=filtered,
-    )
-    profile = apartment.stabilizer_profile(gl_context(d), to_apartment_point(s))
-    if (
-        profile.full_unipotent != blocks.full_unipotent
-        or profile.full_levi != blocks.full_levi
-        or profile.filtered != blocks.filtered
-    ):
-        raise ValidationError("stabilizer blocks disagree with the apartment profile")
-    return blocks
+def stabilizer_blocks(s: DiagSeminorm) -> StabilizerProfile:
+    """The stabilizer of the class, read off the apartment: the profile of
+    its point in the context of its dimension.  In blocks, chi_i - chi_j
+    acts fully when i is in the kernel (the unipotent radical when j is
+    not, the kernel block when j is), and is filtered at level c_i - c_j
+    when neither is."""
+    return apartment.stabilizer_profile(gl_context(s.dimension - 1), to_apartment_point(s))
 
 
 def degeneration_ray(

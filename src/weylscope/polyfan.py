@@ -72,13 +72,9 @@ class ExtendedValue(NamedTuple):
     kind: int  # -1, 0, +1
     value: Fraction = Fraction(0)
 
-    @staticmethod
-    def of(q) -> "ExtendedValue":
-        return ExtendedValue(0, Fraction(q))
-
     def __add__(self, other: "ExtendedValue") -> "ExtendedValue":
         if not isinstance(other, ExtendedValue):
-            other = ExtendedValue.of(other)
+            other = finite(other)
         if self.kind == 0 and other.kind == 0:
             return ExtendedValue(0, self.value + other.value)
         if self.kind == 0:
@@ -102,7 +98,7 @@ POS_INF = ExtendedValue(1)
 
 
 def finite(q) -> ExtendedValue:
-    return ExtendedValue.of(q)
+    return ExtendedValue(0, Fraction(q))
 
 
 class Cone(NamedTuple):

@@ -57,13 +57,10 @@ class EnumerationCapError(RuntimeError):
         self.reached = reached
 
 
-def resolve_enum_cap(cap: Optional[int] = None) -> int:
-    """The cap on |W|: the one given, else WEYLSCOPE_ENUM_CAP, else the
-    default; a cap below 1 is a ValidationError."""
-    if cap is not None:
-        if cap < 1:
-            raise ValidationError(f"enumeration cap must be at least 1, got {cap}")
-        return cap
+def resolve_enum_cap() -> int:
+    """The cap on |W| when the caller gives none: WEYLSCOPE_ENUM_CAP, else
+    the default; a value that is not an integer of at least 1 is a
+    ValidationError."""
     raw = os.environ.get(ENUM_CAP_ENV)
     if raw is None:
         return DEFAULT_ENUM_CAP
@@ -434,7 +431,9 @@ class DatumTables:
         EnumerationCapError, and stores nothing, when it is larger than the
         cap.  The error names datum, the caller's own: equal data share the
         table, which keeps the name of the first of them."""
-        limit = resolve_enum_cap(cap)
+        limit = resolve_enum_cap() if cap is None else cap
+        if limit < 1:
+            raise ValidationError(f"enumeration cap must be at least 1, got {cap}")
         weyl = self.weyl
         if weyl is None:
             weyl = self.weyl = self._enumerate_weyl(datum, limit)
@@ -443,9 +442,10 @@ class DatumTables:
         return weyl
 
     def enumerated_weyl_group(self, datum: RootDatum) -> _Weyl:
-        """The Weyl group for a lookup: as an entry point (weyl_elements,
-        parabolics_of) enumerated it, under the cap that entry point was
-        given, else enumerated now under the default cap."""
+        """The Weyl group for every caller but weyl_elements: the group as
+        already enumerated, under whatever cap weyl_elements was given,
+        else enumerated now under WEYLSCOPE_ENUM_CAP or the default cap.
+        The cap is checked where W is enumerated and nowhere else."""
         return self.weyl or self.weyl_group(datum)
 
     def _enumerate_weyl(self, caller: RootDatum, limit: int) -> _Weyl:
@@ -544,7 +544,13 @@ _TABLES: Dict[RootDatum, DatumTables] = {}
 
 
 def weyl_elements(datum: RootDatum, cap: Optional[int] = None) -> Tuple[WeylElement, ...]:
-    """All Weyl elements in ShortLex order of their canonical reduced words."""
+    """All Weyl elements in ShortLex order of their canonical reduced words.
+
+    The one library function that takes a cap: cap, else WEYLSCOPE_ENUM_CAP,
+    else the default, checked against the group even when it is already
+    enumerated.  A group once enumerated serves every later lookup on the
+    datum, so enumerating it here under a cap above the default is what
+    lets the rest of the library work on a larger group."""
     return DatumTables.of(datum).weyl_group(datum, cap).elements
 
 
@@ -642,9 +648,7 @@ def _label_key(label: TypeLabel) -> Tuple[int, Tuple[int, ...]]:
     return len(label), tuple(sorted(label))
 
 
-def orbits_of(
-    datum: RootDatum, labels: Iterable[TypeLabel], cap: Optional[int] = None
-) -> Tuple[Orbit, ...]:
+def orbits_of(datum: RootDatum, labels: Iterable[TypeLabel]) -> Tuple[Orbit, ...]:
     """The orbits of the standard parabolics of labels, in type-label order.
 
     The orbit of the standard parabolic of Y is W/W_Y: w·P_Y meets each
@@ -655,9 +659,13 @@ def orbits_of(
     their standard positions are seeded; each orbit keeps, next to every
     parabolic, the root permutation of w (read from the Weyl enumeration)
     and w^{-1}, so that nothing downstream looks an element up by matrix.
+
+    W is read (see DatumTables.enumerated_weyl_group) before labels is
+    consumed: 2^rank <= |W|, so a lazy iterable of every label stays
+    bounded by the enumeration cap.
     """
     tables = DatumTables.of(datum)
-    weyl = tables.weyl_group(datum, cap)
+    weyl = tables.enumerated_weyl_group(datum)
     wanted = sorted({frozenset(y) for y in labels}, key=_label_key)
     for y in wanted:
         if any(i < 0 or i >= datum.rank for i in y):
@@ -695,28 +703,25 @@ def orbits_of(
     return tuple(tables.orbits[y] for y in wanted)
 
 
-def parabolics_of(
-    datum: RootDatum, labels: Iterable[TypeLabel], cap: Optional[int] = None
-) -> Tuple[ParabolicSet, ...]:
+def parabolics_of(datum: RootDatum, labels: Iterable[TypeLabel]) -> Tuple[ParabolicSet, ...]:
     """The parabolics whose type label is one of labels, in the order of
     all_parabolics (labels in type-label order, each orbit in ShortLex order
     of the conjugating element): the parabolics of the orbits of orbits_of,
     one orbit after the other.  Those orbits, kept in the table, also hold
     the root permutation and the inverse of each parabolic's coset
     representative."""
-    return tuple(q for orbit in orbits_of(datum, labels, cap) for q in orbit)
+    return tuple(q for orbit in orbits_of(datum, labels) for q in orbit)
 
 
-def all_orbits(datum: RootDatum, cap: Optional[int] = None) -> Tuple[Orbit, ...]:
+def all_orbits(datum: RootDatum) -> Tuple[Orbit, ...]:
     """The orbit of every type label, in type-label order."""
-    weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
-    return orbits_of(datum, _type_labels(datum.rank), cap)
+    return orbits_of(datum, _type_labels(datum.rank))
 
 
-def all_parabolics(datum: RootDatum, cap: Optional[int] = None) -> Tuple[ParabolicSet, ...]:
+def all_parabolics(datum: RootDatum) -> Tuple[ParabolicSet, ...]:
     """Every closed generating root subset, tagged with its type label: the
     parabolics of every orbit, in the order of parabolics_of."""
-    return tuple(q for orbit in all_orbits(datum, cap) for q in orbit)
+    return tuple(q for orbit in all_orbits(datum) for q in orbit)
 
 
 def levi_roots(p: ParabolicSet) -> FrozenSet[IntVector]:

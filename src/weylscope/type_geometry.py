@@ -12,7 +12,7 @@ only that one goes through the double description."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 from . import linalg, polyfan, root_data
 from .polyfan import Cone, Prefan
@@ -179,20 +179,6 @@ def span_equalities(q: ParabolicSet, t: TypeLabel) -> Tuple[IntVector, ...]:
     return relevance_report(q, t).span_equalities
 
 
-def dims_equal(q: ParabolicSet, t: TypeLabel) -> bool:
-    """Whether the type cone of q has the same dimension as its Weyl cone."""
-    report = relevance_report(q, t)
-    datum = q.datum
-    dim_type = polyfan.dim(type_cone(q, t).cone)
-    expected = datum.rank - len(report.active_components)
-    if dim_type != expected:
-        raise RuntimeError(
-            f"type cone of parabolic {root_data.parabolic_name(q)} for type"
-            f" {root_data.type_name(t)} has dimension {dim_type}, expected {expected}"
-        )
-    return dim_type == polyfan.dim(weyl_cone(q))
-
-
 def rt_decomposition(q: ParabolicSet, t: TypeLabel) -> RtDecomposition:
     """Levi roots split by whether their functional vanishes identically on
     the span of the type cone of q.  That span is cut out by the span
@@ -314,29 +300,33 @@ def _cone_orbits(
     return ConeOrbits(orbits=orbits, cones=tuple(cones))
 
 
-def weyl_cone_orbits(datum: RootDatum, cap: Optional[int] = None) -> ConeOrbits:
+def weyl_cone_orbits(datum: RootDatum) -> ConeOrbits:
     """The Weyl cone of every parabolic, orbit by orbit.  Its equalities
     stay the positive Levi roots, as weyl_cone takes them: a minimal coset
     representative w has no right descent in Y, so it maps the positive
     roots supported on Y to positive roots."""
-    return _cone_orbits(root_data.all_orbits(datum, cap), weyl_cone)
+    return _cone_orbits(root_data.all_orbits(datum), weyl_cone)
 
 
-def weyl_fan(datum: RootDatum, cap: Optional[int] = None) -> Prefan:
-    return polyfan.make_prefan(weyl_cone_orbits(datum, cap).cones)
+def weyl_fan(datum: RootDatum) -> Prefan:
+    return polyfan.make_prefan(weyl_cone_orbits(datum).cones)
 
 
-def type_cone_orbits(datum: RootDatum, t: TypeLabel, cap: Optional[int] = None) -> ConeOrbits:
+def type_cone_orbits(datum: RootDatum, t: TypeLabel) -> ConeOrbits:
     """The type-t cone of every t-relevant parabolic, orbit by orbit: the
     companion w·P_t and the Levi roots of w·P_Y are the images under w of
-    those of P_Y, so type_cone(w·P_Y, t) is the image of type_cone(P_Y, t)."""
+    those of P_Y, so type_cone(w·P_Y, t) is the image of type_cone(P_Y, t).
+
+    W is read first, as every lookup reads it (the group as enumerated,
+    else enumerated now under the cap): 2^rank <= |W|, so the enumeration
+    cap bounds the 2^rank labels that relevant_labels walks."""
     t = _check_type(datum, t)
-    root_data.weyl_elements(datum, cap)  # 2^rank <= |W|, so the cap bounds the labels too
-    orbits = root_data.orbits_of(datum, relevant_labels(datum, t), cap)
+    root_data.DatumTables.of(datum).enumerated_weyl_group(datum)
+    orbits = root_data.orbits_of(datum, relevant_labels(datum, t))
     return _cone_orbits(orbits, lambda p: type_cone(p, t).cone)
 
 
-def prefan_of_type(datum: RootDatum, t: TypeLabel, cap: Optional[int] = None) -> Prefan:
+def prefan_of_type(datum: RootDatum, t: TypeLabel) -> Prefan:
     """Prefan whose cones are the type cones of the t-relevant parabolics, in
     parabolic enumeration order."""
-    return polyfan.make_prefan(type_cone_orbits(datum, t, cap).cones)
+    return polyfan.make_prefan(type_cone_orbits(datum, t).cones)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from weylscope import linalg, polyfan, root_data, type_geometry
 
@@ -316,6 +316,43 @@ def orbit_parabolics(datum) -> List[Tuple[FrozenSet[IntVector], FrozenSet[int]]]
                 seen.add(members)
                 out.append((members, y))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the diagonal seminorm dictionary: the block description of the stabilizer
+# of a class, which the library built before it read the stabilizer off the
+# apartment.
+
+
+class GlStabilizerBlocks(NamedTuple):
+    full_unipotent: Tuple[IntVector, ...]
+    full_levi: Tuple[IntVector, ...]
+    filtered: Tuple[Tuple[IntVector, Fraction], ...]
+
+
+def _chi_diff(d: int, i: int, j: int) -> IntVector:
+    """chi_i - chi_j in the simple-root coordinates of A_d: the sum of the
+    alpha_k for min(i, j) <= k < max(i, j), negated when i > j."""
+    sign = 1 if i < j else -1
+    return tuple(sign if min(i, j) <= k < max(i, j) else 0 for k in range(d))
+
+
+def gl_stabilizer_blocks(s) -> GlStabilizerBlocks:
+    """The stabilizer of a diagonal seminorm class s, block by block from
+    its kernel and values: chi_i - chi_j acts fully when i is in the kernel
+    (the unipotent radical when j is not, the kernel block when j is), and
+    is filtered at level c_i - c_j when neither is."""
+    d = len(s.values) - 1
+    ker = {i for i, v in enumerate(s.values) if v.kind < 0}
+    pairs = [(i, j) for i in range(d + 1) for j in range(d + 1) if i != j]
+    unipotent = [_chi_diff(d, i, j) for i, j in pairs if i in ker and j not in ker]
+    levi = [_chi_diff(d, i, j) for i, j in pairs if i in ker and j in ker]
+    filtered = [
+        (_chi_diff(d, i, j), s.values[i].value - s.values[j].value)
+        for i, j in pairs
+        if i not in ker and j not in ker
+    ]
+    return GlStabilizerBlocks(*(tuple(sorted(part)) for part in (unipotent, levi, filtered)))
 
 
 # ---------------------------------------------------------------------------

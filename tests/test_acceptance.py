@@ -330,7 +330,7 @@ def test_criterion_09_diagonal_seminorm_dictionary():
             sa = apartment.stratum_apartment(ctx, x.stratum_parabolic)
             assert sa.residual_datum.rank == d - len(ker)
             prof = apartment.stabilizer_profile(ctx, x)
-            blocks = gl_models.stabilizer_blocks(s)
+            blocks = oracles.gl_stabilizer_blocks(s)
             assert set(blocks.full_unipotent) == set(prof.full_unipotent)
             assert set(blocks.full_levi) == set(prof.full_levi)
             assert dict(blocks.filtered) == dict(prof.filtered)

@@ -377,6 +377,19 @@ def test_caps_below_one_exit_with_one_line(capsys, monkeypatch):
         assert err.startswith("error: WEYLSCOPE_ENUM_CAP") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("0", "must be at least 1, got 0"), ("abc", "must be an integer, got 'abc'")],
+)
+def test_a_bad_env_cap_fails_every_datum_command(monkeypatch, value, message):
+    # The Weyl cone of a standard parabolic needs no Weyl group, so the
+    # environment cap is checked where the command settles its cap.
+    monkeypatch.setenv("WEYLSCOPE_ENUM_CAP", value)
+    proc = _run_child("cone", "--datum", "A2", "--label", "a1", "--kind", "weyl")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: WEYLSCOPE_ENUM_CAP {message}\n"
+
+
 def test_cap_errors_name_the_datum_and_the_count(tmp_path):
     proc = _run_child("fan", "--datum", "A5", "--cap", "100")
     assert proc.returncode == 3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import sys
 import threading
@@ -9,7 +10,7 @@ import threading
 import pytest
 
 import oracles
-from weylscope import root_data
+from weylscope import apartment, cli, gl_models, linalg, polyfan, render, root_data, type_geometry
 from weylscope.root_data import (
     EnumerationCapError,
     ValidationError,
@@ -119,11 +120,38 @@ def test_cap_error_names_the_callers_datum(monkeypatch):
     weyl_elements(unnamed)
     for datum, what in ((named, "of A3"), (unnamed, "of a rank-3 datum")):
         with pytest.raises(EnumerationCapError) as exc:
-            all_parabolics(datum, cap=5)
+            weyl_elements(datum, cap=5)
         assert f"Weyl enumeration {what} exceeded cap 5 at 24 elements" in str(exc.value)
         assert (exc.value.datum_name, exc.value.cap, exc.value.reached) == (
             datum.name, 5, 24
         )
+
+
+def test_weyl_elements_is_the_one_function_that_takes_a_cap():
+    """The cap bounds the enumeration of W and is given nowhere else."""
+    takers = []
+    for module in (linalg, root_data, polyfan, type_geometry, apartment, gl_models, render, cli):
+        for name, f in vars(module).items():
+            if inspect.isfunction(f) and f.__module__ == module.__name__ and not name.startswith("_"):
+                if "cap" in inspect.signature(f).parameters:
+                    takers.append(f"{module.__name__}.{name}")
+    assert takers == ["weylscope.root_data.weyl_elements"]
+
+
+def test_a_group_enumerated_under_a_larger_cap_serves_every_lookup(monkeypatch):
+    """|W(D5)| = 1920 is above the default cap.  Once weyl_elements has
+    enumerated it under an explicit cap, parabolics, type cones and
+    contexts read that group without a cap of their own."""
+    monkeypatch.delenv("WEYLSCOPE_ENUM_CAP", raising=False)
+    datum = build_named("D5")
+    monkeypatch.setitem(root_data._TABLES, datum, root_data.DatumTables(datum))
+    with pytest.raises(EnumerationCapError, match="exceeded cap 1152"):
+        parabolics_of(datum, [frozenset({0})])
+    assert len(weyl_elements(datum, cap=1920)) == 1920
+    assert len(parabolics_of(datum, [frozenset({0})])) == 960
+    everything = frozenset(range(5))
+    assert len(type_geometry.type_cone_orbits(datum, everything).cones) == 1
+    assert len(apartment.make_context(datum, everything).charts) == 1
 
 
 def test_caps_below_one_are_invalid(monkeypatch):

@@ -14,7 +14,6 @@ from weylscope.root_data import (
     standard_parabolic,
 )
 from weylscope.type_geometry import (
-    dims_equal,
     is_relevant,
     lineality_space,
     minimal_relevant,
@@ -156,6 +155,19 @@ def test_relevance_report_fields():
     cone = type_cone(rep2.query, delta).cone
     for e in rep2.span_equalities:
         assert oracles.functional_vanishes(cone, e)
+
+
+def dims_equal(q, t) -> bool:
+    """Whether the type cone of q has the same dimension as its Weyl cone;
+    the type cone must have the dimension its active components give."""
+    report = relevance_report(q, t)
+    dim_type = dim(type_cone(q, t).cone)
+    expected = q.datum.rank - len(report.active_components)
+    assert dim_type == expected, (
+        f"type cone of parabolic {root_data.parabolic_name(q)} for type"
+        f" {root_data.type_name(t)} has dimension {dim_type}, expected {expected}"
+    )
+    return dim_type == dim(weyl_cone(q))
 
 
 def test_dims_equal_characterization():
