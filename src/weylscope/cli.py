@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import polyfan, root_data, type_geometry
 from .polyfan import Cone, IndeterminateValueError
@@ -268,18 +270,6 @@ def _cone_report(cone: Cone, geometry: ConeGeometry) -> Dict:
     }
 
 
-def _cone_list(family: type_geometry.ConeOrbits) -> List[Dict]:
-    """Report entries of the cones, numbered and labelled by their
-    parabolics, with the rays and dimensions carried along each orbit."""
-    entries = []
-    for i, (q, c, g) in enumerate(zip(family.parabolics, family.cones, family.geometry())):
-        entry = _cone_report(c, g)
-        entry["index"] = i
-        entry["parabolic"] = _parabolic_id(q)
-        entries.append(entry)
-    return entries
-
-
 def _dim_counts(dims: Sequence[int]) -> Tuple[Dict[str, int], str]:
     """The number of cones of each dimension, as a report map and as
     summary text."""
@@ -302,23 +292,194 @@ def _fractions(values: Sequence) -> List[str]:
     return [str(Fraction(v)) for v in values]
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
+    """Open path for writing and pass it to write: a path that cannot be
+    written exits 2 with one line that names it."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}")
 
 
+# ---------------------------------------------------------------------------
+# report encoding
+#
+# A report is written as json.dumps(report, indent=2, sort_keys=True) writes
+# it, byte for byte, but in chunks as it is encoded.  The lists of cones and
+# of relevant parabolics are encoded straight from the cone orbits, with no
+# dict per entry, and each distinct row of a cone (a functional or a ray) is
+# encoded once per report.
+
+# Characters gathered before one write to the report's stream.
+_BATCH_CHARS = 1 << 16
+
+
+class _EncodedList:
+    """A report list whose items are encoded on demand: items(level) gives
+    the text of each item at that nesting level, as _encode would write it.
+    The items only format values computed before, so that nothing fails
+    once a report has started to go out."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: Callable[[int], Iterator[str]]):
+        self.items = items
+
+
+def _newline(level: int) -> str:
+    return "\n" + "  " * level
+
+
+def _encode(value, level: int = 0) -> Iterator[str]:
+    """The text of json.dumps(value, indent=2, sort_keys=True), in chunks,
+    for value nested at the given level.  Only what reports hold is
+    accepted: dicts with str keys, lists and tuples, str, int, bool, None
+    and _EncodedList.  Anything else, floats included, raises TypeError."""
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif value is None:
+        yield "null"
+    elif value is True:
+        yield "true"
+    elif value is False:
+        yield "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = _newline(level + 1)
+        sep = "[" + inner
+        for item in value:
+            yield sep
+            yield from _encode(item, level + 1)
+            sep = "," + inner
+        yield _newline(level) + "]"
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        inner = _newline(level + 1)
+        sep = "{" + inner
+        for key in sorted(value):
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _encode(value[key], level + 1)
+            sep = "," + inner
+        yield _newline(level) + "}"
+    elif isinstance(value, _EncodedList):
+        texts = value.items(level + 1)
+        first = next(texts, None)
+        if first is None:
+            yield "[]"
+            return
+        inner = _newline(level + 1)
+        yield "[" + inner + first
+        for text in texts:
+            yield "," + inner + text
+        yield _newline(level) + "]"
+    else:
+        raise TypeError(f"a report cannot hold a {type(value).__name__}")
+
+
+def _scalar_list(texts: Sequence[str], level: int) -> str:
+    """The text of a list of encoded scalars, nested at the given level."""
+    if not texts:
+        return "[]"
+    inner = _newline(level + 1)
+    return "[" + inner + ("," + inner).join(texts) + _newline(level) + "]"
+
+
+def _parabolic_texts(orbits: Sequence[root_data.Orbit], level: int) -> Iterator[str]:
+    """The text of _parabolic_id of each parabolic of the orbits, in order,
+    as a dict nested at the given level: the label is that of the orbit,
+    and the word that of the standard position the orbit keeps."""
+    inner = _newline(level + 1)
+    for orbit in orbits:
+        names = [encode_basestring_ascii(n) for n in _type_names(orbit.parabolics[0].type_label)]
+        head = "{" + inner + '"label": ' + _scalar_list(names, level + 1) + "," + inner + '"word": '
+        tail = _newline(level) + "}"
+        for inv in orbit.inverses:
+            yield head + _scalar_list([str(i + 1) for i in inv.word], level + 1) + tail
+
+
+class _RowTexts(dict):
+    """The text of each row (a list of scalars nested at one level) by the
+    row as a tuple, encoded on first use: rows repeat across the cones of a
+    report far more than they differ."""
+
+    def __init__(self, cell: Callable[[int], str], level: int):
+        super().__init__()
+        self.cell = cell
+        self.level = level
+
+    def __missing__(self, row: Tuple[int, ...]) -> str:
+        text = self[row] = _scalar_list([self.cell(c) for c in row], self.level)
+        return text
+
+
+def _cone_entries(
+    family: type_geometry.ConeOrbits, geometry: Sequence[ConeGeometry]
+) -> _EncodedList:
+    """The report entries of the cones, numbered and labelled by their
+    parabolics, with the rays and dimensions carried along each orbit
+    (family.geometry(), computed by the caller): what _cone_report gives,
+    with "index" and "parabolic" added.  Functionals are lists of ints and
+    rays lists of strings."""
+
+    def items(level: int) -> Iterator[str]:
+        keys = ("dim", "eqs", "index", "ineqs", "lineality_dim", "parabolic", "rays", "space_dim")
+        inner = _newline(level + 1)
+        entry = "{{" + ",".join(f'{inner}"{k}": {{}}' for k in keys) + _newline(level) + "}}"
+        functionals = _RowTexts(int.__repr__, level + 2)
+        rays = _RowTexts(lambda c: encode_basestring_ascii(str(c)), level + 2)
+        parabolics = _parabolic_texts(family.orbits, level + 1)
+        for i, (c, g, p) in enumerate(zip(family.cones, geometry, parabolics)):
+            yield entry.format(
+                g.dim,
+                _scalar_list([functionals[v] for v in c.eqs], level + 1),
+                i,
+                _scalar_list([functionals[v] for v in c.ineqs], level + 1),
+                len(g.lineality),
+                p,
+                _scalar_list([rays[v] for v in g.rays], level + 1),
+                c.space_dim,
+            )
+
+    return _EncodedList(items)
+
+
+def _write_report(fh: TextIO, report: Dict) -> None:
+    """Write the text of the report and a newline to fh, about _BATCH_CHARS
+    characters at a time."""
+    batch: List[str] = []
+    size = 0
+    for chunk in _encode(report):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH_CHARS:
+            fh.write("".join(batch))
+            batch, size = [], 0
+    batch.append("\n")
+    fh.write("".join(batch))
+
+
 def _emit(args, report: Dict, summary: List[str]) -> None:
+    """Print the summary, then stream the report to stdout or to --out.
+    Everything that can fail is computed before: the report holds finished
+    values and _EncodedList items that only format them."""
     for line in summary:
         print(line)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        _write_text(args.out, text + "\n")
-        print(f"report written to {args.out}")
+    out = getattr(args, "out", None)
+    if out:
+        _write_file(out, lambda fh: _write_report(fh, report))
+        print(f"report written to {out}")
     else:
-        print(text)
+        _write_report(sys.stdout, report)
 
 
 def _json_vector(values, rank: int, where: str) -> Tuple[Fraction, ...]:
@@ -429,20 +590,21 @@ def _cmd_datum_info(args) -> int:
 
 def _cmd_fan(args) -> int:
     datum = _load_datum(args)
-    cones = _cone_list(type_geometry.weyl_cone_orbits(datum))
-    dims, dim_text = _dim_counts([c["dim"] for c in cones])
+    family = type_geometry.weyl_cone_orbits(datum)
+    geometry = tuple(family.geometry())
+    dims, dim_text = _dim_counts([g.dim for g in geometry])
     report = {
         "command": "fan",
         "datum": datum.name,
         "rank": datum.rank,
-        "count": len(cones),
+        "count": len(geometry),
         "dims": dims,
-        "cones": cones,
+        "cones": _cone_entries(family, geometry),
     }
     _emit(
         args,
         report,
-        [f"Weyl fan of {datum.name or 'datum'}: {len(cones)} cones ({dim_text})"],
+        [f"Weyl fan of {datum.name or 'datum'}: {len(geometry)} cones ({dim_text})"],
     )
     return EXIT_OK
 
@@ -450,24 +612,25 @@ def _cmd_fan(args) -> int:
 def _cmd_prefan(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    cones = _cone_list(type_geometry.type_cone_orbits(datum, t))
-    dims, dim_text = _dim_counts([c["dim"] for c in cones])
+    family = type_geometry.type_cone_orbits(datum, t)
+    geometry = tuple(family.geometry())
+    dims, dim_text = _dim_counts([g.dim for g in geometry])
     lin = type_geometry.lineality_space(datum, t)
     report = {
         "command": "prefan",
         "datum": datum.name,
         "type": _type_names(t),
-        "count": len(cones),
+        "count": len(geometry),
         "dims": dims,
         "lineality_dim": len(lin),
-        "cones": cones,
+        "cones": _cone_entries(family, geometry),
     }
     _emit(
         args,
         report,
         [
             f"stratifying prefan of {datum.name or 'datum'} for type "
-            f"{type_name(t)}: {len(cones)} cones ({dim_text})"
+            f"{type_name(t)}: {len(geometry)} cones ({dim_text})"
         ],
     )
     return EXIT_OK
@@ -487,9 +650,9 @@ def _cmd_relevant(args) -> int:
         "count": len(labels),
     }
     if args.all:
-        everything = [_parabolic_id(q) for q in root_data.parabolics_of(datum, labels)]
-        report["all_relevant"] = everything
-        report["all_count"] = len(everything)
+        orbits = root_data.orbits_of(datum, labels)
+        report["all_relevant"] = _EncodedList(lambda level: _parabolic_texts(orbits, level))
+        report["all_count"] = sum(len(orbit) for orbit in orbits)
     shown = ", ".join(type_name(y) for y in labels)
     summary = [
         f"standard {type_name(t)}-relevant parabolics of "
@@ -694,7 +857,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_pgl(args) -> int:
-    from . import gl_models
+    from . import apartment, gl_models
 
     if args.seminorm_file:
         data = _load_json(args.seminorm_file)
@@ -714,7 +877,7 @@ def _cmd_pgl(args) -> int:
     root_data.weyl_elements(gl_models.datum_for(s.dimension - 1))
     ker = sorted(gl_models.kernel(s))
     x = gl_models.to_apartment_point(s)
-    blocks = gl_models.stabilizer_blocks(s)
+    blocks = apartment.stabilizer_profile(gl_models.gl_context(s.dimension - 1), x)
     back = gl_models.from_apartment_point(x)
     report = {
         "command": "pgl",
@@ -750,7 +913,8 @@ def _cmd_render(args) -> int:
         )
     t = _parse_type(args.type, datum)
     ctx = apartment.make_context(datum, t)
-    _write_text(args.out, render.render_svg(datum, t, ctx))
+    svg = render.render_svg(datum, t, ctx)
+    _write_file(args.out, lambda fh: fh.write(svg))
     _, dim_text = _dim_counts([polyfan.dim(c) for c in ctx.prefan.cones])
     print(
         f"wrote SVG for {datum.name or 'datum'} type {type_name(t)} "
@@ -880,13 +1044,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENUM_CAP
     except (ValidationError, IndeterminateValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError as exc:
+        _discard_stdout()
+        print(f"error: stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
+
+
+def _discard_stdout() -> None:
+    """Point the descriptor of stdout at os.devnull once its reader is gone,
+    so that the flush at interpreter exit writes what is left nowhere
+    instead of failing again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -125,6 +125,19 @@ def _orthogonal_to(datum: RootDatum, i: int, subset: FrozenSet[int]) -> bool:
     return all(datum.cartan[i][j] == 0 for j in subset) and i not in subset
 
 
+def _label_relevance(
+    datum: RootDatum, y: TypeLabel, t: TypeLabel
+) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """The active components of the label y for the type t, the union of
+    the Dynkin components of y that meet the complement of t, and the
+    t-letters orthogonal to them.  y is t-relevant exactly when it holds
+    all of the latter, and adding them to y gives the label of the minimal
+    t-relevant parabolic over P_y."""
+    meets = frozenset().union(*[k for k in _components(datum, y) if k - t])
+    forced = frozenset(i for i in t if _orthogonal_to(datum, i, meets))
+    return meets, forced
+
+
 def relevance_report(q: ParabolicSet, t: TypeLabel) -> RelevanceReport:
     """Standard-position Dynkin combinatorics: the active components of the
     Levi label are those meeting the complement of t; relevancy demands that
@@ -132,13 +145,9 @@ def relevance_report(q: ParabolicSet, t: TypeLabel) -> RelevanceReport:
     datum = q.datum
     t = _check_type(datum, t)
     w, y = root_data.standard_position(q)
-    meets = frozenset().union(
-        *[k for k in _components(datum, y) if k - t], frozenset()
-    )
-    relevant = all(
-        i in y for i in t if _orthogonal_to(datum, i, meets)
-    )
-    y_min = y | {i for i in t if _orthogonal_to(datum, i, meets)}
+    meets, forced = _label_relevance(datum, y, t)
+    relevant = forced <= y
+    y_min = y | forced
     w_inv = root_data.inverse(datum, w)
     minimal = root_data.act(w_inv, root_data.standard_parabolic(datum, frozenset(y_min)))
     subsystem = root_data.DatumTables.of(datum).subsystem_positive_roots(frozenset(meets))
@@ -160,13 +169,11 @@ def is_relevant(q: ParabolicSet, t: TypeLabel) -> bool:
 def relevant_labels(datum: RootDatum, t: TypeLabel) -> Tuple[TypeLabel, ...]:
     """The t-relevant type labels, in type-label order.  Relevancy reads
     only the label of the standard position, so a parabolic is t-relevant
-    exactly when its label is one of these.  One standard parabolic per
-    subset of the simple roots: callers bound the rank first."""
+    exactly when its label is one of these.  One test per subset of the
+    simple roots: callers bound the rank first."""
     t = _check_type(datum, t)
     return tuple(
-        q.type_label
-        for q in root_data.DatumTables.of(datum).standard_parabolics()
-        if relevance_report(q, t).is_relevant
+        y for y in root_data._type_labels(datum.rank) if _label_relevance(datum, y, t)[1] <= y
     )
 
 

@@ -9,6 +9,8 @@ integer kernel).
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -316,6 +318,95 @@ def orbit_parabolics(datum) -> List[Tuple[FrozenSet[IntVector], FrozenSet[int]]]
                 seen.add(members)
                 out.append((members, y))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reports: the JSON text of a report, and the report dicts of `fan`,
+# `prefan` and `relevant --all` as the CLI built them before it streamed
+# them, one dict per cone and per parabolic.
+
+
+def report_text(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def _type_names(t) -> List[str]:
+    return [f"a{i + 1}" for i in sorted(t)]
+
+
+def parabolic_id(q) -> dict:
+    w, y = root_data.standard_position(q)
+    return {"label": _type_names(y), "word": [i + 1 for i in w.word]}
+
+
+def _cone_report(cone, geometry) -> dict:
+    return {
+        "space_dim": cone.space_dim,
+        "dim": geometry.dim,
+        "ineqs": [list(phi) for phi in cone.ineqs],
+        "eqs": [list(phi) for phi in cone.eqs],
+        "lineality_dim": len(geometry.lineality),
+        "rays": [[str(c) for c in r] for r in geometry.rays],
+    }
+
+
+def _cone_list(family) -> List[dict]:
+    entries = []
+    for i, (q, c, g) in enumerate(zip(family.parabolics, family.cones, family.geometry())):
+        entry = _cone_report(c, g)
+        entry["index"] = i
+        entry["parabolic"] = parabolic_id(q)
+        entries.append(entry)
+    return entries
+
+
+def _dims(cones) -> dict:
+    return {str(k): v for k, v in sorted(Counter(c["dim"] for c in cones).items())}
+
+
+def fan_report(datum) -> dict:
+    cones = _cone_list(type_geometry.weyl_cone_orbits(datum))
+    return {
+        "command": "fan",
+        "datum": datum.name,
+        "rank": datum.rank,
+        "count": len(cones),
+        "dims": _dims(cones),
+        "cones": cones,
+    }
+
+
+def prefan_report(datum, t) -> dict:
+    cones = _cone_list(type_geometry.type_cone_orbits(datum, t))
+    return {
+        "command": "prefan",
+        "datum": datum.name,
+        "type": _type_names(t),
+        "count": len(cones),
+        "dims": _dims(cones),
+        "lineality_dim": len(type_geometry.lineality_space(datum, t)),
+        "cones": cones,
+    }
+
+
+def relevant_all_report(datum, t) -> dict:
+    """The report of `relevant --all`, with the relevant labels read off a
+    relevance report of each standard parabolic."""
+    labels = [
+        q.type_label
+        for q in root_data.DatumTables.of(datum).standard_parabolics()
+        if type_geometry.relevance_report(q, t).is_relevant
+    ]
+    everything = [parabolic_id(q) for q in root_data.parabolics_of(datum, labels)]
+    return {
+        "command": "relevant",
+        "datum": datum.name,
+        "type": _type_names(t),
+        "standard_relevant": [_type_names(y) for y in labels],
+        "count": len(labels),
+        "all_relevant": everything,
+        "all_count": len(everything),
+    }
 
 
 # ---------------------------------------------------------------------------

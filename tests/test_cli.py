@@ -12,14 +12,17 @@ import resource
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import weylscope
 from weylscope import cli
+from weylscope.root_data import build_named
 
 
 def _run(capsys, *argv):
@@ -413,20 +416,45 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _child_env():
+    """The environment of a child process that imports this weylscope."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def _run_child(*argv):
     """The CLI in a fresh process (so no table is shared with other tests),
     under a 1 GiB address-space limit and a 30-s timeout."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run(
         [sys.executable, "-m", "weylscope.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         timeout=30,
         preexec_fn=_limit_memory,
     )
+
+
+def test_a_closed_stdout_exits_2_with_one_line():
+    """A reader that leaves early gets the exit code and the one line of an
+    unwritable --out, and no second error at interpreter exit."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "weylscope.cli", "fan", "--datum", "F4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+        preexec_fn=_limit_memory,
+    ) as proc:
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert code == 2
+    assert err == "error: stdout: Broken pipe\n"
 
 
 def test_fan_loads_no_point_layer_module():
@@ -441,10 +469,8 @@ def test_fan_loads_no_point_layer_module():
         "names = ('apartment', 'gl_models', 'render')\n"
         "print(code, [n for n in names if 'weylscope.' + n in sys.modules])\n"
     )
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=30
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "[]"]
@@ -574,6 +600,12 @@ _PINNED_REPORTS = {
     ("relevant", "--datum", "B5", "--type", "a1", "--all", "--cap", "4000"): (
         "bec9cf642803d8cdbaee98b278f8a7ad5602d7c1584189503574087308ba9eb4"
     ),
+    # The two benchmarked reports that had no pin, recorded before reports
+    # were streamed.
+    ("fan", "--datum", "C3"): "5440644c366d299f5805d8524c9e74fa57a14d1ae9935a466d820f94cc748ecc",
+    ("prefan", "--datum", "A4", "--type", "a1"): (
+        "9896b34c10c764efaac415dcb4104ba3d5b16b4d86f5742a695767f4d738085c"
+    ),
 }
 
 
@@ -593,6 +625,86 @@ def test_f4_prefan_stdout_matches_its_pinned_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "677a7092aaf3bcc75779ecd0c771ab22b9e3ba8bc23cb291e7300779defdeff1"
     )
+
+
+_RANK_AT_MOST_4 = (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "A1xA1", "F4"
+)
+
+
+def _streamed_report(capsys, summary_lines, *argv):
+    """The stdout of a command after its summary lines."""
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    return out.split("\n", summary_lines)[summary_lines]
+
+
+@pytest.mark.parametrize("name", _RANK_AT_MOST_4)
+def test_streamed_fan_matches_the_oracle_report(capsys, name):
+    expected = oracles.report_text(oracles.fan_report(build_named(name))) + "\n"
+    assert _streamed_report(capsys, 1, "fan", "--datum", name) == expected
+
+
+@pytest.mark.parametrize("name", [n for n in _RANK_AT_MOST_4 if build_named(n).rank <= 3])
+def test_streamed_prefan_matches_the_oracle_report(capsys, name):
+    datum = build_named(name)
+    for t in oracles.all_type_labels(datum.rank):
+        expected = oracles.report_text(oracles.prefan_report(datum, t)) + "\n"
+        tokens = ",".join(f"a{i + 1}" for i in sorted(t))
+        argv = ("prefan", "--datum", name, f"--type={tokens}")
+        assert _streamed_report(capsys, 1, *argv) == expected, argv
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "B4", "F4"])
+def test_streamed_relevant_all_matches_the_oracle_report(capsys, name):
+    datum = build_named(name)
+    for t in oracles.all_type_labels(datum.rank):
+        expected = oracles.report_text(oracles.relevant_all_report(datum, t)) + "\n"
+        tokens = ",".join(f"a{i + 1}" for i in sorted(t))
+        argv = ("relevant", "--datum", name, f"--type={tokens}", "--all")
+        assert _streamed_report(capsys, 2, *argv) == expected, argv
+
+
+# Quotes, backslashes, every control character, and non-ASCII characters:
+# in the BMP, beyond it, and lone surrogates.
+_REPORT_TEXT = st.text(
+    st.sampled_from(
+        list('"\\/ aZ~') + [chr(i) for i in range(32)]
+        + ["\x7f", "é", "€", "\u2028", "\ud800", "\udfff", "\U0001f600"]
+    )
+)
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**300), 10**300) | _REPORT_TEXT,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(_REPORT_TEXT, children)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=_REPORT_VALUES)
+def test_the_encoder_writes_what_json_dumps_writes(value):
+    assert "".join(cli._encode(value)) == oracles.report_text(value)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(items=st.lists(_REPORT_VALUES, max_size=4), key=_REPORT_TEXT)
+def test_an_encoded_list_writes_what_the_list_would(items, key):
+    lazy = cli._EncodedList(lambda level: ("".join(cli._encode(x, level)) for x in items))
+    assert "".join(cli._encode({key: lazy})) == oracles.report_text({key: items})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, float("nan"), {"a": [0.0]}, {1: "a"}, {"a": 1, None: 2}, [{(1,): 1}],
+     {"a": Fraction(1, 2)}, {"a": {1, 2}}, b"x"],
+)
+def test_the_encoder_rejects_what_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        "".join(cli._encode(value))
 
 
 def test_bad_type_token(capsys):

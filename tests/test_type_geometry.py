@@ -127,6 +127,28 @@ def test_relevant_labels_select_the_relevant_parabolics(name):
         assert by_label == tuple(q for q in parabolics if is_relevant(q, t))
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "A1xA1", "F4"],
+)
+def test_label_relevance_agrees_with_the_relevance_report(name):
+    """Relevancy read off the label alone, as relevant_labels reads it,
+    against the relevance report of the standard parabolic of each label."""
+    datum = build_named(name)
+    labels = oracles.all_type_labels(datum.rank)
+    for t in labels:
+        relevant = []
+        for y in labels:
+            active, forced = type_geometry._label_relevance(datum, y, t)
+            report = relevance_report(standard_parabolic(datum, y), t)
+            assert (forced <= y) == report.is_relevant, (t, y)
+            assert active == report.active_components
+            assert standard_parabolic(datum, y | forced) == report.minimal_relevant
+            if report.is_relevant:
+                relevant.append(y)
+        assert type_geometry.relevant_labels(datum, t) == tuple(relevant)
+
+
 def test_minimal_relevant_is_relevant_and_minimal():
     datum = build_named("B2")
     for t in oracles.all_type_labels(2):
