@@ -1,9 +1,10 @@
 """Command-line surface: root-datum ingestion, queries over the library,
 and deterministic JSON reports; `render` writes the SVG of weylscope.render.
 
-apartment, gl_models and render are imported by the handlers that use
-them, so that `datum-info`, `relevant`, `fan`, `prefan` and `cone` do not
-load them."""
+The point-layer commands live in weylscope.cli_points, which their handlers
+import when they run, so that `datum-info`, `relevant`, `fan`, `prefan` and
+`cone` load neither it nor apartment, gl_models and render.  A process that
+runs a subcommand builds the arguments of that subcommand only."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import polyfan, root_data, type_geometry
 from .polyfan import Cone, IndeterminateValueError
@@ -29,10 +30,6 @@ from .root_data import (
     type_name,
 )
 from .type_geometry import ConeGeometry
-
-if TYPE_CHECKING:
-    from . import apartment
-    from .apartment import ApartmentContext, CompactApartmentPoint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -63,17 +60,6 @@ def _parse_fraction(token: str, where: str) -> Fraction:
         raise ValidationError(f"{where}: {token!r} is not a rational")
     raise ValidationError(
         f"{where}: the exponent of {token!r} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
-    )
-
-
-def _parse_vector(text: str, rank: int, flag: str) -> Tuple[Fraction, ...]:
-    tokens = [t for t in text.split(",")]
-    if len(tokens) != rank:
-        raise ValidationError(
-            f"{flag}: expected {rank} comma-separated rationals, got {len(tokens)}"
-        )
-    return tuple(
-        _parse_fraction(t, f"{flag} entry {i}") for i, t in enumerate(tokens)
     )
 
 
@@ -229,20 +215,6 @@ def _parabolic_from_parts(
     return root_data.act(root_data.inverse(datum, w), std)
 
 
-def _parabolic_from_json(datum: RootDatum, obj, where: str) -> ParabolicSet:
-    if isinstance(obj, list):
-        names = ",".join(str(x) for x in obj)
-        return _parabolic_from_parts(datum, names, None)
-    if isinstance(obj, dict) and "label" in obj:
-        label, word = obj["label"], obj.get("word", [])
-        if not isinstance(label, list) or not isinstance(word, list):
-            raise ValidationError(f'{where}: "label" and "word" must be lists')
-        names = ",".join(str(x) for x in label)
-        word_text = ",".join(str(_require_int(x, f"{where}: word")) for x in word)
-        return _parabolic_from_parts(datum, names, word_text)
-    raise ValidationError(f"{where}: expected a label list or a label/word object")
-
-
 # ---------------------------------------------------------------------------
 # report helpers
 
@@ -275,21 +247,6 @@ def _dim_counts(dims: Sequence[int]) -> Tuple[Dict[str, int], str]:
     summary text."""
     counts = sorted(Counter(dims).items())
     return {str(k): v for k, v in counts}, ", ".join(f"dim {k}: {v}" for k, v in counts)
-
-
-def _root_groups(stabilizer) -> Dict[str, List]:
-    """Full and filtered root groups of a stabilizer profile or block."""
-    return {
-        "full_unipotent": [list(a) for a in stabilizer.full_unipotent],
-        "full_levi": [list(a) for a in stabilizer.full_levi],
-        "filtered": [
-            {"root": list(a), "level": str(level)} for a, level in stabilizer.filtered
-        ],
-    }
-
-
-def _fractions(values: Sequence) -> List[str]:
-    return [str(Fraction(v)) for v in values]
 
 
 def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
@@ -482,83 +439,6 @@ def _emit(args, report: Dict, summary: List[str]) -> None:
         _write_report(sys.stdout, report)
 
 
-def _json_vector(values, rank: int, where: str) -> Tuple[Fraction, ...]:
-    if not isinstance(values, list) or len(values) != rank:
-        raise ValidationError(f"{where} must be a list of {rank} rationals")
-    return tuple(_parse_fraction(str(v), f"{where}[{i}]") for i, v in enumerate(values))
-
-
-def _point_from_args(ctx: ApartmentContext, args) -> CompactApartmentPoint:
-    from . import apartment
-
-    datum = ctx.datum
-    sources = [s for s in (args.point_file, args.interior, args.stratum) if s is not None]
-    if len(sources) != 1:
-        raise ValidationError(
-            "give exactly one of --point-file, --interior, --stratum"
-        )
-    if args.point_file:
-        data = _load_json(args.point_file)
-        if not isinstance(data, dict):
-            raise ValidationError(f"{args.point_file}: expected a JSON object")
-        if "interior" in data:
-            u = _json_vector(data["interior"], datum.rank, f"{args.point_file}: interior")
-            return apartment.interior_point(ctx, u)
-        if "stratum" in data:
-            q = _parabolic_from_json(datum, data["stratum"], args.point_file)
-            residual = data.get("residual", [0] * datum.rank)
-            u = _json_vector(residual, datum.rank, f"{args.point_file}: residual")
-            return apartment.stratum_point(ctx, q, u)
-        raise ValidationError(f'{args.point_file}: need "interior" or "stratum"')
-    if args.interior is not None:
-        u = _parse_vector(args.interior, datum.rank, "--interior")
-        return apartment.interior_point(ctx, u)
-    q = _parabolic_from_parts(datum, args.stratum, args.word)
-    if args.residual is not None:
-        u = _parse_vector(args.residual, datum.rank, "--residual")
-    else:
-        u = tuple(Fraction(0) for _ in range(datum.rank))
-    return apartment.stratum_point(ctx, q, u)
-
-
-def _polynomial_from_file(path: str) -> apartment.TropicalPolynomial:
-    from . import apartment
-
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise ValidationError(f"{path}: expected a JSON list of monomials")
-    monomials = []
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict) or not isinstance(entry.get("exponents"), dict):
-            raise ValidationError(f'{path}: monomial {i} needs an "exponents" object')
-        exps = {}
-        for key, val in entry["exponents"].items():
-            try:
-                k = int(key)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: monomial {i}: exponent key {key!r} is not an integer"
-                )
-            _require_int(k, f"{path}: monomial {i}: exponent key")
-            exps[k] = _require_int(val, f"{path}: monomial {i}: exponents[{key}]")
-        coeff_raw = str(entry.get("log_coeff", "0")).strip()
-        if coeff_raw == "-inf":
-            coeff = polyfan.NEG_INF
-        else:
-            coeff = polyfan.finite(
-                _parse_fraction(coeff_raw, f"{path}: monomial {i}: log_coeff")
-            )
-        character = entry.get("character", [])
-        if not isinstance(character, list):
-            raise ValidationError(f'{path}: monomial {i}: "character" must be a list')
-        character = tuple(
-            _require_int(v, f"{path}: monomial {i}: character[{j}]")
-            for j, v in enumerate(character)
-        )
-        monomials.append(apartment.make_monomial(exps, coeff, character))
-    return apartment.make_polynomial(monomials)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -708,245 +588,129 @@ def _cmd_cone(args) -> int:
     return EXIT_OK
 
 
-def _cmd_limit(args) -> int:
-    from . import apartment
-
-    datum = _load_datum(args)
-    t = _parse_type(args.type, datum)
-    if args.ray_file:
-        data = _load_json(args.ray_file)
-        if not isinstance(data, dict) or "u0" not in data or "v" not in data:
-            raise ValidationError(f'{args.ray_file}: need "u0" and "v" vectors')
-        u0 = _json_vector(data["u0"], datum.rank, f"{args.ray_file}: u0")
-        v = _json_vector(data["v"], datum.rank, f"{args.ray_file}: v")
-    else:
-        if args.u0 is None or args.v is None:
-            raise ValidationError("give --u0 and --v, or --ray-file")
-        u0 = _parse_vector(args.u0, datum.rank, "--u0")
-        v = _parse_vector(args.v, datum.rank, "--v")
-    ctx = apartment.make_context(datum, t)
-    x = apartment.limit_point(ctx, u0, v)
-    coords = apartment.extract_residual(ctx, x)
-    sa = apartment.stratum_apartment(ctx, x.stratum_parabolic)
-    report = {
-        "command": "limit",
-        "datum": datum.name,
-        "type": _type_names(t),
-        "u0": _fractions(u0),
-        "v": _fractions(v),
-        "stratum": _parabolic_id(x.stratum_parabolic),
-        "stratum_dim": polyfan.dim(x.point.stratum),
-        "residual": _fractions(x.point.residual),
-        "residual_coords": _fractions(coords),
-        "residual_rank": sa.residual_datum.rank,
-    }
-    _emit(
-        args,
-        report,
-        [
-            f"ray limit lands on stratum {parabolic_name(x.stratum_parabolic)} "
-            f"(cone dim {report['stratum_dim']}); residual class "
-            f"({', '.join(report['residual'])}), residual rank "
-            f"{sa.residual_datum.rank}"
-        ],
-    )
-    return EXIT_OK
-
-
-def _cmd_seminorm(args) -> int:
-    from . import apartment
-
-    datum = _load_datum(args)
-    t = _parse_type(args.type, datum)
-    ctx = apartment.make_context(datum, t)
-    f = _polynomial_from_file(args.poly)
-    x = _point_from_args(ctx, args)
-    if args.chart is not None:
-        if not 0 <= args.chart < len(ctx.charts):
-            raise ValidationError(
-                f"--chart: index {args.chart} out of range 0..{len(ctx.charts) - 1}"
-            )
-        p = ctx.charts[args.chart][0]
-    else:
-        p, _, _ = apartment._accepting_chart(ctx, x)
-    value = apartment.seminorm_eval(ctx, x, f, p)
-    norm = apartment.is_norm(ctx, x, p)
-    report = {
-        "command": "seminorm",
-        "datum": datum.name,
-        "type": _type_names(t),
-        "chart": {
-            "parabolic": _parabolic_id(p),
-            "generators": [list(a) for a in apartment.chart_generators(p)],
-        },
-        "stratum": _parabolic_id(apartment.stratum_of(ctx, x)),
-        "value": str(value),
-        "is_norm": norm,
-        "monomials": len(f.monomials),
-    }
-    kind = "norm" if norm else "seminorm"
-    _emit(
-        args,
-        report,
-        [
-            f"log-{kind} value of the polynomial at the point in chart "
-            f"{parabolic_name(p)}: {value}"
-        ],
-    )
-    return EXIT_OK
-
-
-def _cmd_stabilizer(args) -> int:
-    from . import apartment
-
-    datum = _load_datum(args)
-    t = _parse_type(args.type, datum)
-    ctx = apartment.make_context(datum, t)
-    x = _point_from_args(ctx, args)
-    prof = apartment.stabilizer_profile(ctx, x)
-    report = {
-        "command": "stabilizer",
-        "datum": datum.name,
-        "type": _type_names(t),
-        "stratum": _parabolic_id(prof.stratum_parabolic),
-        **_root_groups(prof),
-        "normalizer": prof.normalizer_note,
-    }
-    _emit(
-        args,
-        report,
-        [
-            f"stabilizer at stratum {parabolic_name(prof.stratum_parabolic)}: "
-            f"{len(prof.full_unipotent)} full unipotent roots, "
-            f"{len(prof.full_levi)} full Levi roots, "
-            f"{len(prof.filtered)} filtered roots, times {prof.normalizer_note}"
-        ],
-    )
-    return EXIT_OK
-
-
-def _cmd_project(args) -> int:
-    from . import apartment
-
-    datum = _load_datum(args)
-    t = _parse_type(args.type, datum)
-    t2 = _parse_type(args.to_type, datum, "--to-type")
-    ctx = apartment.make_context(datum, t)
-    x = _point_from_args(ctx, args)
-    y = apartment.project(ctx, x, t2)
-    report = {
-        "command": "project",
-        "datum": datum.name,
-        "from_type": _type_names(t),
-        "to_type": _type_names(t2),
-        "from_stratum": _parabolic_id(x.stratum_parabolic),
-        "stratum": _parabolic_id(y.stratum_parabolic),
-        "residual": _fractions(y.point.residual),
-        "stratum_dim": polyfan.dim(y.point.stratum),
-    }
-    _emit(
-        args,
-        report,
-        [
-            f"projection {type_name(t)} -> {type_name(t2)}: stratum "
-            f"{parabolic_name(x.stratum_parabolic)} maps to "
-            f"{parabolic_name(y.stratum_parabolic)}"
-        ],
-    )
-    return EXIT_OK
-
-
-def _cmd_pgl(args) -> int:
-    from . import apartment, gl_models
-
-    if args.seminorm_file:
-        data = _load_json(args.seminorm_file)
-        if not isinstance(data, dict) or not isinstance(data.get("values"), list):
-            raise ValidationError(f'{args.seminorm_file}: need a "values" list')
-        raw = [str(v) for v in data["values"]]
-    elif args.values is not None:
-        raw = [v.strip() for v in args.values.split(",")]
-    else:
-        raise ValidationError("give --values or --seminorm-file")
-    for i, token in enumerate(raw):
-        if token != "-inf":
-            _parse_fraction(token, f"values[{i}]")
-    s = gl_models.make_seminorm(raw)
-    # Context lookups take the Weyl group as enumerated, and the contexts are
-    # cached per dimension, so check the default or environment cap here.
-    root_data.weyl_elements(gl_models.datum_for(s.dimension - 1))
-    ker = sorted(gl_models.kernel(s))
-    x = gl_models.to_apartment_point(s)
-    blocks = apartment.stabilizer_profile(gl_models.gl_context(s.dimension - 1), x)
-    back = gl_models.from_apartment_point(x)
-    report = {
-        "command": "pgl",
-        "dimension": s.dimension,
-        "values": [str(v) for v in s.values],
-        "kernel": ker,
-        "interior": not ker,
-        "stratum": _parabolic_id(x.stratum_parabolic),
-        "residual": _fractions(x.point.residual),
-        "blocks": _root_groups(blocks),
-        "round_trip_ok": back == s,
-    }
-    where = "interior" if not ker else f"kernel positions {ker}"
-    _emit(
-        args,
-        report,
-        [
-            f"diagonal seminorm class ({', '.join(report['values'])}) on a "
-            f"{s.dimension}-dimensional space: {where}, stratum "
-            f"{parabolic_name(x.stratum_parabolic)}"
-        ],
-    )
-    return EXIT_OK
-
-
-def _cmd_render(args) -> int:
-    from . import apartment, render
-
-    datum = _load_datum(args)
-    if datum.rank != 2:
-        raise ValidationError(
-            f"render needs a rank-2 root datum, got rank {datum.rank}"
-        )
-    t = _parse_type(args.type, datum)
-    ctx = apartment.make_context(datum, t)
-    svg = render.render_svg(datum, t, ctx)
-    _write_file(args.out, lambda fh: fh.write(svg))
-    _, dim_text = _dim_counts([polyfan.dim(c) for c in ctx.prefan.cones])
-    print(
-        f"wrote SVG for {datum.name or 'datum'} type {type_name(t)} "
-        f"({dim_text}) to {args.out}"
-    )
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _add_datum_flags(sub) -> None:
-    sub.add_argument(
-        "--datum", help="named root datum (A1-A6, B2-B5, C2-C5, D4, D5, F4, G2, A1xA1)"
-    )
-    sub.add_argument("--datum-file", help="JSON root-datum file")
-    sub.add_argument("--cap", type=int, default=None, help="Weyl enumeration cap")
+def _point_command(name: str) -> Callable[[argparse.Namespace], int]:
+    """The handler `name` of cli_points, which is imported only when a
+    point-layer command runs."""
+
+    def run(args: argparse.Namespace) -> int:
+        from . import cli_points
+
+        return getattr(cli_points, name)(args)
+
+    return run
 
 
-def _add_point_flags(sub) -> None:
-    sub.add_argument("--point-file", help="JSON point file")
-    sub.add_argument("--interior", help="interior point coordinates (CSV rationals)")
-    sub.add_argument("--stratum", help="stratum parabolic label, e.g. a1,a2")
-    sub.add_argument("--word", help="conjugating word for --stratum, e.g. 1,2")
-    sub.add_argument("--residual", help="residual coordinates (CSV rationals)")
+_DATUM_FLAGS = (
+    ("--datum", {"help": "named root datum (A1-A6, B2-B5, C2-C5, D4, D5, F4, G2, A1xA1)"}),
+    ("--datum-file", {"help": "JSON root-datum file"}),
+    ("--cap", {"type": int, "default": None, "help": "Weyl enumeration cap"}),
+)
+_POINT_FLAGS = (
+    ("--point-file", {"help": "JSON point file"}),
+    ("--interior", {"help": "interior point coordinates (CSV rationals)"}),
+    ("--stratum", {"help": "stratum parabolic label, e.g. a1,a2"}),
+    ("--word", {"help": "conjugating word for --stratum, e.g. 1,2"}),
+    ("--residual", {"help": "residual coordinates (CSV rationals)"}),
+)
+_OUT = ("--out", {"help": "write the JSON report to this file"})
+_TYPE = ("--type", {"help": "type as simple-root tokens"})
+_TYPE_EXAMPLE = ("--type", {"help": "type as simple-root tokens, e.g. a1,a2"})
+
+# Every subcommand, in the order help lists them: its help line, its handler
+# and its arguments in order.  Both parsers are built from this one table.
+_SUBCOMMANDS = {
+    "datum-info": ("summary of a root datum", _cmd_datum_info, _DATUM_FLAGS + (_OUT,)),
+    "fan": ("the fan of all Weyl cones", _cmd_fan, _DATUM_FLAGS + (_OUT,)),
+    "prefan": (
+        "the stratifying prefan of a type", _cmd_prefan, _DATUM_FLAGS + (_TYPE_EXAMPLE, _OUT)
+    ),
+    "relevant": (
+        "relevant parabolics for a type",
+        _cmd_relevant,
+        _DATUM_FLAGS + (
+            _TYPE_EXAMPLE,
+            ("--all", {"action": "store_true", "help": "also list non-standard ones"}),
+            _OUT,
+        ),
+    ),
+    "cone": (
+        "Weyl cone / chart cone / stratum cone",
+        _cmd_cone,
+        _DATUM_FLAGS + (
+            ("--type", {"help": "type as simple-root tokens (for --kind type)"}),
+            ("--label", {"required": True, "help": "standard label, e.g. a1,a3"}),
+            ("--word", {"help": "conjugating word, e.g. 1,2 for s1 s2"}),
+            (
+                "--kind",
+                {
+                    "choices": ("type", "weyl", "max"),
+                    "default": "type",
+                    "help": "type = stratum cone, weyl = Weyl cone, max = chart cone",
+                },
+            ),
+            _OUT,
+        ),
+    ),
+    "limit": (
+        "limit of a ray in the compactification",
+        _point_command("_cmd_limit"),
+        _DATUM_FLAGS + (
+            _TYPE,
+            ("--u0", {"help": "base point (CSV rationals)"}),
+            ("--v", {"help": "direction (CSV rationals)"}),
+            ("--ray-file", {"help": 'JSON file {"u0": [...], "v": [...]}'}),
+            _OUT,
+        ),
+    ),
+    "seminorm": (
+        "evaluate a tropical polynomial at a point",
+        _point_command("_cmd_seminorm"),
+        _DATUM_FLAGS + (
+            _TYPE,
+            ("--poly", {"required": True, "help": "JSON tropical polynomial file"}),
+            ("--chart", {"type": int, "help": "chart index (default: first accepting)"}),
+        ) + _POINT_FLAGS + (_OUT,),
+    ),
+    "stabilizer": (
+        "root-group stabilizer profile of a point",
+        _point_command("_cmd_stabilizer"),
+        _DATUM_FLAGS + (_TYPE,) + _POINT_FLAGS + (_OUT,),
+    ),
+    "project": (
+        "project a point to a coarser type",
+        _point_command("_cmd_project"),
+        _DATUM_FLAGS + (
+            ("--type", {"help": "source type tokens"}),
+            ("--to-type", {"required": True, "help": "target type tokens"}),
+        ) + _POINT_FLAGS + (_OUT,),
+    ),
+    "pgl": (
+        "diagonal seminorm dictionary (type A)",
+        _point_command("_cmd_pgl"),
+        (
+            ("--values", {"help": "CSV values, e.g. 0,-1,-inf"}),
+            ("--seminorm-file", {"help": 'JSON file {"values": [...]}'}),
+            _OUT,
+        ),
+    ),
+    "render": (
+        "SVG picture of a rank-2 prefan",
+        _point_command("_cmd_render"),
+        _DATUM_FLAGS + (_TYPE, ("--out", {"required": True, "help": "output SVG path"})),
+    ),
+}
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built on first use and kept for the
-    process: building it is most of the time of a small command."""
+def _make_parser(only: Optional[str]) -> argparse.ArgumentParser:
+    """A parser that knows every subcommand name and help line, so that its
+    usage is that of the whole command.  Every subcommand gets its
+    arguments, -h and handler, or only the one named `only`: argparse hands
+    the rest of a command line to the subcommand its first word names, so
+    the others are never parsed."""
     parser = argparse.ArgumentParser(
         prog="weylscope",
         description=(
@@ -956,92 +720,39 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("datum-info", help="summary of a root datum")
-    _add_datum_flags(p)
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=_cmd_datum_info)
-
-    p = subs.add_parser("fan", help="the fan of all Weyl cones")
-    _add_datum_flags(p)
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=_cmd_fan)
-
-    p = subs.add_parser("prefan", help="the stratifying prefan of a type")
-    _add_datum_flags(p)
-    p.add_argument("--type", help="type as simple-root tokens, e.g. a1,a2")
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=_cmd_prefan)
-
-    p = subs.add_parser("relevant", help="relevant parabolics for a type")
-    _add_datum_flags(p)
-    p.add_argument("--type", help="type as simple-root tokens, e.g. a1,a2")
-    p.add_argument("--all", action="store_true", help="also list non-standard ones")
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=_cmd_relevant)
-
-    p = subs.add_parser("cone", help="Weyl cone / chart cone / stratum cone")
-    _add_datum_flags(p)
-    p.add_argument("--type", help="type as simple-root tokens (for --kind type)")
-    p.add_argument("--label", required=True, help="standard label, e.g. a1,a3")
-    p.add_argument("--word", help="conjugating word, e.g. 1,2 for s1 s2")
-    p.add_argument(
-        "--kind", choices=("type", "weyl", "max"), default="type",
-        help="type = stratum cone, weyl = Weyl cone, max = chart cone",
-    )
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=_cmd_cone)
-
-    p = subs.add_parser("limit", help="limit of a ray in the compactification")
-    _add_datum_flags(p)
-    p.add_argument("--type", help="type as simple-root tokens")
-    p.add_argument("--u0", help="base point (CSV rationals)")
-    p.add_argument("--v", help="direction (CSV rationals)")
-    p.add_argument("--ray-file", help='JSON file {"u0": [...], "v": [...]}')
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=_cmd_limit)
-
-    p = subs.add_parser("seminorm", help="evaluate a tropical polynomial at a point")
-    _add_datum_flags(p)
-    p.add_argument("--type", help="type as simple-root tokens")
-    p.add_argument("--poly", required=True, help="JSON tropical polynomial file")
-    p.add_argument("--chart", type=int, help="chart index (default: first accepting)")
-    _add_point_flags(p)
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=_cmd_seminorm)
-
-    p = subs.add_parser("stabilizer", help="root-group stabilizer profile of a point")
-    _add_datum_flags(p)
-    p.add_argument("--type", help="type as simple-root tokens")
-    _add_point_flags(p)
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=_cmd_stabilizer)
-
-    p = subs.add_parser("project", help="project a point to a coarser type")
-    _add_datum_flags(p)
-    p.add_argument("--type", help="source type tokens")
-    p.add_argument("--to-type", required=True, help="target type tokens")
-    _add_point_flags(p)
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=_cmd_project)
-
-    p = subs.add_parser("pgl", help="diagonal seminorm dictionary (type A)")
-    p.add_argument("--values", help='CSV values, e.g. 0,-1,-inf')
-    p.add_argument("--seminorm-file", help='JSON file {"values": [...]}')
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=_cmd_pgl)
-
-    p = subs.add_parser("render", help="SVG picture of a rank-2 prefan")
-    _add_datum_flags(p)
-    p.add_argument("--type", help="type as simple-root tokens")
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(func=_cmd_render)
-
+    for name, (help_text, func, arguments) in _SUBCOMMANDS.items():
+        built = only is None or name == only
+        p = subs.add_parser(name, help=help_text, add_help=built)
+        if built:
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return parser
 
 
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and kept for the
+    process."""
+    return _make_parser(None)
+
+
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser that runs the subcommand `name`, kept for the process:
+    building the arguments of all eleven is a large part of the time of a
+    small command, and a command reads only its own."""
+    return _make_parser(name)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A command line that starts with a subcommand needs only its arguments;
+    # help, usage and an unknown command go to the full parser.
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = _command_parser(argv[0])
+    else:
+        parser = build_parser()
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

@@ -75,9 +75,19 @@ def chi_diff(d: int, i: int, j: int) -> IntVector:
     return tuple(v)
 
 
+# The named type-A data are A1-A6, so classes live in dimensions 2..7.
+MAX_DIMENSION = 7
+
+
 def datum_for(d: int) -> RootDatum:
-    if d < 1:
-        raise ValidationError("the diagonal dictionary needs dimension >= 2")
+    """The A_d datum of classes on a (d+1)-dimensional space.  The dimension
+    is checked before any datum is built, so that its cost does not grow
+    with d."""
+    if not 2 <= d + 1 <= MAX_DIMENSION:
+        raise ValidationError(
+            f"the diagonal dictionary covers dimensions 2..{MAX_DIMENSION} "
+            f"(the named data A1-A{MAX_DIMENSION - 1}), got dimension {d + 1}"
+        )
     return root_data.build_named(f"A{d}")
 
 

@@ -12,7 +12,7 @@ only that one goes through the double description."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 from . import linalg, polyfan, root_data
 from .polyfan import Cone, Prefan
@@ -274,7 +274,13 @@ class ConeOrbits(NamedTuple):
         has none; a type-t cone has the coordinate axes of the components
         inside t, the same canonical basis for every cone, and generators
         reduces a ray modulo it by zeroing those coordinates.  M(w^{-1})
-        acts component by component, so the moved rays keep them zero."""
+        acts component by component, so the moved rays keep them zero.
+
+        The same standard ray meets the same w^{-1} in many orbits, so each
+        product is computed once per call.  An element is keyed by identity:
+        the orbits hold every one of them for the call, and the orbits of a
+        datum share the element objects of its Weyl group."""
+        moved: Dict[Tuple[IntVector, int], IntVector] = {}
         start = 0
         for orbit in self.orbits:
             std = self.cones[start]
@@ -282,8 +288,15 @@ class ConeOrbits(NamedTuple):
             lin, rays = polyfan.generators(std)
             d = polyfan.dim(std)
             for inv in orbit.inverses:
-                moved = sorted([_row_times(v, inv.matrix) for v in rays])
-                yield ConeGeometry(lin, tuple(moved), d)
+                key = id(inv)
+                images = []
+                for v in rays:
+                    image = moved.get((v, key))
+                    if image is None:
+                        image = moved[v, key] = _row_times(v, inv.matrix)
+                    images.append(image)
+                images.sort()
+                yield ConeGeometry(lin, tuple(images), d)
 
 
 def _cone_orbits(

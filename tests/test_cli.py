@@ -457,23 +457,51 @@ def test_a_closed_stdout_exits_2_with_one_line():
     assert err == "error: stdout: Broken pipe\n"
 
 
-def test_fan_loads_no_point_layer_module():
-    """fan runs in a fresh process without importing apartment, gl_models
-    or render: each module a process imports costs it its compile time."""
-    src = str(Path(cli.__file__).resolve().parents[1])
+def _modules_loaded_by(argv):
+    """The exit code of the command in a fresh process, and the weylscope
+    modules that process loaded."""
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from weylscope import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['fan', '--datum', 'A2'])\n"
-        "names = ('apartment', 'gl_models', 'render')\n"
-        "print(code, [n for n in names if 'weylscope.' + n in sys.modules])\n"
+        f"    code = cli.main({list(argv)!r})\n"
+        "print(json.dumps([code, sorted(n for n in sys.modules if n.startswith('weylscope.'))]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=30
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "[]"]
+    return json.loads(done.stdout)
+
+
+def test_fan_loads_no_point_layer_module():
+    """The datum commands run in a fresh process on the four layers under
+    them: each module a process imports costs it its compile time, and
+    cli_points, apartment, gl_models and render are not theirs."""
+    layers = ["cli", "linalg", "polyfan", "root_data", "type_geometry"]
+    for argv in (
+        ("fan", "--datum", "A2"),
+        ("prefan", "--datum", "A3", "--type", "a1"),
+        ("relevant", "--datum", "A3", "--type", "a1", "--all"),
+        ("datum-info", "--datum", "B2"),
+    ):
+        assert _modules_loaded_by(argv) == [0, [f"weylscope.{n}" for n in layers]], argv
+
+
+def test_point_commands_run_in_a_fresh_process(tmp_path):
+    """stabilizer and pgl, whose handlers import cli_points, give their
+    pinned output in a process that has not loaded it yet."""
+    argv = next(a for a in _PINNED_REPORTS if a[0] == "stabilizer")
+    out = tmp_path / "report.json"
+    done = _run_child(*argv, "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_REPORTS[argv]
+    done = _run_child("pgl", "--values=0,-1,-inf")
+    assert done.returncode == 0 and done.stderr == ""
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "03a14a3893afa49373383a137176bb1e27fb267f058f1c446ca65be7d74d80b8"
+    )
+    assert "weylscope.cli_points" in _modules_loaded_by(["pgl", "--values=0,-1"])[1]
 
 
 def _diagonal_datum_file(tmp_path, rank):
@@ -1106,3 +1134,58 @@ def test_no_arguments_shows_usage():
 
 def test_parser_is_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--help",), ("-h", "fan"), (), ("bogus",)]
+    + [(name, "--help") for name in cli._SUBCOMMANDS]
+    + [(name, "--bogus") for name in cli._SUBCOMMANDS]
+    + [(name, "stray") for name in cli._SUBCOMMANDS]
+    + [
+        ("cone", "--datum", "A2"),
+        ("project", "--datum", "A2", "--interior", "0,0"),
+        ("cone", "--datum", "A2", "--label", "a1", "--kind", "bad"),
+        ("fan", "--datum", "A2", "--cap", "x"),
+        ("fan", "--datum", "B3", "extra"),
+    ],
+)
+def test_the_subcommand_parser_says_what_the_full_parser_says(capsys, monkeypatch, argv):
+    """A process that names a subcommand builds that subcommand's arguments
+    only; help, usage, errors and exit codes are those of build_parser."""
+    lean = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_command_parser", lambda name: cli.build_parser())
+    assert lean == _outcome(capsys, argv)
+    assert lean[0] in (0, 2) and (lean[1] or lean[2])
+
+
+def test_a_subcommand_parser_is_built_once_per_process(capsys):
+    cli.main(["fan", "--datum", "A1"])
+    before = cli._command_parser.cache_info()
+    cli.main(["fan", "--datum", "A1"])
+    after = cli._command_parser.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@pytest.mark.parametrize(
+    "values, dimension",
+    [("1,2,3,4,5,6,7,8", 8), ("1", 1), (",".join(["x"] * 10**5), 10**5)],
+)
+def test_pgl_outside_dimensions_2_to_7_exits_with_one_line(capsys, values, dimension):
+    """The dimension is checked before any value is parsed, and names no
+    datum the user did not give."""
+    code, out, err = _run(capsys, "pgl", f"--values={values}")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the diagonal dictionary covers dimensions 2..7 "
+        f"(the named data A1-A6), got dimension {dimension}\n"
+    )
