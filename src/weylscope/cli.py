@@ -158,10 +158,10 @@ def _datum_from_file(path: str) -> RootDatum:
 def _load_datum(args) -> RootDatum:
     """The datum of --datum or --datum-file, and the one place where a
     command settles its cap.  An explicit --cap bounds the whole command:
-    the Weyl group is enumerated under it here, and every later lookup uses
-    that group.  Without one, WEYLSCOPE_ENUM_CAP is validated here, so a
-    bad value exits 2 whether or not the command enumerates W, or finds it
-    already enumerated in this process."""
+    |W| is checked against it here, and every later lookup runs under it.
+    Without one, WEYLSCOPE_ENUM_CAP is validated here, so a bad value exits
+    2 whether or not the command reads W, or finds the datum already
+    admitted in this process."""
     if args.cap is not None and args.cap < 1:
         raise ValidationError(f"--cap must be at least 1, got {args.cap}")
     if args.datum_file:
@@ -173,20 +173,17 @@ def _load_datum(args) -> RootDatum:
     else:
         datum = root_data.build_named(args.datum)
     if args.cap is not None:
-        root_data.weyl_elements(datum, args.cap)
+        root_data.DatumTables.of(datum).check_cap(datum, args.cap)
     else:
         root_data.resolve_enum_cap()
     return datum
 
 
 def _element_from_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
-    w = root_data.identity_element(datum)
     for i in word:
         if not 1 <= i <= datum.rank:
             raise ValidationError(f"word letter s{i} is out of range 1..{datum.rank}")
-        step = WeylElement(word=(i - 1,), matrix=datum.reflection_matrix(i - 1))
-        w = root_data.compose(datum, w, step)
-    return w
+    return root_data.element_of_word(datum, [i - 1 for i in word])
 
 
 def _parse_word(text: Optional[str]) -> Tuple[int, ...]:
@@ -357,7 +354,7 @@ def _parabolic_texts(orbits: Sequence[root_data.Orbit], level: int) -> Iterator[
     and the word that of the standard position the orbit keeps."""
     inner = _newline(level + 1)
     for orbit in orbits:
-        names = [encode_basestring_ascii(n) for n in _type_names(orbit.parabolics[0].type_label)]
+        names = [encode_basestring_ascii(n) for n in _type_names(orbit.standard.type_label)]
         head = "{" + inner + '"label": ' + _scalar_list(names, level + 1) + "," + inner + '"word": '
         tail = _newline(level) + "}"
         for inv in orbit.inverses:
@@ -445,7 +442,8 @@ def _emit(args, report: Dict, summary: List[str]) -> None:
 
 def _cmd_datum_info(args) -> int:
     datum = _load_datum(args)
-    elements = root_data.weyl_elements(datum, args.cap)
+    root_data.DatumTables.of(datum).check_cap(datum, args.cap)
+    order = root_data.weyl_order(datum)
     report = {
         "command": "datum-info",
         "name": datum.name,
@@ -453,7 +451,7 @@ def _cmd_datum_info(args) -> int:
         "cartan": [list(row) for row in datum.cartan],
         "num_roots": len(datum.roots),
         "num_positive_roots": len(datum.positive_roots),
-        "weyl_order": len(elements),
+        "weyl_order": order,
         "simple_roots": _type_names(range(datum.rank)),
     }
     label = datum.name or "datum"
@@ -462,7 +460,7 @@ def _cmd_datum_info(args) -> int:
         report,
         [
             f"{label}: rank {datum.rank}, {len(datum.roots)} roots, "
-            f"|W| = {len(elements)}"
+            f"|W| = {order}"
         ],
     )
     return EXIT_OK
@@ -519,8 +517,8 @@ def _cmd_prefan(args) -> int:
 def _cmd_relevant(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    # 2^rank <= |W|, so the cap on W also bounds the list of type labels.
-    root_data.DatumTables.of(datum).enumerated_weyl_group(datum)
+    # 2^rank <= |W|, so the cap on |W| also bounds the list of type labels.
+    root_data.DatumTables.of(datum).within_cap(datum)
     labels = type_geometry.relevant_labels(datum, t)
     report = {
         "command": "relevant",

@@ -313,9 +313,10 @@ def _cmd_pgl(args) -> int:
         if token != "-inf":
             _parse_fraction(token, f"values[{i}]")
     s = gl_models.make_seminorm(raw)
-    # Context lookups take the Weyl group as enumerated, and the contexts are
-    # cached per dimension, so check the default or environment cap here.
-    root_data.weyl_elements(datum)
+    # Context lookups run under whatever cap the datum has passed, and the
+    # contexts are cached per dimension, so check the default or environment
+    # cap here.
+    root_data.DatumTables.of(datum).check_cap(datum)
     ker = sorted(gl_models.kernel(s))
     x = gl_models.to_apartment_point(s)
     blocks = apartment.stabilizer_profile(gl_models.gl_context(s.dimension - 1), x)

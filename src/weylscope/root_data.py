@@ -6,19 +6,19 @@ Dual vectors are then in fundamental-coweight coordinates and the pairing of
 a character with a dual vector is the plain dot product; the i-th simple
 coroot is row i of the Cartan matrix.
 
-Parabolics come from Lie theory rather than from searches of the Weyl group
-(Bourbaki, *Lie Groups*, ch. IV-VI; Humphreys 1990, section 1.10).  The
-standard parabolic of a type label Y, kept once per label in the datum's
-table, holds the positive roots and the negatives of those supported on Y.
-Its orbit is W/W_Y, so `orbits_of` builds it from the minimal coset
-representatives, once per label and only for the labels asked for, and
-keeps each representative's root permutation and inverse next to its
-parabolic: cones of P_Y carry to the rest of the orbit through them.
-`standard_position` descends by simple reflections, each adding one
-positive root, so the element it builds has the least length any solution
-can have; the least element of the solution coset is unique.
+Parabolics come from Lie theory rather than from a list of the Weyl group
+(Bourbaki, *Lie Groups*, ch. IV-VI; Humphreys 1990).  The standard
+parabolic of a type label Y, kept once per label in the datum's table,
+holds the positive roots and the negatives of those supported on Y.  Its
+orbit is W/W_Y, so `orbits_of` walks the minimal coset representatives
+W^Y, once per label asked for, and keeps each one's root permutation and
+inverse: cones of P_Y carry to the rest of the orbit through them.  An
+element is named by its ShortLex-least word, taking the least descent at
+each step, and |W| is read off the heights of the positive roots, so the
+cap on |W| is checked without listing W.  `standard_position` descends by
+simple reflections, each adding one positive root, so the element it
+builds has the least length any solution can have.
 """
-
 from __future__ import annotations
 
 import os
@@ -43,7 +43,8 @@ class EnumerationCapError(RuntimeError):
     """The Weyl group is larger than the configured enumeration cap.
 
     Carries the name of the datum the caller passed (None when it has none),
-    the cap, and the number of elements reached when enumeration stopped.
+    the cap, and the number of elements reached: cap + 1 while no cap has
+    admitted the datum, as a listing of W would stop there, else |W|.
     """
 
     def __init__(self, datum: "RootDatum", cap: int, reached: int):
@@ -84,15 +85,10 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _reflection_times(j: int, m: IntMatrix, cartan: IntMatrix) -> IntMatrix:
-    """s_j·m: row j becomes row j minus the Cartan-row-j combination of the
-    rows of m; every other row stays."""
+def _times_reflection(m: IntMatrix, j: int, cartan: IntMatrix) -> IntMatrix:
+    """m·s_j: column k becomes column k minus cartan[j][k] times column j."""
     c = cartan[j]
-    new = tuple(
-        a - sum(ck * row[col] for ck, row in zip(c, m) if ck != 0)
-        for col, a in enumerate(m[j])
-    )
-    return m[:j] + (new,) + m[j + 1 :]
+    return tuple(tuple([a - row[j] * b for a, b in zip(row, c)]) if row[j] else row for row in m)
 
 
 def _identity_matrix(n: int) -> IntMatrix:
@@ -113,14 +109,19 @@ class WeylElement(NamedTuple):
 class _Record:
     """Base of the immutable records that are not NamedTuples, because a
     field stays out of equality or the record iterates over something else.
-    A subclass lists its fields in __slots__, in constructor order, and sets
-    them once with object.__setattr__; equality and hash are those of _key,
-    every field unless the subclass says otherwise."""
+    A subclass lists its fields in __slots__, in constructor order, then
+    any slot it derives, named with a leading underscore, and sets each once
+    with object.__setattr__.  Equality and hash are those of _key, every
+    field unless the subclass says otherwise; repr and pickling read the
+    fields."""
 
     __slots__ = ()
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
+
     def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+        return self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -137,7 +138,11 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
 class RootDatum(_Record):
@@ -170,15 +175,6 @@ class RootDatum(_Record):
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        return RootDatum, self._key() + (self.name,)
-
-    def __repr__(self):
-        return (
-            f"RootDatum(rank={self.rank!r}, cartan={self.cartan!r}, roots={self.roots!r},"
-            f" coroots={self.coroots!r}, name={self.name!r})"
-        )
-
     def is_positive(self, root: Sequence[int]) -> bool:
         return any(c > 0 for c in root)
 
@@ -190,15 +186,7 @@ class RootDatum(_Record):
         return sum(a * b for a, b in zip(chi, coroot))
 
     def reflection_matrix(self, i: int) -> IntMatrix:
-        rows = []
-        for j in range(self.rank):
-            if j == i:
-                rows.append(
-                    tuple((1 if k == i else 0) - self.cartan[i][k] for k in range(self.rank))
-                )
-            else:
-                rows.append(tuple(1 if k == j else 0 for k in range(self.rank)))
-        return tuple(rows)
+        return _times_reflection(_identity_matrix(self.rank), i, self.cartan)
 
 
 class ParabolicSet(_Record):
@@ -348,44 +336,43 @@ def build_named(name: str) -> RootDatum:
 
 
 class Orbit(_Record):
-    """The orbit of the standard parabolic P_Y of a type label: the
-    parabolics w·P_Y in ShortLex order of their minimal coset
-    representatives w, and for each the permutation w induces on root
-    indices and w^{-1}, its standard position.  Iterating an orbit gives
-    its parabolics."""
+    """The orbit of the standard parabolic P_Y of a type label: for each
+    minimal coset representative w, in ShortLex order, the permutation w
+    induces on root indices and w^{-1}, the standard position of w·P_Y.
+    The parabolics w·P_Y are built from those on first use, which also
+    seeds their standard positions in the datum's table; iterating an orbit
+    gives them.
+    """
 
-    __slots__ = ("parabolics", "permutations", "inverses")
+    __slots__ = ("standard", "permutations", "inverses", "_parabolics")
 
-    def __init__(
-        self,
-        parabolics: Tuple[ParabolicSet, ...],
-        permutations: Tuple[Tuple[int, ...], ...],
-        inverses: Tuple[WeylElement, ...],
-    ):
-        object.__setattr__(self, "parabolics", parabolics)
+    def __init__(self, standard: ParabolicSet, permutations: tuple, inverses: tuple):
+        object.__setattr__(self, "standard", standard)
         object.__setattr__(self, "permutations", permutations)
         object.__setattr__(self, "inverses", inverses)
+        object.__setattr__(self, "_parabolics", None)
 
-    def __repr__(self):
-        return (
-            f"Orbit(parabolics={self.parabolics!r}, permutations={self.permutations!r},"
-            f" inverses={self.inverses!r})"
-        )
+    @property
+    def parabolics(self) -> Tuple[ParabolicSet, ...]:
+        parabolics = self._parabolics
+        if parabolics is None:
+            datum, y = self.standard.datum, self.standard.type_label
+            tables = DatumTables.of(datum)
+            idx = [tables.root_index[r] for r in self.standard.members]
+            built = []
+            for perm, inv in zip(self.permutations, self.inverses):
+                members = frozenset([datum.roots[perm[i]] for i in idx])
+                built.append(ParabolicSet(datum=datum, members=members, type_label=y))
+                tables.positions[members] = (inv, y)
+            parabolics = tuple(built)
+            object.__setattr__(self, "_parabolics", parabolics)
+        return parabolics
 
     def __iter__(self) -> Iterator[ParabolicSet]:
         return iter(self.parabolics)
 
     def __len__(self) -> int:
-        return len(self.parabolics)
-
-
-class _Weyl(NamedTuple):
-    """The Weyl group of a datum: its elements in ShortLex order, and every
-    element and its inverse by action matrix."""
-
-    elements: Tuple[WeylElement, ...]
-    by_matrix: Dict[IntMatrix, WeylElement]
-    inverse: Dict[IntMatrix, WeylElement]
+        return len(self.permutations)
 
 
 def _type_labels(rank: int) -> Iterable[TypeLabel]:
@@ -397,26 +384,24 @@ def _type_labels(rank: int) -> Iterable[TypeLabel]:
 class DatumTables:
     """Every combinatorial table of one root datum, shared by all equal data.
 
-    The root index is built with the table, the Weyl group and the root
-    permutation of each of its elements on first use, and the standard
-    parabolic, the orbit and the subsystem roots of each type label, and
-    the standard positions, only when something asks for them: one label's
-    standard parabolic or orbit never builds the other 2^rank - 1.  An
-    orbit holds its parabolics with the root permutation and the inverse
-    of each one's coset representative (see Orbit).  Each entry is
-    computed in full before one assignment stores it, and computing it
-    again gives an equal value, so threads may share a table without a
-    lock.
+    The root index is built with the table; the standard parabolic, the
+    orbit and the subsystem roots of each type label, the standard
+    positions, and the root permutation and name of each element, only when
+    something asks for them: one label's orbit never builds the other
+    2^rank - 1.  Each entry is computed in full before one assignment
+    stores it, and computing it again gives an equal value, so threads may
+    share a table without a lock.
     """
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.root_index: Dict[IntVector, int] = {r: i for i, r in enumerate(datum.roots)}
-        self.weyl: Optional[_Weyl] = None
+        self.cap_passed = False
         self.standard: Dict[TypeLabel, ParabolicSet] = {}
         self.orbits: Dict[TypeLabel, Orbit] = {}
         self.positions: Dict[FrozenSet[IntVector], Tuple[WeylElement, TypeLabel]] = {}
         self.permutations: Dict[IntMatrix, Tuple[int, ...]] = {}
+        self.named: Dict[IntMatrix, Tuple[WeylElement, WeylElement]] = {}
         self.subsystem_roots: Dict[TypeLabel, Tuple[IntVector, ...]] = {}
 
     @staticmethod
@@ -426,84 +411,25 @@ class DatumTables:
             tables = _TABLES.setdefault(datum, DatumTables(datum))
         return tables
 
-    def weyl_group(self, datum: RootDatum, cap: Optional[int] = None) -> _Weyl:
-        """The Weyl group, enumerated on first use; raises
-        EnumerationCapError, and stores nothing, when it is larger than the
-        cap.  The error names datum, the caller's own: equal data share the
-        table, which keeps the name of the first of them."""
+    def check_cap(self, datum: RootDatum, cap: Optional[int] = None) -> None:
+        """Raise EnumerationCapError when |W| is above cap, else
+        WEYLSCOPE_ENUM_CAP or the default; a cap once passed serves every
+        later lookup (within_cap).  The error names datum, the caller's
+        own: equal data share the table, which keeps the first name."""
         limit = resolve_enum_cap() if cap is None else cap
         if limit < 1:
             raise ValidationError(f"enumeration cap must be at least 1, got {cap}")
-        weyl = self.weyl
-        if weyl is None:
-            weyl = self.weyl = self._enumerate_weyl(datum, limit)
-        elif len(weyl.elements) > limit:
-            raise EnumerationCapError(datum, limit, len(weyl.elements))
-        return weyl
+        order = weyl_order(datum)
+        if order > limit:
+            raise EnumerationCapError(datum, limit, order if self.cap_passed else limit + 1)
+        self.cap_passed = True
 
-    def enumerated_weyl_group(self, datum: RootDatum) -> _Weyl:
-        """The Weyl group for every caller but weyl_elements: the group as
-        already enumerated, under whatever cap weyl_elements was given,
-        else enumerated now under WEYLSCOPE_ENUM_CAP or the default cap.
-        The cap is checked where W is enumerated and nowhere else."""
-        return self.weyl or self.weyl_group(datum)
-
-    def _enumerate_weyl(self, caller: RootDatum, limit: int) -> _Weyl:
-        """Breadth-first over words in simple-reflection index order, so the
-        first word reaching an element is its ShortLex-least reduced word
-        (Björner and Brenti 2005, section 3.4).
-
-        An element w is keyed by the root indices of w·α_1, ..., w·α_r,
-        which fix it.  With s_j sending r to r - <r, α_j∨> α_j, and perm(w)
-        the permutation w induces on root indices, w·s_j has the key
-        perm(w)[s_j(α_k)] and, when new, the permutation i ↦
-        perm(w)[perm(s_j)[i]]; its inverse s_j·w^{-1} has the key
-        perm(s_j) read over the key of w^{-1}.  Each matrix is built once,
-        at the end: its columns are the roots at the key.  The permutations
-        are stored once the whole group fits under the cap."""
-        datum = self.datum
-        roots = datum.roots
-        cartan = datum.cartan
-        reflections = [
-            tuple(
-                self.root_index[r[:j] + (r[j] - datum.pairing(r, cartan[j]),) + r[j + 1 :]]
-                for r in roots
-            )
-            for j in range(datum.rank)
-        ]
-        simple = tuple(self.root_index[a] for a in _identity_matrix(datum.rank))
-        # The key of s_j: the root indices of s_j·α_k.
-        simple_images = [tuple([s_j[i] for i in simple]) for s_j in reflections]
-        index_of: Dict[IntVector, int] = {simple: 0}
-        words: List[Tuple[int, ...]] = [()]
-        keys: List[IntVector] = [simple]
-        perms: List[Tuple[int, ...]] = [tuple(range(len(roots)))]
-        inverse_keys: List[IntVector] = [simple]
-        level = [0]
-        while level:
-            nxt: List[int] = []
-            for w in level:
-                perm_w = perms[w]
-                for j, (s_j, images) in enumerate(zip(reflections, simple_images)):
-                    key = tuple([perm_w[i] for i in images])
-                    if key in index_of:
-                        continue
-                    index_of[key] = len(keys)
-                    nxt.append(len(keys))
-                    words.append(words[w] + (j,))
-                    keys.append(key)
-                    perms.append(tuple([perm_w[i] for i in s_j]))
-                    inverse_keys.append(tuple([s_j[i] for i in inverse_keys[w]]))
-                    if len(keys) > limit:
-                        raise EnumerationCapError(caller, limit, len(keys))
-            level = nxt
-        matrices = [tuple(zip(*[roots[i] for i in key])) for key in keys]
-        elements = tuple(map(WeylElement, words, matrices))
-        self.permutations.update(zip(matrices, perms))
-        inverse = {
-            mat: elements[index_of[inv]] for mat, inv in zip(matrices, inverse_keys)
-        }
-        return _Weyl(elements=elements, by_matrix=dict(zip(matrices, elements)), inverse=inverse)
+    def within_cap(self, datum: RootDatum) -> "DatumTables":
+        """The table, for every reader of W but weyl_elements: admitted
+        under the cap it has passed, else checked now as check_cap does."""
+        if not self.cap_passed:
+            self.check_cap(datum)
+        return self
 
     def standard_parabolic(self, label: TypeLabel) -> ParabolicSet:
         """Positive roots plus the negatives of the roots supported on the
@@ -516,15 +442,8 @@ class DatumTables:
             self.standard[label] = std
         return std
 
-    def standard_parabolics(self) -> Tuple[ParabolicSet, ...]:
-        """The standard parabolic of every type label, in type-label order
-        (by size, then index set): one per subset of the simple roots, so
-        only for callers that bounded the rank first."""
-        return tuple(self.standard_parabolic(y) for y in _type_labels(self.datum.rank))
-
     def permutation(self, w: WeylElement) -> Tuple[int, ...]:
-        """The permutation w induces on root indices: stored for every
-        element by the Weyl enumeration, else computed from the matrix."""
+        """The permutation w induces on root indices, from its matrix."""
         perm = self.permutations.get(w.matrix)
         if perm is None:
             perm = tuple(self.root_index[w.apply(r)] for r in self.datum.roots)
@@ -544,28 +463,90 @@ _TABLES: Dict[RootDatum, DatumTables] = {}
 
 
 def weyl_elements(datum: RootDatum, cap: Optional[int] = None) -> Tuple[WeylElement, ...]:
-    """All Weyl elements in ShortLex order of their canonical reduced words.
+    """All Weyl elements in ShortLex order of their canonical reduced words:
+    the representatives of the orbit of the Borel (Y empty), each named by
+    an inverse that orbit keeps, since W is closed under inversion.
 
     The one library function that takes a cap: cap, else WEYLSCOPE_ENUM_CAP,
-    else the default, checked against the group even when it is already
-    enumerated.  A group once enumerated serves every later lookup on the
-    datum, so enumerating it here under a cap above the default is what
-    lets the rest of the library work on a larger group."""
-    return DatumTables.of(datum).weyl_group(datum, cap).elements
+    else the default, checked against |W| even when the datum has passed a
+    cap before.  A cap passed here serves every later lookup on the datum,
+    which lets the rest of the library work on a group above the default."""
+    tables = DatumTables.of(datum)
+    tables.check_cap(datum, cap)
+    orbit = orbits_of(datum, [frozenset()])[0]
+    element_of = {x.matrix: x for x in orbit.inverses}
+    simple = [tables.root_index[a] for a in _identity_matrix(datum.rank)]
+    return tuple(
+        element_of[tuple(zip(*[datum.roots[perm[k]] for k in simple]))]
+        for perm in orbit.permutations
+    )
+
+
+def weyl_order(datum: RootDatum) -> int:
+    """|W| without listing it: the product of m_i + 1 over the exponents,
+    where #{i : m_i >= k} is the number of positive roots of height k
+    (Kostant; Humphreys 1990, sections 3.9 and 3.20)."""
+    heights = [sum(r) for r in datum.positive_roots]
+    per_height = [heights.count(k) for k in set(heights)]
+    order = 1
+    for i in range(1, datum.rank + 1):
+        order *= 1 + sum(1 for n in per_height if n >= i)
+    return order
 
 
 def identity_element(datum: RootDatum) -> WeylElement:
     return WeylElement(word=(), matrix=_identity_matrix(datum.rank))
 
 
+def _inverse_by_descent(m: IntMatrix, cartan: IntMatrix) -> WeylElement:
+    """w^{-1} by its ShortLex-least word, for the w of matrix m: its least
+    left descent is the least i with w·α_i < 0 (column i of m), and w^{-1} =
+    s_i·(w·s_i)^{-1}.  m·s_i changes the columns k with cartan[i][k] != 0."""
+    zero = (0,) * len(m)
+    cols = list(zip(*m))
+    inv = list(_identity_matrix(len(m)))
+    word: List[int] = []
+    while True:
+        i = next((i for i, c in enumerate(cols) if c < zero), None)
+        if i is None:
+            return WeylElement(word=tuple(word), matrix=tuple(zip(*inv)))
+        word.append(i)
+        for part in (cols, inv):
+            ci = part[i]
+            for k, a in enumerate(cartan[i]):
+                if a:
+                    part[k] = tuple([x - a * y for x, y in zip(part[k], ci)])
+
+
+def _named(datum: RootDatum, m: IntMatrix) -> Tuple[WeylElement, WeylElement]:
+    """The element of matrix m and its inverse, each by its ShortLex-least
+    word, kept in the datum's table under both matrices."""
+    tables = DatumTables.of(datum)
+    pair = tables.named.get(m)
+    if pair is None:
+        tables.within_cap(datum)
+        inv = _inverse_by_descent(m, datum.cartan)
+        pair = tables.named[m] = (_inverse_by_descent(inv.matrix, datum.cartan), inv)
+        tables.named[inv.matrix] = (inv, pair[0])
+    return pair
+
+
 def compose(datum: RootDatum, a: WeylElement, b: WeylElement) -> WeylElement:
     """Canonical form of a∘b (a applied after b)."""
-    weyl = DatumTables.of(datum).enumerated_weyl_group(datum)
-    return weyl.by_matrix[_mat_mul(a.matrix, b.matrix)]
+    return _named(datum, _mat_mul(a.matrix, b.matrix))[0]
 
 
 def inverse(datum: RootDatum, a: WeylElement) -> WeylElement:
-    return DatumTables.of(datum).enumerated_weyl_group(datum).inverse[a.matrix]
+    return _named(datum, a.matrix)[1]
+
+
+def element_of_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
+    """s_{word[0]}···s_{word[-1]}, by 0-based index, multiplied out and
+    then named once by its ShortLex-least word."""
+    m = _identity_matrix(datum.rank)
+    for i in word:
+        m = _times_reflection(m, i, datum.cartan)
+    return _named(datum, m)[0]
 
 
 def act_on_dual(datum: RootDatum, w: WeylElement, u: Sequence) -> Tuple:
@@ -614,7 +595,8 @@ def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
     and removes none, and u ends with length #(positive roots not in p).  No
     solution is shorter (its inverse maps the positive roots into p), and
     the solutions form one coset W_Y·u, whose least element is unique: so u
-    is the answer, and the Weyl group is read only to name it.
+    is the answer (its inverse multiplied out as it descends), named by its
+    ShortLex-least word.
     """
     tables = DatumTables.of(p.datum)
     hit = tables.positions.get(p.members)
@@ -622,7 +604,7 @@ def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
         return hit
     datum = p.datum
     simple = _identity_matrix(datum.rank)
-    cur, u = p, simple
+    cur, back = p, simple
     while True:
         i = next((i for i, a in enumerate(simple) if a not in cur.members), None)
         if i is None:
@@ -630,14 +612,11 @@ def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
         if tuple(-c for c in simple[i]) not in cur.members:
             raise ValidationError("subset is not Weyl-conjugate to a standard parabolic")
         cur = act(WeylElement(word=(i,), matrix=datum.reflection_matrix(i)), cur)
-        u = _reflection_times(i, u, datum.cartan)
+        back = _times_reflection(back, i, datum.cartan)
     label = frozenset(i for i, a in enumerate(simple) if tuple(-c for c in a) in cur.members)
     if cur.members != tables.standard_parabolic(label).members:
         raise ValidationError("subset is not Weyl-conjugate to a standard parabolic")
-    if u == simple:
-        w = identity_element(datum)
-    else:
-        w = tables.enumerated_weyl_group(datum).by_matrix[u]
+    w = identity_element(datum) if back == simple else _named(datum, back)[1]
     result = (w, label)
     tables.positions[p.members] = result
     return result
@@ -652,64 +631,82 @@ def orbits_of(datum: RootDatum, labels: Iterable[TypeLabel]) -> Tuple[Orbit, ...
     """The orbits of the standard parabolics of labels, in type-label order.
 
     The orbit of the standard parabolic of Y is W/W_Y: w·P_Y meets each
-    parabolic of it once as w runs over the minimal coset representatives,
-    the w with no right descent in Y (w·α_i > 0 for every i in Y).  Each is
-    the ShortLex-first element reaching its parabolic, and w^{-1} is its
-    standard position.  Only the orbits the table lacks are built, and only
-    their standard positions are seeded; each orbit keeps, next to every
-    parabolic, the root permutation of w (read from the Weyl enumeration)
-    and w^{-1}, so that nothing downstream looks an element up by matrix.
-
-    W is read (see DatumTables.enumerated_weyl_group) before labels is
-    consumed: 2^rank <= |W|, so a lazy iterable of every label stays
-    bounded by the enumeration cap.
+    parabolic of it once as w runs over W^Y, the minimal coset
+    representatives, the w with no right descent in Y, and w^{-1} is its
+    standard position.  Only the orbits the table lacks are built, each by
+    one search over W^Y, and an element several of them reach is built once.
+    The cap is checked before labels is consumed: 2^rank <= |W|, so a lazy
+    iterable of every label stays bounded by it.
     """
-    tables = DatumTables.of(datum)
-    weyl = tables.enumerated_weyl_group(datum)
+    tables = DatumTables.of(datum).within_cap(datum)
     wanted = sorted({frozenset(y) for y in labels}, key=_label_key)
     for y in wanted:
         if any(i < 0 or i >= datum.rank for i in y):
             raise ValidationError(f"type label {sorted(y)} out of range for rank {datum.rank}")
-    missing = [y for y in wanted if y not in tables.orbits]
-    if missing:
-        roots = datum.roots
-        negative = [not datum.is_positive(r) for r in roots]
-        simple = [tables.root_index[a] for a in _identity_matrix(datum.rank)]
-        perms = [tables.permutation(w) for w in weyl.elements]
-        # Bit i of a descent mask is set when w·α_i < 0.
-        descents = [
-            sum(1 << i for i, k in enumerate(simple) if negative[perm[k]]) for perm in perms
-        ]
-        for y in missing:
-            mask = sum(1 << i for i in y)
-            std_idx = [tables.root_index[r] for r in tables.standard_parabolic(y).members]
-            parabolics: List[ParabolicSet] = []
-            orbit_perms: List[Tuple[int, ...]] = []
-            inverses: List[WeylElement] = []
-            for w, perm, down in zip(weyl.elements, perms, descents):
-                if down & mask:
-                    continue
-                members = frozenset([roots[perm[i]] for i in std_idx])
-                inv = weyl.inverse[w.matrix]
-                parabolics.append(ParabolicSet(datum=datum, members=members, type_label=y))
-                orbit_perms.append(perm)
-                inverses.append(inv)
-                tables.positions[members] = (inv, y)
-            tables.orbits[y] = Orbit(
-                parabolics=tuple(parabolics),
-                permutations=tuple(orbit_perms),
-                inverses=tuple(inverses),
-            )
+    built: Dict[IntVector, tuple] = {}
+    for y in wanted:
+        if y not in tables.orbits:
+            tables.orbits[y] = _coset_search(tables, y, built)
     return tuple(tables.orbits[y] for y in wanted)
+
+
+def _coset_search(tables: DatumTables, y: TypeLabel, built: Dict[IntVector, tuple]) -> Orbit:
+    """The orbit of P_Y, by a search over W^Y level by level (Björner and
+    Brenti 2005, section 2.4).
+
+    An element w is keyed by the root indices of w·α_1, ..., w·α_r, which
+    fix it, and s_j·w has the key of w read through the permutation of
+    s_j.  Dropping the first letter of a reduced word of an element of W^Y
+    leaves one, so level k+1 is every s_j·w with w at level k that is new
+    (not at level k-1) and has no right descent in Y.  With j as the outer
+    loop over a level in ShortLex order, the first edge to reach v is its
+    least left descent j, then the least word of s_j·v: so the next level
+    comes out in ShortLex order too.  Over the same edges, the least word
+    of v^{-1} = w^{-1}·s_j is the least word(w^{-1}) + (j,), the words of a
+    level being of one length.  The permutation and the inverse depend on
+    the element only, so built keeps them for the other labels of a call.
+    """
+    datum = tables.datum
+    reflections = [
+        tables.permutation(WeylElement(word=(j,), matrix=datum.reflection_matrix(j)))
+        for j in range(datum.rank)
+    ]
+    negative = [not datum.is_positive(r) for r in datum.roots]
+    in_y = sorted(y)
+    start = tuple(tables.root_index[a] for a in _identity_matrix(datum.rank))
+    level = {start: (tuple(range(len(datum.roots))), identity_element(datum))}
+    older: Dict[IntVector, tuple] = {}
+    elements: List[Tuple[Tuple[int, ...], WeylElement]] = []
+    while level:
+        elements.extend(level.values())
+        edges: Dict[IntVector, list] = {}
+        for j, s_j in enumerate(reflections):
+            for key, (perm, inv) in level.items():
+                v = tuple([s_j[k] for k in key])
+                if v in older or any(negative[v[i]] for i in in_y):
+                    continue
+                edge = edges.get(v)
+                if edge is None:
+                    edges[v] = [perm, s_j, inv, j]
+                elif inv.word < edge[2].word:
+                    edge[2:] = inv, j
+        nxt = {}
+        for v, (perm, s_j, inv, j) in edges.items():
+            element = built.get(v)
+            if element is None:
+                inv_v = WeylElement(inv.word + (j,), _times_reflection(inv.matrix, j, datum.cartan))
+                element = built[v] = (tuple([s_j[i] for i in perm]), inv_v)
+            nxt[v] = element
+        older, level = level, nxt
+    permutations, inverses = zip(*elements)
+    return Orbit(tables.standard_parabolic(y), permutations, inverses)
 
 
 def parabolics_of(datum: RootDatum, labels: Iterable[TypeLabel]) -> Tuple[ParabolicSet, ...]:
     """The parabolics whose type label is one of labels, in the order of
     all_parabolics (labels in type-label order, each orbit in ShortLex order
     of the conjugating element): the parabolics of the orbits of orbits_of,
-    one orbit after the other.  Those orbits, kept in the table, also hold
-    the root permutation and the inverse of each parabolic's coset
-    representative."""
+    one orbit after the other."""
     return tuple(q for orbit in orbits_of(datum, labels) for q in orbit)
 
 

@@ -277,10 +277,10 @@ class ConeOrbits(NamedTuple):
         acts component by component, so the moved rays keep them zero.
 
         The same standard ray meets the same w^{-1} in many orbits, so each
-        product is computed once per call.  An element is keyed by identity:
-        the orbits hold every one of them for the call, and the orbits of a
-        datum share the element objects of its Weyl group."""
+        product is computed once per call, with the element keyed by its
+        word."""
         moved: Dict[Tuple[IntVector, int], IntVector] = {}
+        element_ids: Dict[Tuple[int, ...], int] = {}
         start = 0
         for orbit in self.orbits:
             std = self.cones[start]
@@ -288,7 +288,7 @@ class ConeOrbits(NamedTuple):
             lin, rays = polyfan.generators(std)
             d = polyfan.dim(std)
             for inv in orbit.inverses:
-                key = id(inv)
+                key = element_ids.setdefault(inv.word, len(element_ids))
                 images = []
                 for v in rays:
                     image = moved.get((v, key))
@@ -308,8 +308,8 @@ def _cone_orbits(
     off the root permutation of w."""
     cones: List[Cone] = []
     for orbit in orbits:
-        std = standard_cone(orbit.parabolics[0])
-        datum = orbit.parabolics[0].datum
+        std = standard_cone(orbit.standard)
+        datum = orbit.standard.datum
         index = root_data.DatumTables.of(datum).root_index
         ineqs = [index[f] for f in std.ineqs]
         eqs = [index[f] for f in std.eqs]
@@ -337,11 +337,10 @@ def type_cone_orbits(datum: RootDatum, t: TypeLabel) -> ConeOrbits:
     companion w·P_t and the Levi roots of w·P_Y are the images under w of
     those of P_Y, so type_cone(w·P_Y, t) is the image of type_cone(P_Y, t).
 
-    W is read first, as every lookup reads it (the group as enumerated,
-    else enumerated now under the cap): 2^rank <= |W|, so the enumeration
-    cap bounds the 2^rank labels that relevant_labels walks."""
+    The cap is checked first, as every reader of W checks it: 2^rank <=
+    |W|, so it bounds the 2^rank labels that relevant_labels walks."""
     t = _check_type(datum, t)
-    root_data.DatumTables.of(datum).enumerated_weyl_group(datum)
+    root_data.DatumTables.of(datum).within_cap(datum)
     orbits = root_data.orbits_of(datum, relevant_labels(datum, t))
     return _cone_orbits(orbits, lambda p: type_cone(p, t).cone)
 

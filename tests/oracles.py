@@ -208,10 +208,11 @@ def all_type_labels(rank: int) -> List[FrozenSet[int]]:
 
 
 # ---------------------------------------------------------------------------
-# parabolics: the Weyl-group scans that root_data used before its descent to
-# standard position and its orbits by minimal coset representatives, kept to
-# check them.  They walk root_data's ShortLex enumeration of W and its action
-# on root sets, but build the standard parabolics themselves.
+# parabolics: the Weyl-group scans and filters that root_data used before its
+# descent to standard position and its search over minimal coset
+# representatives, kept to check them.  The scans walk root_data's ShortLex
+# list of W and its action on root sets, the filters the matrix
+# breadth-first search; both build the standard parabolics themselves.
 
 
 def _standard_members(datum, y: FrozenSet[int]) -> FrozenSet[IntVector]:
@@ -304,6 +305,29 @@ def matrix_weyl_group(datum, cap: int):
     return tuple(order), permutations, {m: seen[inv] for m, inv in inv_of.items()}
 
 
+def filtered_orbit(datum, y: FrozenSet[int], weyl):
+    """(parabolics, permutations, inverses) of the orbit of the standard
+    parabolic of y, by filtering W as the matrix breadth-first search gives
+    it (weyl, a matrix_weyl_group result): w is kept when it has no right
+    descent in y, w·α_i > 0 (column i of its matrix positive) for every i in
+    y.  parabolics holds (members, label) pairs and inverses the elements
+    w^{-1}, in ShortLex order of w."""
+    elements, permutations, inverse = weyl
+    index = {r: i for i, r in enumerate(datum.roots)}
+    std = [index[r] for r in _standard_members(datum, y)]
+    kept = [
+        (w, perm) for w, perm in zip(elements, permutations)
+        if all(any(row[i] > 0 for row in w.matrix) for i in y)
+    ]
+    parabolics = [(frozenset(datum.roots[perm[k]] for k in std), y) for _, perm in kept]
+    return parabolics, [perm for _, perm in kept], [inverse[w.matrix] for w, _ in kept]
+
+
+def weyl_order(datum, cap: int = 10 ** 5) -> int:
+    """|W| by counting the elements of the matrix breadth-first search."""
+    return len(matrix_weyl_group(datum, cap)[0])
+
+
 def orbit_parabolics(datum) -> List[Tuple[FrozenSet[IntVector], FrozenSet[int]]]:
     """(members, label) of every parabolic: the orbit of each standard
     parabolic in type-label order, each member set kept where the ShortLex
@@ -393,9 +417,9 @@ def relevant_all_report(datum, t) -> dict:
     """The report of `relevant --all`, with the relevant labels read off a
     relevance report of each standard parabolic."""
     labels = [
-        q.type_label
-        for q in root_data.DatumTables.of(datum).standard_parabolics()
-        if type_geometry.relevance_report(q, t).is_relevant
+        y
+        for y in all_type_labels(datum.rank)
+        if type_geometry.relevance_report(root_data.standard_parabolic(datum, y), t).is_relevant
     ]
     everything = [parabolic_id(q) for q in root_data.parabolics_of(datum, labels)]
     return {

@@ -140,7 +140,7 @@ def test_criterion_03_on_f4():
     started = time.monotonic()
     datum = root_data.build_named("F4")
     parabolics = root_data.all_parabolics(datum)
-    queries = list(root_data.DatumTables.of(datum).standard_parabolics())
+    queries = [root_data.standard_parabolic(datum, y) for y in oracles.all_type_labels(datum.rank)]
     queries += random.Random(4).sample(parabolics, 40)
     for t in _types(datum.rank):
         cones = {}

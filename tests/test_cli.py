@@ -8,10 +8,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -543,6 +545,52 @@ def test_default_cap_trips_fast_on_high_rank(tmp_path, argv, expected):
     if expected == 3:
         assert "exceeded cap 1152" in proc.stderr
     assert after.ru_utime - before.ru_utime < 3
+
+
+def test_e7_runs_without_listing_its_weyl_group(tmp_path):
+    # |W(E7)| = 2,903,040: a listing of W would need minutes and gigabytes,
+    # but the relevant labels and |W| come from the roots alone.
+    rank = 7
+    cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    # Bourbaki numbering: the chain a1-a3-a4-a5-a6-a7, with a2 on a4.
+    for i, j in [(0, 2), (1, 3)] + [(k, k + 1) for k in range(2, rank - 1)]:
+        cartan[i][j] = cartan[j][i] = -1
+    f = tmp_path / "e7.json"
+    f.write_text(json.dumps({"rank": rank, "cartan": cartan}))
+    for argv in (("relevant", "--type", "a1"), ("datum-info",)):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = _run_child(*argv, "--datum-file", str(f), "--cap", "2903040")
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert proc.returncode == 0, proc.stderr
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        assert cpu < 3
+        if argv[0] == "datum-info":
+            assert json.loads(proc.stdout[proc.stdout.index("{"):])["weyl_order"] == 2903040
+        proc = _run_child(*argv, "--datum-file", str(f))
+        assert proc.returncode == 3
+        assert "exceeded cap 1152 at 1153 elements" in proc.stderr
+
+
+def test_a_long_word_is_multiplied_out_and_named_once(tmp_path, capsys):
+    # s_i s_i = 1, so pairs spliced into a reduced word leave its element.
+    longest = oracles.matrix_weyl_group(build_named("B3"), 48)[0][-1]
+    rng = random.Random(5)
+    letters = iter(longest.word)
+    at = set(rng.sample(range(50000), len(longest.word)))
+    word = []
+    for k in range(50000):
+        if k in at:
+            word.append(next(letters) + 1)
+        i = rng.randint(1, 3)
+        word += [i, i]
+    argv = ("cone", "--datum", "B3", "--type", "a1", "--label", "a2")
+    short = ",".join(str(i + 1) for i in longest.word)
+    reduced, _ = _report(tmp_path, capsys, *argv, "--word", short)
+    start = time.process_time()
+    spliced, _ = _report(tmp_path, capsys, *argv, "--word", ",".join(map(str, word)))
+    assert time.process_time() - start < 1.0
+    assert spliced["parabolic"] == reduced["parabolic"]
+    assert reduced["parabolic"]["word"] != []
 
 
 def test_explicit_cap_bounds_the_whole_command():

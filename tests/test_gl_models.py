@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from weylscope import apartment, linalg, polyfan, root_data, type_geometry
 from weylscope.gl_models import (
     DiagSeminorm,
@@ -239,5 +240,7 @@ def test_a5_context_builds_only_the_orbits_it_indexes(monkeypatch):
     assert hyperplane_type(5) in tables.orbits
     built = [q for orbit in tables.orbits.values() for q in orbit]
     assert len(built) == len(ctx.parabolics) == 63
-    standard = {q.members for q in tables.standard_parabolics()}
+    standard = {
+        root_data.standard_parabolic(datum, y).members for y in oracles.all_type_labels(5)
+    }
     assert set(tables.positions) <= {q.members for q in built} | standard

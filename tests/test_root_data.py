@@ -18,6 +18,7 @@ from weylscope.root_data import (
     all_parabolics,
     build_from_cartan,
     build_named,
+    compose,
     inverse,
     is_osculatory,
     levi_roots,
@@ -96,9 +97,10 @@ def test_cap_error_names_the_datum_and_stores_nothing(monkeypatch):
         with pytest.raises(EnumerationCapError) as exc:
             weyl_elements(datum, cap=10)
         assert f"{what} exceeded cap 10 at 11 elements" in str(exc.value)
-        tables = root_data.DatumTables.of(datum)
-        assert tables.weyl is None and tables.permutations == {}
-    # A group already enumerated reports its order against a smaller cap.
+        # Nothing was admitted, so a second cap error still stops at cap + 1.
+        with pytest.raises(EnumerationCapError, match=f"{what} exceeded cap 20 at 21 elements"):
+            weyl_elements(datum, cap=20)
+    # A datum once admitted reports its order against a smaller cap.
     datum = build_named("A3")
     monkeypatch.delitem(root_data._TABLES, datum, raising=False)
     weyl_elements(datum)
@@ -173,13 +175,14 @@ def test_enumeration_stores_the_permutation_of_every_element(monkeypatch, name):
         datum = build_from_cartan(((2, 0), (0, 2)))
     else:
         datum = build_named(name)
-    # A fresh table, so every stored permutation comes from the enumeration.
+    # A fresh table, so the permutations come from the search.
     monkeypatch.delitem(root_data._TABLES, datum, raising=False)
     elements = weyl_elements(datum)
-    stored = root_data.DatumTables.of(datum).permutations
-    assert len(stored) == len(elements)
+    (orbit,) = root_data.orbits_of(datum, [frozenset()])
+    assert list(orbit.permutations) == [oracles.matrix_permutation(datum, w) for w in elements]
+    borel = standard_parabolic(datum, ())
     for w in elements:
-        assert stored[w.matrix] == oracles.matrix_permutation(datum, w)
+        assert act(w, borel).members == {w.apply(r) for r in borel.members}
 
 
 _KEYED = ("A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4")
@@ -187,19 +190,18 @@ _KEYED = ("A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "
 
 @pytest.mark.parametrize("name", _KEYED)
 def test_root_index_enumeration_matches_the_matrix_search(monkeypatch, name):
-    """The enumeration on root-index keys gives the elements, words,
-    matrices, permutations and inverses of the matrix breadth-first search."""
+    """The search on root-index keys gives the elements, words, matrices,
+    permutations and inverses of the matrix breadth-first search, and
+    compose names each element as it does."""
     datum = build_named(name)
     monkeypatch.delitem(root_data._TABLES, datum, raising=False)
-    tables = root_data.DatumTables.of(datum)
-    weyl = tables.weyl_group(datum)
+    got = weyl_elements(datum)
     elements, permutations, inverses = oracles.matrix_weyl_group(datum, cap=1152)
-    assert [(w.word, w.matrix) for w in weyl.elements] == [
-        (w.word, w.matrix) for w in elements
-    ]
-    assert [tables.permutations[w.matrix] for w in weyl.elements] == permutations
-    assert weyl.inverse == inverses
-    assert weyl.by_matrix == {w.matrix: w for w in elements}
+    assert [(w.word, w.matrix) for w in got] == [(w.word, w.matrix) for w in elements]
+    assert list(root_data.orbits_of(datum, [frozenset()])[0].permutations) == permutations
+    assert {w.matrix: inverse(datum, w) for w in got} == inverses
+    one = root_data.identity_element(datum)
+    assert [root_data.compose(datum, one, w) for w in got] == list(elements)
 
 
 def test_root_index_enumeration_stops_where_the_matrix_search_does(monkeypatch):
@@ -212,7 +214,10 @@ def test_root_index_enumeration_stops_where_the_matrix_search_does(monkeypatch):
         with pytest.raises(EnumerationCapError) as got:
             weyl_elements(datum, cap=cap)
         assert (got.value.cap, got.value.reached) == (expected.value.cap, expected.value.reached)
-        assert root_data.DatumTables.of(datum).weyl is None
+        # Nothing was admitted, so the error repeats as it was.
+        with pytest.raises(EnumerationCapError) as again:
+            weyl_elements(datum, cap=cap)
+        assert again.value.reached == cap + 1
 
 
 def test_rank_five_weyl_orders_need_an_explicit_cap():
@@ -221,6 +226,93 @@ def test_rank_five_weyl_orders_need_an_explicit_cap():
     # Bourbaki's F4 has a1, a2 long and a3, a4 short; C5 is dual to B5.
     assert build_named("F4").cartan[2][1] == -2 and build_named("F4").cartan[1][2] == -1
     assert build_named("C5").cartan == tuple(zip(*build_named("B5").cartan))
+
+
+_NAMED = (
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
+    "D4", "D5", "F4", "G2", "A1xA1",
+)
+
+
+@pytest.mark.parametrize("name", [n for n in _NAMED if n != "A6"])
+def test_orbits_match_the_filter_of_the_matrix_search(monkeypatch, name):
+    """Every orbit of the coset search, on every label, is W filtered by
+    descents as the matrix breadth-first search lists it: the parabolics in
+    order, the root permutations, and the inverses by word and matrix.
+    B5, C5 and D5 are above the default cap and pass an explicit one."""
+    datum = build_named(name)
+    order = oracles.weyl_order(datum)
+    monkeypatch.setitem(root_data._TABLES, datum, root_data.DatumTables(datum))
+    assert len(weyl_elements(datum, cap=max(order, 1152))) == order
+    weyl = oracles.matrix_weyl_group(datum, order)
+    labels = oracles.all_type_labels(datum.rank)
+    for y, orbit in zip(labels, root_data.all_orbits(datum)):
+        parabolics, permutations, inverses = oracles.filtered_orbit(datum, y, weyl)
+        assert [(q.members, q.type_label) for q in orbit] == parabolics, sorted(y)
+        assert list(orbit.permutations) == permutations, sorted(y)
+        assert list(orbit.inverses) == inverses, sorted(y)
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    cartan = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            cartan[at + i][at : at + len(b)] = row
+        at += len(b)
+    return cartan
+
+
+def test_weyl_order_is_read_off_the_root_heights():
+    named = {name: build_named(name) for name in _NAMED}
+    orders = {name: oracles.weyl_order(datum) for name, datum in named.items()}
+    assert {name: root_data.weyl_order(datum) for name, datum in named.items()} == orders
+    rng = random.Random(21)
+    for _ in range(12):
+        names, order = [], 1
+        for name in rng.sample(sorted(named), 4):
+            if order * orders[name] <= 6000:
+                names.append(name)
+                order *= orders[name]
+        datum = build_from_cartan(_block_diagonal([named[n].cartan for n in names]))
+        assert root_data.weyl_order(datum) == oracles.weyl_order(datum) == order, names
+    # E6, E7 and E8 in Bourbaki numbering: the chain 1-3-4-5-..., with 2 on 4.
+    for rank, order in ((6, 51840), (7, 2903040), (8, 696729600)):
+        cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+        for i, j in [(0, 2), (1, 3)] + [(k, k + 1) for k in range(2, rank - 1)]:
+            cartan[i][j] = cartan[j][i] = -1
+        assert root_data.weyl_order(build_from_cartan(cartan)) == order
+
+
+def _times(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+@pytest.mark.parametrize("name", ("A3", "B3", "G2", "F4"))
+def test_compose_inverse_and_standard_position_match_the_oracles(monkeypatch, name):
+    """On a fresh table, so every element is named by its descent: the
+    inverse of each element, its products with the simple reflections and
+    the product of its word are those of the matrix breadth-first search,
+    and the standard position of w·B is w^{-1}, what the scan over W finds
+    (checked on every element, and by the scan itself on up to 48)."""
+    datum = build_named(name)
+    monkeypatch.setitem(root_data._TABLES, datum, root_data.DatumTables(datum))
+    elements, _, inverses = oracles.matrix_weyl_group(datum, cap=1152)
+    element_of = {w.matrix: w for w in elements}
+    borel = standard_parabolic(datum, ())
+    moved = {}
+    for w in elements:
+        p = moved[w] = root_data.ParabolicSet(datum=datum, members=act(w, borel).members)
+        assert standard_position(p) == (inverses[w.matrix], frozenset())
+        assert inverse(datum, w) == inverses[w.matrix]
+        assert root_data.element_of_word(datum, w.word) == w
+        for j in range(datum.rank):
+            s_j = root_data.WeylElement(word=(j,), matrix=datum.reflection_matrix(j))
+            assert compose(datum, w, s_j) == element_of[_times(w.matrix, s_j.matrix)]
+            assert compose(datum, s_j, w) == element_of[_times(s_j.matrix, w.matrix)]
+    for w in random.Random(name).sample(elements, min(48, len(elements))):
+        assert oracles.scanned_standard_position(moved[w]) == standard_position(moved[w])
 
 
 def test_f4_parabolics_are_the_orbits_of_the_standard_ones():
@@ -293,15 +385,12 @@ def test_parabolics_of_any_labels_filters_all_parabolics(monkeypatch, name):
     missing orbits to it."""
     datum = build_named(name)
     everything = [(q.members, q.type_label) for q in all_parabolics(datum)]
-    shared = root_data.DatumTables.of(datum)
     labels = oracles.all_type_labels(datum.rank)
     rng = random.Random(name)
     subsets = [[], labels[:1], labels[-1:], labels[::-1]]
     subsets += [rng.sample(labels, rng.randint(1, len(labels))) for _ in range(4)]
     for subset in subsets:
         fresh = root_data.DatumTables(datum)
-        # Spares enumerating W again; the permutations are all stored.
-        fresh.weyl, fresh.permutations = shared.weyl, shared.permutations
         monkeypatch.setitem(root_data._TABLES, datum, fresh)
         got = parabolics_of(datum, subset)
         assert [(q.members, q.type_label) for q in got] == [
@@ -386,7 +475,8 @@ def test_standard_parabolic_members():
     assert (0, 1) in p1.members and (0, -1) not in p1.members
     # One table entry per label, shared with the list of every label.
     assert standard_parabolic(datum, [0]) is p1
-    assert root_data.DatumTables.of(datum).standard_parabolics()[1] is p1
+    labels = oracles.all_type_labels(datum.rank)
+    assert [standard_parabolic(datum, y) for y in labels][1] is p1
 
 
 def test_tables_are_safe_to_share_between_threads():
