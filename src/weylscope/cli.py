@@ -1,10 +1,15 @@
 """Command-line surface: root-datum ingestion, queries over the library,
 and deterministic JSON reports; `render` writes the SVG of weylscope.render.
 
-The point-layer commands live in weylscope.cli_points, which their handlers
-import when they run, so that `datum-info`, `relevant`, `fan`, `prefan` and
-`cone` load neither it nor apartment, gl_models and render.  A process that
-runs a subcommand builds the arguments of that subcommand only."""
+A process compiles only the layers its command runs.  This module holds
+the parser, the datum loading, the report encoder and the two commands
+that need root_data alone, `datum-info` and `relevant`.  The cone commands
+`fan`, `prefan` and `cone` live in weylscope.cli_cones, over type_geometry,
+polyfan and linalg; the point commands `limit`, `seminorm`, `stabilizer`,
+`project`, `pgl` and `render` in weylscope.cli_points, over apartment,
+gl_models and render.  Their handlers import the module when they run, and
+a process that runs a subcommand builds the arguments of that subcommand
+only."""
 
 from __future__ import annotations
 
@@ -13,54 +18,31 @@ import json
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
-from . import polyfan, root_data, type_geometry
-from .polyfan import Cone, IndeterminateValueError
+from . import root_data
 from .root_data import (
     EnumerationCapError,
     ParabolicSet,
     RootDatum,
     ValidationError,
     WeylElement,
-    parabolic_name,
     type_name,
 )
-from .type_geometry import ConeGeometry
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ENUM_CAP = 3
 
-# Bounds on a rational token or a JSON integer from outside: longer ones or
-# larger decimal exponents would build numbers too large to compute with or
-# to print.
+# Bound on the length of a rational token or a JSON integer from outside:
+# longer ones would build numbers too large to compute with or to print.
 MAX_TOKEN_CHARS = 100
-MAX_EXPONENT = 100
 
 
 # ---------------------------------------------------------------------------
 # parsing helpers
-
-
-def _parse_fraction(token: str, where: str) -> Fraction:
-    token = token.strip()
-    if len(token) > MAX_TOKEN_CHARS:
-        raise ValidationError(
-            f"{where}: a rational of {len(token)} characters is longer than {MAX_TOKEN_CHARS}"
-        )
-    _, marker, exponent = token.lower().partition("e")
-    try:
-        if not marker or abs(int(exponent)) <= MAX_EXPONENT:
-            return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{where}: {token!r} is not a rational")
-    raise ValidationError(
-        f"{where}: the exponent of {token!r} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
-    )
 
 
 def _parse_type(text: Optional[str], datum: RootDatum, flag: str = "--type"):
@@ -228,17 +210,6 @@ def _type_names(t) -> List[str]:
     return [f"a{i + 1}" for i in sorted(t)]
 
 
-def _cone_report(cone: Cone, geometry: ConeGeometry) -> Dict:
-    return {
-        "space_dim": cone.space_dim,
-        "dim": geometry.dim,
-        "ineqs": [list(phi) for phi in cone.ineqs],
-        "eqs": [list(phi) for phi in cone.eqs],
-        "lineality_dim": len(geometry.lineality),
-        "rays": [[str(c) for c in r] for r in geometry.rays],
-    }
-
-
 def _dim_counts(dims: Sequence[int]) -> Tuple[Dict[str, int], str]:
     """The number of cones of each dimension, as a report map and as
     summary text."""
@@ -260,10 +231,10 @@ def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
 # report encoding
 #
 # A report is written as json.dumps(report, indent=2, sort_keys=True) writes
-# it, byte for byte, but in chunks as it is encoded.  The lists of cones and
-# of relevant parabolics are encoded straight from the cone orbits, with no
-# dict per entry, and each distinct row of a cone (a functional or a ray) is
-# encoded once per report.
+# it, byte for byte, but in chunks as it is encoded.  The lists of cones (in
+# cli_cones) and of relevant parabolics are encoded straight from the
+# orbits, with no dict per entry, and each distinct row of a cone (a
+# functional or a ray) is encoded once per report.
 
 # Characters gathered before one write to the report's stream.
 _BATCH_CHARS = 1 << 16
@@ -361,52 +332,6 @@ def _parabolic_texts(orbits: Sequence[root_data.Orbit], level: int) -> Iterator[
             yield head + _scalar_list([str(i + 1) for i in inv.word], level + 1) + tail
 
 
-class _RowTexts(dict):
-    """The text of each row (a list of scalars nested at one level) by the
-    row as a tuple, encoded on first use: rows repeat across the cones of a
-    report far more than they differ."""
-
-    def __init__(self, cell: Callable[[int], str], level: int):
-        super().__init__()
-        self.cell = cell
-        self.level = level
-
-    def __missing__(self, row: Tuple[int, ...]) -> str:
-        text = self[row] = _scalar_list([self.cell(c) for c in row], self.level)
-        return text
-
-
-def _cone_entries(
-    family: type_geometry.ConeOrbits, geometry: Sequence[ConeGeometry]
-) -> _EncodedList:
-    """The report entries of the cones, numbered and labelled by their
-    parabolics, with the rays and dimensions carried along each orbit
-    (family.geometry(), computed by the caller): what _cone_report gives,
-    with "index" and "parabolic" added.  Functionals are lists of ints and
-    rays lists of strings."""
-
-    def items(level: int) -> Iterator[str]:
-        keys = ("dim", "eqs", "index", "ineqs", "lineality_dim", "parabolic", "rays", "space_dim")
-        inner = _newline(level + 1)
-        entry = "{{" + ",".join(f'{inner}"{k}": {{}}' for k in keys) + _newline(level) + "}}"
-        functionals = _RowTexts(int.__repr__, level + 2)
-        rays = _RowTexts(lambda c: encode_basestring_ascii(str(c)), level + 2)
-        parabolics = _parabolic_texts(family.orbits, level + 1)
-        for i, (c, g, p) in enumerate(zip(family.cones, geometry, parabolics)):
-            yield entry.format(
-                g.dim,
-                _scalar_list([functionals[v] for v in c.eqs], level + 1),
-                i,
-                _scalar_list([functionals[v] for v in c.ineqs], level + 1),
-                len(g.lineality),
-                p,
-                _scalar_list([rays[v] for v in g.rays], level + 1),
-                c.space_dim,
-            )
-
-    return _EncodedList(items)
-
-
 def _write_report(fh: TextIO, report: Dict) -> None:
     """Write the text of the report and a newline to fh, about _BATCH_CHARS
     characters at a time."""
@@ -466,60 +391,12 @@ def _cmd_datum_info(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fan(args) -> int:
-    datum = _load_datum(args)
-    family = type_geometry.weyl_cone_orbits(datum)
-    geometry = tuple(family.geometry())
-    dims, dim_text = _dim_counts([g.dim for g in geometry])
-    report = {
-        "command": "fan",
-        "datum": datum.name,
-        "rank": datum.rank,
-        "count": len(geometry),
-        "dims": dims,
-        "cones": _cone_entries(family, geometry),
-    }
-    _emit(
-        args,
-        report,
-        [f"Weyl fan of {datum.name or 'datum'}: {len(geometry)} cones ({dim_text})"],
-    )
-    return EXIT_OK
-
-
-def _cmd_prefan(args) -> int:
-    datum = _load_datum(args)
-    t = _parse_type(args.type, datum)
-    family = type_geometry.type_cone_orbits(datum, t)
-    geometry = tuple(family.geometry())
-    dims, dim_text = _dim_counts([g.dim for g in geometry])
-    lin = type_geometry.lineality_space(datum, t)
-    report = {
-        "command": "prefan",
-        "datum": datum.name,
-        "type": _type_names(t),
-        "count": len(geometry),
-        "dims": dims,
-        "lineality_dim": len(lin),
-        "cones": _cone_entries(family, geometry),
-    }
-    _emit(
-        args,
-        report,
-        [
-            f"stratifying prefan of {datum.name or 'datum'} for type "
-            f"{type_name(t)}: {len(geometry)} cones ({dim_text})"
-        ],
-    )
-    return EXIT_OK
-
-
 def _cmd_relevant(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
     # 2^rank <= |W|, so the cap on |W| also bounds the list of type labels.
     root_data.DatumTables.of(datum).within_cap(datum)
-    labels = type_geometry.relevant_labels(datum, t)
+    labels = root_data.relevant_labels(datum, t)
     report = {
         "command": "relevant",
         "datum": datum.name,
@@ -542,62 +419,18 @@ def _cmd_relevant(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cone(args) -> int:
-    datum = _load_datum(args)
-    t = _parse_type(args.type, datum)
-    q = _parabolic_from_parts(datum, args.label, args.word)
-    if args.kind == "weyl":
-        cone = type_geometry.weyl_cone(q)
-        extra = {}
-    elif args.kind == "max":
-        cone = type_geometry.type_cone_max(q)
-        extra = {}
-    else:
-        rep = type_geometry.relevance_report(q, t)
-        cone = type_geometry.type_cone(q, t).cone
-        extra = {
-            "is_relevant": rep.is_relevant,
-            "minimal_relevant": _parabolic_id(rep.minimal_relevant),
-            "active_components": _type_names(rep.active_components),
-            "span_equalities": [list(a) for a in rep.span_equalities],
-        }
-    report = {
-        "command": "cone",
-        "datum": datum.name,
-        "kind": args.kind,
-        "type": _type_names(t),
-        "parabolic": _parabolic_id(q),
-        "cone": _cone_report(cone, ConeGeometry(*polyfan.generators(cone), polyfan.dim(cone))),
-    }
-    report.update(extra)
-    summary = [
-        f"{args.kind} cone of {parabolic_name(q)} in {datum.name or 'datum'}"
-        + (f" for type {type_name(t)}" if args.kind == "type" else "")
-        + f": dim {polyfan.dim(cone)}, {len(cone.ineqs)} inequalities, "
-        + f"{len(cone.eqs)} equalities"
-    ]
-    if args.kind == "type":
-        yes = "yes" if extra["is_relevant"] else "no"
-        summary.append(
-            f"relevant: {yes}; minimal relevant stratum: "
-            f"{parabolic_name(type_geometry.minimal_relevant(q, t))}"
-        )
-    _emit(args, report, summary)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _point_command(name: str) -> Callable[[argparse.Namespace], int]:
-    """The handler `name` of cli_points, which is imported only when a
-    point-layer command runs."""
+def _lazy_command(module: str, name: str) -> Callable[[argparse.Namespace], int]:
+    """The handler `name` of weylscope.<module>, which is imported only when
+    one of that module's commands runs."""
 
     def run(args: argparse.Namespace) -> int:
-        from . import cli_points
+        from importlib import import_module
 
-        return getattr(cli_points, name)(args)
+        return getattr(import_module(f".{module}", __package__), name)(args)
 
     return run
 
@@ -622,9 +455,13 @@ _TYPE_EXAMPLE = ("--type", {"help": "type as simple-root tokens, e.g. a1,a2"})
 # and its arguments in order.  Both parsers are built from this one table.
 _SUBCOMMANDS = {
     "datum-info": ("summary of a root datum", _cmd_datum_info, _DATUM_FLAGS + (_OUT,)),
-    "fan": ("the fan of all Weyl cones", _cmd_fan, _DATUM_FLAGS + (_OUT,)),
+    "fan": (
+        "the fan of all Weyl cones", _lazy_command("cli_cones", "_cmd_fan"), _DATUM_FLAGS + (_OUT,)
+    ),
     "prefan": (
-        "the stratifying prefan of a type", _cmd_prefan, _DATUM_FLAGS + (_TYPE_EXAMPLE, _OUT)
+        "the stratifying prefan of a type",
+        _lazy_command("cli_cones", "_cmd_prefan"),
+        _DATUM_FLAGS + (_TYPE_EXAMPLE, _OUT),
     ),
     "relevant": (
         "relevant parabolics for a type",
@@ -637,7 +474,7 @@ _SUBCOMMANDS = {
     ),
     "cone": (
         "Weyl cone / chart cone / stratum cone",
-        _cmd_cone,
+        _lazy_command("cli_cones", "_cmd_cone"),
         _DATUM_FLAGS + (
             ("--type", {"help": "type as simple-root tokens (for --kind type)"}),
             ("--label", {"required": True, "help": "standard label, e.g. a1,a3"}),
@@ -655,7 +492,7 @@ _SUBCOMMANDS = {
     ),
     "limit": (
         "limit of a ray in the compactification",
-        _point_command("_cmd_limit"),
+        _lazy_command("cli_points", "_cmd_limit"),
         _DATUM_FLAGS + (
             _TYPE,
             ("--u0", {"help": "base point (CSV rationals)"}),
@@ -666,7 +503,7 @@ _SUBCOMMANDS = {
     ),
     "seminorm": (
         "evaluate a tropical polynomial at a point",
-        _point_command("_cmd_seminorm"),
+        _lazy_command("cli_points", "_cmd_seminorm"),
         _DATUM_FLAGS + (
             _TYPE,
             ("--poly", {"required": True, "help": "JSON tropical polynomial file"}),
@@ -675,12 +512,12 @@ _SUBCOMMANDS = {
     ),
     "stabilizer": (
         "root-group stabilizer profile of a point",
-        _point_command("_cmd_stabilizer"),
+        _lazy_command("cli_points", "_cmd_stabilizer"),
         _DATUM_FLAGS + (_TYPE,) + _POINT_FLAGS + (_OUT,),
     ),
     "project": (
         "project a point to a coarser type",
-        _point_command("_cmd_project"),
+        _lazy_command("cli_points", "_cmd_project"),
         _DATUM_FLAGS + (
             ("--type", {"help": "source type tokens"}),
             ("--to-type", {"required": True, "help": "target type tokens"}),
@@ -688,7 +525,7 @@ _SUBCOMMANDS = {
     ),
     "pgl": (
         "diagonal seminorm dictionary (type A)",
-        _point_command("_cmd_pgl"),
+        _lazy_command("cli_points", "_cmd_pgl"),
         (
             ("--values", {"help": "CSV values, e.g. 0,-1,-inf"}),
             ("--seminorm-file", {"help": 'JSON file {"values": [...]}'}),
@@ -697,18 +534,18 @@ _SUBCOMMANDS = {
     ),
     "render": (
         "SVG picture of a rank-2 prefan",
-        _point_command("_cmd_render"),
+        _lazy_command("cli_points", "_cmd_render"),
         _DATUM_FLAGS + (_TYPE, ("--out", {"required": True, "help": "output SVG path"})),
     ),
 }
 
 
 def _make_parser(only: Optional[str]) -> argparse.ArgumentParser:
-    """A parser that knows every subcommand name and help line, so that its
-    usage is that of the whole command.  Every subcommand gets its
-    arguments, -h and handler, or only the one named `only`: argparse hands
-    the rest of a command line to the subcommand its first word names, so
-    the others are never parsed."""
+    """The parser of every subcommand, or of the one named `only`: argparse
+    hands the rest of a command line to the subcommand its first word
+    names, so the others are never parsed.  A parser of one subcommand
+    still lists all of them in its usage, as the full parser draws it, so
+    that its usage and errors read as those of the whole command."""
     parser = argparse.ArgumentParser(
         prog="weylscope",
         description=(
@@ -717,11 +554,11 @@ def _make_parser(only: Optional[str]) -> argparse.ArgumentParser:
             "stabilizer profiles, and rank-2 SVG pictures."
         ),
     )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+    metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    subs = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
     for name, (help_text, func, arguments) in _SUBCOMMANDS.items():
-        built = only is None or name == only
-        p = subs.add_parser(name, help=help_text, add_help=built)
-        if built:
+        if only is None or name == only:
+            p = subs.add_parser(name, help=help_text)
             for flag, options in arguments:
                 p.add_argument(flag, **options)
             p.set_defaults(func=func)
@@ -759,13 +596,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENUM_CAP
-    except (ValidationError, IndeterminateValueError) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError as exc:
         _discard_stdout()
         print(f"error: stdout: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
+
+
+def _input_errors() -> Tuple[type, ...]:
+    """The errors that exit 2 with their message: ValidationError, and
+    IndeterminateValueError once a command has loaded polyfan, the only
+    module that raises it.  main reads this only when an error reaches it,
+    so that no command loads polyfan for the sake of its except clause."""
+    polyfan = sys.modules.get(f"{__package__}.polyfan")
+    if polyfan is None:
+        return (ValidationError,)
+    return (ValidationError, polyfan.IndeterminateValueError)
 
 
 def _discard_stdout() -> None:

@@ -14,13 +14,13 @@ from typing import Dict, List, Sequence, Tuple
 from . import apartment, polyfan, root_data
 from .cli import (
     EXIT_OK,
+    MAX_TOKEN_CHARS,
     _dim_counts,
     _emit,
     _load_datum,
     _load_json,
     _parabolic_from_parts,
     _parabolic_id,
-    _parse_fraction,
     _parse_type,
     _require_int,
     _type_names,
@@ -28,9 +28,30 @@ from .cli import (
 )
 from .root_data import ParabolicSet, RootDatum, ValidationError, parabolic_name, type_name
 
+# Bound on the decimal exponent of a rational token: larger ones would build
+# numbers too large to compute with or to print.
+MAX_EXPONENT = 100
+
 
 # ---------------------------------------------------------------------------
 # parsing helpers
+
+
+def _parse_fraction(token: str, where: str) -> Fraction:
+    token = token.strip()
+    if len(token) > MAX_TOKEN_CHARS:
+        raise ValidationError(
+            f"{where}: a rational of {len(token)} characters is longer than {MAX_TOKEN_CHARS}"
+        )
+    _, marker, exponent = token.lower().partition("e")
+    try:
+        if not marker or abs(int(exponent)) <= MAX_EXPONENT:
+            return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{where}: {token!r} is not a rational")
+    raise ValidationError(
+        f"{where}: the exponent of {token!r} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
+    )
 
 
 def _parse_vector(text: str, rank: int, flag: str) -> Tuple[Fraction, ...]:

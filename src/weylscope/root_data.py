@@ -18,6 +18,12 @@ each step, and |W| is read off the heights of the positive roots, so the
 cap on |W| is checked without listing W.  `standard_position` descends by
 simple reflections, each adding one positive root, so the element it
 builds has the least length any solution can have.
+
+Relevancy for a type t is read off the Dynkin diagram too: whether a type
+label is t-relevant depends on the components of the label that meet the
+complement of t, so `relevant_labels` lists the relevant labels without
+building a parabolic or a cone, and the `relevant` command needs no other
+layer of the library.
 """
 from __future__ import annotations
 
@@ -746,6 +752,64 @@ def is_osculatory(p: ParabolicSet, q: ParabolicSet) -> bool:
     if p.datum != q.datum:
         raise ValidationError("parabolic sets live in different root data")
     return is_generating(p.datum, p.members & q.members)
+
+
+# ---------------------------------------------------------------------------
+# relevancy on the Dynkin diagram
+
+
+def _check_type(datum: RootDatum, t: TypeLabel) -> TypeLabel:
+    label = frozenset(t)
+    for i in label:
+        if not isinstance(i, int) or not 0 <= i < datum.rank:
+            raise ValidationError(f"type index {i!r} out of range for rank {datum.rank}")
+    return label
+
+
+def _components(datum: RootDatum, subset: FrozenSet[int]) -> List[FrozenSet[int]]:
+    """Connected components of a simple-root subset in the Dynkin graph
+    (edge iff Cartan pairing nonzero), ordered by least element."""
+    remaining = set(subset)
+    comps: List[FrozenSet[int]] = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            i = frontier.pop()
+            for j in list(remaining - comp):
+                if datum.cartan[i][j] != 0:
+                    comp.add(j)
+                    frontier.append(j)
+        comps.append(frozenset(comp))
+        remaining -= comp
+    return comps
+
+
+def _orthogonal_to(datum: RootDatum, i: int, subset: FrozenSet[int]) -> bool:
+    return all(datum.cartan[i][j] == 0 for j in subset) and i not in subset
+
+
+def _label_relevance(
+    datum: RootDatum, y: TypeLabel, t: TypeLabel
+) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """The active components of the label y for the type t, the union of
+    the Dynkin components of y that meet the complement of t, and the
+    t-letters orthogonal to them.  y is t-relevant exactly when it holds
+    all of the latter, and adding them to y gives the label of the minimal
+    t-relevant parabolic over P_y."""
+    meets = frozenset().union(*[k for k in _components(datum, y) if k - t])
+    forced = frozenset(i for i in t if _orthogonal_to(datum, i, meets))
+    return meets, forced
+
+
+def relevant_labels(datum: RootDatum, t: TypeLabel) -> Tuple[TypeLabel, ...]:
+    """The t-relevant type labels, in type-label order.  Relevancy reads
+    only the label of the standard position, so a parabolic is t-relevant
+    exactly when its label is one of these.  One test per subset of the
+    simple roots: callers bound the rank first."""
+    t = _check_type(datum, t)
+    return tuple(y for y in _type_labels(datum.rank) if _label_relevance(datum, y, t)[1] <= y)
 
 
 def type_name(t: Iterable[int]) -> str:

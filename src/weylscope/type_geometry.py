@@ -1,6 +1,12 @@
-"""Type cones attached to parabolic root sets, the prefan of a type,
-relevancy combinatorics on the Dynkin diagram, and the induced
-decomposition of Levi roots into vanishing and nonvanishing parts.
+"""Type cones attached to parabolic root sets, the prefan of a type, the
+relevance report of a parabolic, and the induced decomposition of Levi
+roots into vanishing and nonvanishing parts.
+
+Which type labels are relevant is Dynkin-diagram combinatorics on the
+label alone, and lives in root_data; relevant_labels is imported from
+there under its old name here.  The relevance report carries a label's
+relevancy to one parabolic: its minimal relevant parabolic and the root
+functionals that cut out the span of its type cone.
 
 The Weyl fan and every stratifying prefan are W-stable, and their cones are
 built one W-orbit at a time (ConeOrbits): the cone of w·P_Y is that of the
@@ -23,7 +29,10 @@ from .root_data import (
     ParabolicSet,
     RootDatum,
     TypeLabel,
-    ValidationError,
+    _check_type,
+    _components,
+    _label_relevance,
+    relevant_labels,  # noqa: F401  (part of this module's interface)
 )
 
 
@@ -51,14 +60,6 @@ class RtDecomposition(NamedTuple):
 
     nonvanishing: Tuple[IntVector, ...]
     vanishing: Tuple[IntVector, ...]
-
-
-def _check_type(datum: RootDatum, t: TypeLabel) -> TypeLabel:
-    label = frozenset(t)
-    for i in label:
-        if not isinstance(i, int) or not 0 <= i < datum.rank:
-            raise ValidationError(f"type index {i!r} out of range for rank {datum.rank}")
-    return label
 
 
 def weyl_cone(p: ParabolicSet) -> Cone:
@@ -101,43 +102,6 @@ def type_cone(q: ParabolicSet, t: TypeLabel) -> TypeCone:
     )
 
 
-def _components(datum: RootDatum, subset: FrozenSet[int]) -> List[FrozenSet[int]]:
-    """Connected components of a simple-root subset in the Dynkin graph
-    (edge iff Cartan pairing nonzero), ordered by least element."""
-    remaining = set(subset)
-    comps: List[FrozenSet[int]] = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in list(remaining - comp):
-                if datum.cartan[i][j] != 0:
-                    comp.add(j)
-                    frontier.append(j)
-        comps.append(frozenset(comp))
-        remaining -= comp
-    return comps
-
-
-def _orthogonal_to(datum: RootDatum, i: int, subset: FrozenSet[int]) -> bool:
-    return all(datum.cartan[i][j] == 0 for j in subset) and i not in subset
-
-
-def _label_relevance(
-    datum: RootDatum, y: TypeLabel, t: TypeLabel
-) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-    """The active components of the label y for the type t, the union of
-    the Dynkin components of y that meet the complement of t, and the
-    t-letters orthogonal to them.  y is t-relevant exactly when it holds
-    all of the latter, and adding them to y gives the label of the minimal
-    t-relevant parabolic over P_y."""
-    meets = frozenset().union(*[k for k in _components(datum, y) if k - t])
-    forced = frozenset(i for i in t if _orthogonal_to(datum, i, meets))
-    return meets, forced
-
-
 def relevance_report(q: ParabolicSet, t: TypeLabel) -> RelevanceReport:
     """Standard-position Dynkin combinatorics: the active components of the
     Levi label are those meeting the complement of t; relevancy demands that
@@ -164,17 +128,6 @@ def relevance_report(q: ParabolicSet, t: TypeLabel) -> RelevanceReport:
 
 def is_relevant(q: ParabolicSet, t: TypeLabel) -> bool:
     return relevance_report(q, t).is_relevant
-
-
-def relevant_labels(datum: RootDatum, t: TypeLabel) -> Tuple[TypeLabel, ...]:
-    """The t-relevant type labels, in type-label order.  Relevancy reads
-    only the label of the standard position, so a parabolic is t-relevant
-    exactly when its label is one of these.  One test per subset of the
-    simple roots: callers bound the rank first."""
-    t = _check_type(datum, t)
-    return tuple(
-        y for y in root_data._type_labels(datum.rank) if _label_relevance(datum, y, t)[1] <= y
-    )
 
 
 def minimal_relevant(q: ParabolicSet, t: TypeLabel) -> ParabolicSet:
@@ -341,7 +294,7 @@ def type_cone_orbits(datum: RootDatum, t: TypeLabel) -> ConeOrbits:
     |W|, so it bounds the 2^rank labels that relevant_labels walks."""
     t = _check_type(datum, t)
     root_data.DatumTables.of(datum).within_cap(datum)
-    orbits = root_data.orbits_of(datum, relevant_labels(datum, t))
+    orbits = root_data.orbits_of(datum, root_data.relevant_labels(datum, t))
     return _cone_orbits(orbits, lambda p: type_cone(p, t).cone)
 
 

@@ -445,6 +445,36 @@ def test_project_commutes_with_translate(data):
     assert moved_first == projected_first
 
 
+_LIMIT_CONTEXTS = tuple(
+    (name, t) for name in ("A2", "B2", "G2") for t in oracles.all_type_labels(2)
+)
+_coordinates = st.one_of(st.integers(-6, 6), _rationals)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_limit_commutes_with_translate(data):
+    """limit(u0 + w, v) = translate(limit(u0, v), w): v alone picks the
+    stratum, and the limit keeps the class of the base point modulo its
+    span.  Half the directions are nonnegative integer combinations of the
+    rays of one prefan cone, plus its lineality, so that they fall on walls
+    and on the origin as well as inside cones."""
+    name, t = data.draw(st.sampled_from(_LIMIT_CONTEXTS))
+    ctx = _cached_ctx(name, t)
+    n = ctx.datum.rank
+    vector = st.lists(_coordinates, min_size=n, max_size=n)
+    u0, w = data.draw(vector), data.draw(vector)
+    if data.draw(st.booleans()):
+        v = data.draw(vector)
+    else:
+        lin, rays = polyfan.generators(data.draw(st.sampled_from(ctx.prefan.cones)))
+        weights = [data.draw(st.integers(0, 3)) for _ in rays]
+        weights += [data.draw(st.integers(-2, 2)) for _ in lin]
+        v = [sum(k * g[i] for k, g in zip(weights, rays + lin)) for i in range(n)]
+    shifted = [a + b for a, b in zip(u0, w)]
+    assert limit_point(ctx, shifted, v) == translate_point(ctx, limit_point(ctx, u0, v), w)
+
+
 # ---------------------------------------------------------------------------
 # stabilizers
 

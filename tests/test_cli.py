@@ -460,14 +460,17 @@ def test_a_closed_stdout_exits_2_with_one_line():
 
 
 def _modules_loaded_by(argv):
-    """The exit code of the command in a fresh process, and the weylscope
-    modules that process loaded."""
+    """The exit code of the command in a fresh process, the weylscope
+    modules that process loaded, and the other modules that importing cli
+    and running the command added to it."""
     script = (
         "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
         "from weylscope import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({list(argv)!r})\n"
-        "print(json.dumps([code, sorted(n for n in sys.modules if n.startswith('weylscope.'))]))\n"
+        "ours = sorted(n for n in sys.modules if n.startswith('weylscope.'))\n"
+        "print(json.dumps([code, ours, sorted(set(sys.modules) - before)]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=30
@@ -477,17 +480,43 @@ def _modules_loaded_by(argv):
 
 
 def test_fan_loads_no_point_layer_module():
-    """The datum commands run in a fresh process on the four layers under
-    them: each module a process imports costs it its compile time, and
-    cli_points, apartment, gl_models and render are not theirs."""
-    layers = ["cli", "linalg", "polyfan", "root_data", "type_geometry"]
+    """Each command runs in a fresh process on the layers under it and no
+    others: each module a process imports costs it its compile time.
+    datum-info and relevant need root_data alone, and not even fractions;
+    fan and prefan the cone layers through cli_cones; the point commands
+    not cli_cones."""
     for argv in (
-        ("fan", "--datum", "A2"),
-        ("prefan", "--datum", "A3", "--type", "a1"),
-        ("relevant", "--datum", "A3", "--type", "a1", "--all"),
         ("datum-info", "--datum", "B2"),
+        ("relevant", "--datum", "A3", "--type", "a1", "--all"),
     ):
-        assert _modules_loaded_by(argv) == [0, [f"weylscope.{n}" for n in layers]], argv
+        code, ours, added = _modules_loaded_by(argv)
+        assert (code, ours) == (0, ["weylscope.cli", "weylscope.root_data"]), argv
+        assert "fractions" not in added, argv
+    cone_layers = ["cli", "cli_cones", "linalg", "polyfan", "root_data", "type_geometry"]
+    for argv in (("fan", "--datum", "A2"), ("prefan", "--datum", "A3", "--type", "a1")):
+        code, ours, _ = _modules_loaded_by(argv)
+        assert (code, ours) == (0, [f"weylscope.{n}" for n in cone_layers]), argv
+    for argv in (
+        next(a for a in _PINNED_REPORTS if a[0] == "stabilizer"),
+        ("pgl", "--values=0,-1,-inf"),
+    ):
+        code, ours, _ = _modules_loaded_by(argv)
+        assert code == 0 and "weylscope.cli_points" in ours, argv
+        assert "weylscope.cli_cones" not in ours, argv
+
+
+def test_an_indeterminate_value_exits_2_with_one_line(capsys, monkeypatch):
+    """main catches polyfan's IndeterminateValueError without importing
+    polyfan itself: it looks the class up once a command has loaded it."""
+    from weylscope import polyfan, type_geometry
+
+    def indeterminate(datum):
+        raise polyfan.IndeterminateValueError("(+inf) + (-inf) is undefined")
+
+    monkeypatch.setattr(type_geometry, "weyl_cone_orbits", indeterminate)
+    assert _run(capsys, "fan", "--datum", "A2") == (
+        2, "", "error: (+inf) + (-inf) is undefined\n"
+    )
 
 
 def test_point_commands_run_in_a_fresh_process(tmp_path):
@@ -1201,7 +1230,9 @@ def _outcome(capsys, argv):
     + [(name, "stray") for name in cli._SUBCOMMANDS]
     + [
         ("cone", "--datum", "A2"),
+        ("seminorm", "--datum", "A2", "--interior", "0,0"),
         ("project", "--datum", "A2", "--interior", "0,0"),
+        ("render", "--datum", "A2"),
         ("cone", "--datum", "A2", "--label", "a1", "--kind", "bad"),
         ("fan", "--datum", "A2", "--cap", "x"),
         ("fan", "--datum", "B3", "extra"),
@@ -1214,6 +1245,22 @@ def test_the_subcommand_parser_says_what_the_full_parser_says(capsys, monkeypatc
     monkeypatch.setattr(cli, "_command_parser", lambda name: cli.build_parser())
     assert lean == _outcome(capsys, argv)
     assert lean[0] in (0, 2) and (lean[1] or lean[2])
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ((), "the following arguments are required: subcommand"),
+        (("bogus",), "argument subcommand: invalid choice: 'bogus'"),
+    ],
+)
+def test_the_full_parser_calls_the_subcommand_argument_subcommand(capsys, argv, error):
+    """Errors about the subcommand itself name the argument by its dest.
+    Only a parser of one subcommand spells the subcommand list out as a
+    metavar, and a command line that reaches it has a valid subcommand."""
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"\nweylscope: error: {error}" in err
 
 
 def test_a_subcommand_parser_is_built_once_per_process(capsys):
