@@ -6,6 +6,14 @@ stabilizer profiles.
 Everything is log-additive: chart generator values are <u, alpha> with the
 boundary value -inf, and a "seminorm" of a polynomial is the max over its
 monomials of log-coefficient plus weighted generator values.
+
+The boundary strata are indexed by the t-relevant parabolics, and a point
+lies on exactly one of them.  So a context builds nothing when it is made
+but checks its type and the cap on |W|: the stratum cone of a parabolic,
+its type cone, is built when a point asks for it, the charts when a point
+is evaluated, and the whole prefan only when something reads it (limit
+points, the renderer).  A point command at rank 7 or 8 then builds one
+stratum cone and the charts of type t, not every relevant orbit.
 """
 
 from __future__ import annotations
@@ -117,16 +125,51 @@ def tropical_product(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPo
 # context and points
 
 
-class ApartmentContext(NamedTuple):
-    """A root datum with a fixed type: the stratifying prefan (one cone per
-    relevant parabolic, aligned index-wise), and one big-cell chart per
-    type-t parabolic, carrying its generator roots."""
+class ApartmentContext(root_data._Record):
+    """A root datum with a fixed type t; contexts are equal when their
+    datum and type are.  Built on first read: the stratifying prefan (one
+    cone per t-relevant parabolic, aligned index-wise with parabolics), the
+    big-cell charts (one per type-t parabolic, in ShortLex order over W^t,
+    with its generator roots), and the stratum cone of each parabolic asked
+    about.  Those cones live in one table keyed by parabolic members, which
+    the prefan fills whole when it is built.  Each lazy entry is computed
+    in full before one assignment stores it, so threads may share a
+    context."""
 
-    datum: RootDatum
-    type_label: TypeLabel
-    prefan: Prefan
-    parabolics: Tuple[ParabolicSet, ...]
-    charts: Tuple[Tuple[ParabolicSet, Tuple[IntVector, ...]], ...]
+    __slots__ = ("datum", "type_label", "_strata", "_charts", "_cones")
+
+    def __init__(self, datum: RootDatum, type_label: TypeLabel):
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "type_label", type_label)
+        object.__setattr__(self, "_strata", None)
+        object.__setattr__(self, "_charts", None)
+        object.__setattr__(self, "_cones", {})
+
+    def _built_strata(self) -> Tuple[Prefan, Tuple[ParabolicSet, ...]]:
+        strata = self._strata
+        if strata is None:
+            family = type_geometry.type_cone_orbits(self.datum, self.type_label)
+            strata = (polyfan.make_prefan(family.cones), family.parabolics)
+            self._cones.update(zip((q.members for q in strata[1]), strata[0].cones))
+            object.__setattr__(self, "_strata", strata)
+        return strata
+
+    @property
+    def prefan(self) -> Prefan:
+        return self._built_strata()[0]
+
+    @property
+    def parabolics(self) -> Tuple[ParabolicSet, ...]:
+        return self._built_strata()[1]
+
+    @property
+    def charts(self) -> Tuple[Tuple[ParabolicSet, Tuple[IntVector, ...]], ...]:
+        charts = self._charts
+        if charts is None:
+            orbit = root_data.parabolics_of(self.datum, (self.type_label,))
+            charts = tuple((p, chart_generators(p)) for p in orbit)
+            object.__setattr__(self, "_charts", charts)
+        return charts
 
 
 def chart_generators(p: ParabolicSet) -> Tuple[IntVector, ...]:
@@ -136,16 +179,11 @@ def chart_generators(p: ParabolicSet) -> Tuple[IntVector, ...]:
 
 
 def make_context(datum: RootDatum, t: Iterable[int]) -> ApartmentContext:
+    """The context of type t, with the type and the cap on |W| checked now,
+    before anything is built."""
     label = type_geometry._check_type(datum, frozenset(t))
-    strata = type_geometry.type_cone_orbits(datum, label)
-    charts = tuple((p, chart_generators(p)) for p in root_data.parabolics_of(datum, (label,)))
-    return ApartmentContext(
-        datum=datum,
-        type_label=label,
-        prefan=polyfan.make_prefan(strata.cones),
-        parabolics=strata.parabolics,
-        charts=charts,
-    )
+    root_data.DatumTables.of(datum).within_cap(datum)
+    return ApartmentContext(datum, label)
 
 
 class CompactApartmentPoint(NamedTuple):
@@ -157,13 +195,18 @@ class CompactApartmentPoint(NamedTuple):
 
 
 def _cone_of(ctx: ApartmentContext, q: ParabolicSet) -> Cone:
-    for p2, c in zip(ctx.parabolics, ctx.prefan.cones):
-        if p2.members == q.members:
-            return c
-    raise ValidationError(
-        f"parabolic {root_data.parabolic_name(q)} does not index a stratum of"
-        f" type {root_data.type_name(ctx.type_label)} (not relevant)"
-    )
+    """The stratum cone of q, the type cone of q when q is a t-relevant
+    parabolic of the context's datum: the cone the prefan holds for q."""
+    cone = ctx._cones.get(q.members)
+    if cone is None:
+        t = ctx.type_label
+        if q.datum != ctx.datum or not type_geometry.is_relevant(q, t):
+            raise ValidationError(
+                f"parabolic {root_data.parabolic_name(q)} does not index a stratum of"
+                f" type {root_data.type_name(t)} (not relevant)"
+            )
+        cone = ctx._cones[q.members] = type_geometry.type_cone(q, t).cone
+    return cone
 
 
 def interior_point(ctx: ApartmentContext, u: Sequence) -> CompactApartmentPoint:

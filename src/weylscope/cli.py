@@ -183,9 +183,11 @@ def _parse_word(text: Optional[str]) -> Tuple[int, ...]:
 
 
 def _parabolic_from_parts(
-    datum: RootDatum, label_text: str, word_text: Optional[str]
+    datum: RootDatum, label_text: str, word_text: Optional[str], flag: str
 ) -> ParabolicSet:
-    label = _parse_type(label_text, datum, "--label")
+    """w^{-1}·P_Y for the label Y and the word of w; flag names where the
+    label came from in an error."""
+    label = _parse_type(label_text, datum, flag)
     std = root_data.standard_parabolic(datum, label)
     word = _parse_word(word_text)
     if not word:
@@ -632,4 +634,7 @@ def _discard_stdout() -> None:
 
 
 if __name__ == "__main__":
+    # Run as `python -m weylscope.cli`: cli_cones and cli_points import
+    # weylscope.cli, and must find this module rather than compile a second.
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

@@ -147,7 +147,7 @@ def _cmd_prefan(args) -> int:
 def _cmd_cone(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    q = _parabolic_from_parts(datum, args.label, args.word)
+    q = _parabolic_from_parts(datum, args.label, args.word, "--label")
     if args.kind == "weyl":
         cone = type_geometry.weyl_cone(q)
         extra = {}

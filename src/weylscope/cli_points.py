@@ -68,14 +68,14 @@ def _parse_vector(text: str, rank: int, flag: str) -> Tuple[Fraction, ...]:
 def _parabolic_from_json(datum: RootDatum, obj, where: str) -> ParabolicSet:
     if isinstance(obj, list):
         names = ",".join(str(x) for x in obj)
-        return _parabolic_from_parts(datum, names, None)
+        return _parabolic_from_parts(datum, names, None, f"{where}: stratum")
     if isinstance(obj, dict) and "label" in obj:
         label, word = obj["label"], obj.get("word", [])
         if not isinstance(label, list) or not isinstance(word, list):
             raise ValidationError(f'{where}: "label" and "word" must be lists')
         names = ",".join(str(x) for x in label)
         word_text = ",".join(str(_require_int(x, f"{where}: word")) for x in word)
-        return _parabolic_from_parts(datum, names, word_text)
+        return _parabolic_from_parts(datum, names, word_text, f"{where}: stratum")
     raise ValidationError(f"{where}: expected a label list or a label/word object")
 
 
@@ -108,7 +108,7 @@ def _point_from_args(ctx: apartment.ApartmentContext, args) -> apartment.Compact
     if args.interior is not None:
         u = _parse_vector(args.interior, datum.rank, "--interior")
         return apartment.interior_point(ctx, u)
-    q = _parabolic_from_parts(datum, args.stratum, args.word)
+    q = _parabolic_from_parts(datum, args.stratum, args.word, "--stratum")
     if args.residual is not None:
         u = _parse_vector(args.residual, datum.rank, "--residual")
     else:

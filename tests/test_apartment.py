@@ -4,6 +4,8 @@ and stabilizer profiles."""
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -524,3 +526,106 @@ def test_determinism_of_context_and_stratum():
     x1 = limit_point(ctx1, (1, 2), (0, -1))
     x2 = limit_point(ctx2, (1, 2), (0, -1))
     assert x1.point == x2.point
+
+
+# ---------------------------------------------------------------------------
+# lazy contexts
+
+_RANK_AT_MOST_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "A1xA1")
+
+
+@pytest.mark.parametrize("name", _RANK_AT_MOST_4)
+def test_a_stratum_cone_is_the_prefan_cone_before_and_after_the_prefan_is_built(
+    monkeypatch, name
+):
+    """On fresh tables, the cone _cone_of builds for a relevant parabolic,
+    before anything else of the context is built, is the prefan's cone at
+    the parabolic's index; once the prefan is built, _cone_of reads it.
+    The parabolics come from another table, so that the standard position
+    of each is found by descent, as for a parabolic read off a command
+    line."""
+    datum = build_named(name)
+    for t in oracles.all_type_labels(datum.rank):
+        monkeypatch.setitem(root_data._TABLES, datum, root_data.DatumTables(datum))
+        parabolics = root_data.parabolics_of(datum, root_data.relevant_labels(datum, t))
+        monkeypatch.setitem(root_data._TABLES, datum, root_data.DatumTables(datum))
+        lazy = make_context(datum, t)
+        before = [apartment._cone_of(lazy, q) for q in parabolics]
+        assert root_data.DatumTables.of(datum).orbits == {}
+        assert lazy.parabolics == parabolics and before == list(lazy.prefan.cones)
+        built = make_context(datum, t)
+        cones = built.prefan.cones
+        assert [apartment._cone_of(built, q) for q in parabolics] == list(cones)
+
+
+def test_a_parabolic_that_indexes_no_stratum_fails_with_one_text():
+    """Neither a parabolic that is not relevant nor one of another datum
+    indexes a stratum, whether or not the prefan has been built."""
+    ctx = _ctx("A3", {0})
+    a3 = standard_parabolic(ctx.datum, (2,))
+    b3 = build_named("B3")
+    cases = [
+        (a3, r"\{a3\}"),
+        (root_data.act(root_data.element_of_word(ctx.datum, (1,)), a3), r"\{a3\} w=s2"),
+        (standard_parabolic(b3, (0, 1, 2)), r"\{a1,a2,a3\}"),
+        (standard_parabolic(b3, (0,)), r"\{a1\}"),
+    ]
+    for fresh in (True, False):
+        if not fresh:
+            assert len(ctx.prefan.cones) == len(ctx.parabolics) > 0
+        for q, name in cases:
+            text = rf"^parabolic {name} does not index a stratum of type \{{a1\}} \(not relevant\)$"
+            with pytest.raises(ValidationError, match=text):
+                stratum_point(ctx, q, (0, 0, 0))
+
+
+def test_threads_sharing_a_fresh_context_get_the_single_thread_results(monkeypatch):
+    """Eight threads evaluate the same points on one context built on a
+    fresh table, each starting at another point, while the interpreter
+    switches threads as often as it can: the results are those of one
+    thread on a context of its own."""
+    datum = build_named("B3")
+    t = frozenset({0})
+    rng = random.Random(53)
+    strata = root_data.parabolics_of(datum, root_data.relevant_labels(datum, t))
+    cases = [
+        (q, tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)))
+        for q in rng.sample(strata, 16)
+    ]
+    poly = make_polynomial([({0: 1, 2: 1}, 1), ({1: 2}, Fraction(-1, 2))])
+
+    def evaluate(ctx, k):
+        q, residual = cases[k]
+        x = stratum_point(ctx, q, residual)
+        p, _, _ = apartment._accepting_chart(ctx, x)
+        ray = limit_point(ctx, residual, polyfan.relative_interior_point(x.point.stratum))
+        return x, seminorm_eval(ctx, x, poly, p), stabilizer_profile(ctx, x), ray
+
+    def tables_and_context():
+        monkeypatch.setitem(root_data._TABLES, datum, root_data.DatumTables(datum))
+        return make_context(datum, t)
+
+    own = tables_and_context()
+    expected = [evaluate(own, k) for k in range(len(cases))]
+    shared = tables_and_context()
+    results = [{} for _ in range(8)]
+
+    def worker(i):
+        for j in range(len(cases)):
+            k = (i * 2 + j) % len(cases)
+            results[i][k] = evaluate(shared, k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got in results:
+        assert [got.get(k) for k in range(len(cases))] == expected
+    assert shared.charts == own.charts and shared.prefan == own.prefan

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import oracles
 import weylscope
-from weylscope import cli
+from weylscope import cli, root_data
 from weylscope.root_data import build_named
 
 
@@ -576,9 +576,7 @@ def test_default_cap_trips_fast_on_high_rank(tmp_path, argv, expected):
     assert after.ru_utime - before.ru_utime < 3
 
 
-def test_e7_runs_without_listing_its_weyl_group(tmp_path):
-    # |W(E7)| = 2,903,040: a listing of W would need minutes and gigabytes,
-    # but the relevant labels and |W| come from the roots alone.
+def _e7_datum_file(tmp_path):
     rank = 7
     cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     # Bourbaki numbering: the chain a1-a3-a4-a5-a6-a7, with a2 on a4.
@@ -586,18 +584,50 @@ def test_e7_runs_without_listing_its_weyl_group(tmp_path):
         cartan[i][j] = cartan[j][i] = -1
     f = tmp_path / "e7.json"
     f.write_text(json.dumps({"rank": rank, "cartan": cartan}))
+    return f
+
+
+def _timed_child(*argv):
+    """_run_child, and the CPU seconds the child took."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = _run_child(*argv)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return proc, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+
+
+def test_e7_runs_without_listing_its_weyl_group(tmp_path):
+    # |W(E7)| = 2,903,040: a listing of W would need minutes and gigabytes,
+    # but the relevant labels and |W| come from the roots alone.
+    f = _e7_datum_file(tmp_path)
     for argv in (("relevant", "--type", "a1"), ("datum-info",)):
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        proc = _run_child(*argv, "--datum-file", str(f), "--cap", "2903040")
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc, cpu = _timed_child(*argv, "--datum-file", str(f), "--cap", "2903040")
         assert proc.returncode == 0, proc.stderr
-        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
         assert cpu < 3
         if argv[0] == "datum-info":
             assert json.loads(proc.stdout[proc.stdout.index("{"):])["weyl_order"] == 2903040
         proc = _run_child(*argv, "--datum-file", str(f))
         assert proc.returncode == 3
         assert "exceeded cap 1152 at 1153 elements" in proc.stderr
+
+
+def test_e7_point_commands_build_one_stratum_and_the_charts_of_their_type(tmp_path):
+    # A point reads one stratum cone and, to be evaluated, the 56 charts of
+    # type {a1,...,a6}; the 33,771 parabolics of the ten relevant orbits
+    # are never built.
+    f = _e7_datum_file(tmp_path)
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps([{"exponents": {"0": 1, "3": 2}, "log_coeff": "1/2"}]))
+    where = ("--datum-file", str(f), "--cap", "2903040", "--type", "a1,a2,a3,a4,a5,a6")
+    for argv in (
+        ("stabilizer", "--interior=-1,-2,0,1,-3,2,1"),
+        ("stabilizer", "--stratum", "a2,a3,a4,a5,a6,a7", "--word", "7,6",
+         "--residual=1,0,0,0,0,0,2"),
+        ("seminorm", "--poly", str(poly), "--interior=-1,-2,0,1,-3,2,1"),
+        ("project", "--to-type", "a1,a2,a3,a4,a5,a6,a7", "--interior=-1,-2,0,1,-3,2,1"),
+    ):
+        proc, cpu = _timed_child(*argv, *where)
+        assert proc.returncode == 0, proc.stderr
+        assert cpu < 1, argv
 
 
 def test_a_long_word_is_multiplied_out_and_named_once(tmp_path, capsys):
@@ -923,6 +953,60 @@ def test_errors_name_the_parabolic_and_the_type(capsys):
         assert code == 2 and out == ""
         assert err == f"error: parabolic {name} does not index a stratum of type {{a1}}" \
             " (not relevant)\n"
+
+
+def test_a_stabilizer_builds_only_the_orbit_of_its_type(capsys, monkeypatch):
+    """On a fresh A5 table, stabilizer at type {a1,a2} builds one stratum
+    cone and the charts of its type: the orbit of {a1,a2} and no other,
+    for an interior point and for a conjugated stratum."""
+    datum = build_named("A5")
+    for point in (
+        ("--interior=-1,2,0,-3,1",),
+        ("--stratum", "a1,a2,a4", "--word", "3", "--residual", "0,1,0,2,0"),
+    ):
+        tables = root_data.DatumTables(datum)
+        monkeypatch.setitem(root_data._TABLES, datum, tables)
+        code, _, err = _run(capsys, "stabilizer", "--datum", "A5", "--type", "a1,a2", *point)
+        assert code == 0, err
+        assert list(tables.orbits) == [frozenset({0, 1})]
+
+
+def test_a_bad_stratum_token_names_the_flag_it_came_from(tmp_path, capsys):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"stratum": ["a1", "-"]}))
+    where = ("--datum", "A3", "--type", "a1")
+    assert _run(capsys, "stabilizer", *where, "--stratum", "-") == (
+        2, "", "error: --stratum: bad simple-root token '-'\n"
+    )
+    assert _run(capsys, "stabilizer", *where, "--point-file", str(point)) == (
+        2, "", f"error: {point}: stratum: bad simple-root token '-'\n"
+    )
+    assert _run(capsys, "cone", *where, "--label", "-") == (
+        2, "", "error: --label: bad simple-root token '-'\n"
+    )
+
+
+def test_python_m_compiles_cli_once():
+    """Run as `python -m weylscope.cli`, the module is weylscope.cli for the
+    command modules that import it, so no second copy of it is imported,
+    and the command says what the console script says."""
+    pinned = next(a for a in _PINNED_REPORTS if a[0] == "stabilizer")
+    for argv in (pinned, ("stabilizer", "--datum", "A3", "--type", "a1", "--stratum", "a3")):
+        timed = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "weylscope.cli", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=30,
+        )
+        imports = [line for line in timed.stderr.splitlines() if line.startswith("import time:")]
+        assert imports and not any(line.endswith("| weylscope.cli") for line in imports)
+        script = "import sys; from weylscope import cli; sys.exit(cli.main())"
+        plain = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=30,
+        )
+        errors = [line for line in timed.stderr.splitlines() if line not in imports]
+        assert (timed.returncode, timed.stdout, errors) == (
+            plain.returncode, plain.stdout, plain.stderr.splitlines()
+        ), argv
 
 
 # Small JSON values, nested at most three deep with at most four entries per

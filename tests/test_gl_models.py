@@ -227,7 +227,8 @@ def test_residual_rank_matches_quotient_dimension():
 
 
 def test_a5_context_builds_only_the_orbits_it_indexes(monkeypatch):
-    """gl_context(5) on a fresh A5 table builds the orbits of its relevant
+    """gl_context(5) on a fresh A5 table builds no orbit until its
+    parabolics are read; reading them builds the orbits of its relevant
     labels (its chart label among them) and no other: 63 of the 4,683
     parabolics.  Standard positions are known for those and for the
     standard parabolics that relevancy reads."""
@@ -235,6 +236,8 @@ def test_a5_context_builds_only_the_orbits_it_indexes(monkeypatch):
     tables = root_data.DatumTables(datum)
     monkeypatch.setitem(root_data._TABLES, datum, tables)
     ctx = gl_context.__wrapped__(5)
+    assert tables.orbits == {} and tables.positions == {}
+    assert len(ctx.parabolics) == 63
     labels = type_geometry.relevant_labels(datum, hyperplane_type(5))
     assert set(tables.orbits) == set(labels)
     assert hyperplane_type(5) in tables.orbits

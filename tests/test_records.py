@@ -87,6 +87,22 @@ def test_root_datum_equality_and_hash_ignore_the_name():
     assert pickle.loads(pickle.dumps(named)).name == "A1"
 
 
+def test_a_context_is_its_datum_and_type_whatever_it_has_built():
+    datum = root_data.build_named("A2")
+    built = apartment.make_context(datum, {0})
+    assert built.prefan and built.charts
+    fresh = apartment.make_context(datum, {0})
+    assert built == fresh and hash(built) == hash(fresh) == hash((datum, frozenset({0})))
+    assert built != apartment.make_context(datum, {1})
+    assert repr(fresh) == f"ApartmentContext(datum={datum!r}, type_label=frozenset({{0}}))"
+    for slot in apartment.ApartmentContext.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(built, slot, None)
+        with pytest.raises(AttributeError):
+            delattr(built, slot)
+    assert pickle.loads(pickle.dumps(built)).prefan == built.prefan
+
+
 def test_monomials_sort_by_exponents_then_coefficient_then_character():
     mono = apartment.make_monomial
     ms = [mono({0: 1}, 0), mono({0: 1}, -1), mono({}, 5), mono({0: 1, 1: 1}, 0),
