@@ -11,9 +11,11 @@ The boundary strata are indexed by the t-relevant parabolics, and a point
 lies on exactly one of them.  So a context builds nothing when it is made
 but checks its type and the cap on |W|: the stratum cone of a parabolic,
 its type cone, is built when a point asks for it, the charts when a point
-is evaluated, and the whole prefan only when something reads it (limit
-points, the renderer).  A point command at rank 7 or 8 then builds one
-stratum cone and the charts of type t, not every relevant orbit.
+is evaluated, and the whole prefan only when something reads it (the
+renderer).  A ray limit reads its stratum off the parabolic of its
+direction by Dynkin combinatorics, with no search over the prefan.  A
+point command at rank 7 or 8 then builds one stratum cone and the charts
+of type t, not every relevant orbit.
 """
 
 from __future__ import annotations
@@ -226,16 +228,28 @@ def limit_point(
     ctx: ApartmentContext, u0: Sequence, v: Sequence
 ) -> CompactApartmentPoint:
     """Limit of the ray u0 + n*v: the stratum whose cone holds v in its
-    relative interior, with residual the class of u0.  Only signs of
-    pairings with v decide that, so v is scaled to integers once."""
-    vv = linalg.integer_row(v)
-    for q, c in zip(ctx.parabolics, ctx.prefan.cones):
-        if polyfan.in_relative_interior(c, vv):
-            return CompactApartmentPoint(
-                point=BoundaryPoint(stratum=c, residual=linalg.vec(u0)),
-                stratum_parabolic=q,
+    relative interior, with residual the class of u0.
+
+    The roots r with <v, r> >= 0 form a parabolic P_v, and v lies in the
+    relative interior of its Weyl cone: v vanishes on the Levi roots of P_v
+    and is positive on its unipotent radical (Humphreys 1990, §1.12).  The
+    type-t cones are unions of Weyl cones, and the one holding the relative
+    interior of the Weyl cone of P_v in its own is the stratum cone of the
+    minimal t-relevant parabolic over P_v.  Only signs of pairings with v
+    decide P_v, so v is scaled to integers once."""
+    datum = ctx.datum
+    for name, vector in (("u0", u0), ("v", v)):
+        if len(vector) != datum.rank:
+            raise ValidationError(
+                f"{name} has length {len(vector)}, expected the rank {datum.rank}"
             )
-    raise ValidationError("direction lies in no stratum cone; prefan does not cover it")
+    vv = linalg.integer_row(v)
+    p_v = ParabolicSet(datum, frozenset(r for r in datum.roots if linalg.dot(vv, r) >= 0))
+    q = type_geometry.minimal_relevant(p_v, ctx.type_label)
+    return CompactApartmentPoint(
+        point=BoundaryPoint(stratum=_cone_of(ctx, q), residual=linalg.vec(u0)),
+        stratum_parabolic=q,
+    )
 
 
 def translate_point(

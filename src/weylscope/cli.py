@@ -427,12 +427,12 @@ def _cmd_relevant(args) -> int:
 
 def _lazy_command(module: str, name: str) -> Callable[[argparse.Namespace], int]:
     """The handler `name` of weylscope.<module>, which is imported only when
-    one of that module's commands runs."""
+    one of that module's commands runs.  The import goes through
+    __import__, as an import statement does, so that `python -X importtime`
+    lists the module (importlib.import_module bypasses what it times)."""
 
     def run(args: argparse.Namespace) -> int:
-        from importlib import import_module
-
-        return getattr(import_module(f".{module}", __package__), name)(args)
+        return getattr(__import__(f"{__package__}.{module}", fromlist=(name,)), name)(args)
 
     return run
 

@@ -131,7 +131,14 @@ def is_relevant(q: ParabolicSet, t: TypeLabel) -> bool:
 
 
 def minimal_relevant(q: ParabolicSet, t: TypeLabel) -> ParabolicSet:
-    return relevance_report(q, t).minimal_relevant
+    """The minimal t-relevant parabolic over q, as relevance_report names
+    it, without the rest of the report: w^{-1}·P_{Y ∪ F}, where (w, Y) is
+    the standard position of q and F the t-letters orthogonal to the
+    active components of Y."""
+    datum = q.datum
+    w, y = root_data.standard_position(q)
+    _, forced = _label_relevance(datum, y, _check_type(datum, t))
+    return root_data.act(root_data.inverse(datum, w), root_data.standard_parabolic(datum, y | forced))
 
 
 def span_equalities(q: ParabolicSet, t: TypeLabel) -> Tuple[IntVector, ...]:

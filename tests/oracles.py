@@ -519,6 +519,16 @@ def scanned_stratum(ctx, x):
     return matches[0]
 
 
+def scanned_limit(ctx, u0, v):
+    """The limit of the ray u0 + n*v as a scan finds it: the first cone of
+    the context's prefan holding v in its relative interior, with its
+    parabolic, and the residual class of u0."""
+    for q, cone in zip(ctx.parabolics, ctx.prefan.cones):
+        if polyfan.in_relative_interior(cone, v):
+            return q, polyfan.BoundaryPoint(stratum=cone, residual=linalg.vec(u0))
+    raise AssertionError("direction lies in no stratum cone; prefan does not cover it")
+
+
 # ---------------------------------------------------------------------------
 # points: the membership tests that polyfan ran in Fraction arithmetic before
 # it cleared the point's denominators, kept to check its integer sign tests.

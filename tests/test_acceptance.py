@@ -269,6 +269,10 @@ def test_criterion_07_weyl_directed_rays_converge_to_their_stratum():
                 lim = apartment.limit_point(ctx, u0, v)
                 assert lim.stratum_parabolic.members == target.members
                 assert lim.point == apartment.stratum_point(ctx, target, u0).point
+                # The geometry, not the formula: the prefan cone holding v
+                # in its relative interior, found by scanning the prefan.
+                scanned, point = oracles.scanned_limit(ctx, u0, v)
+                assert scanned.members == target.members and point == lim.point
     _budget(started, 10.0)
 
 

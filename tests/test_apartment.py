@@ -47,6 +47,9 @@ def _ctx(name: str, t):
     return make_context(build_named(name), t)
 
 
+_RANK_AT_MOST_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "A1xA1")
+
+
 def _random_poly(rng: random.Random, n_gens: int, characters: int = 0):
     monomials = []
     for _ in range(rng.randint(1, 4)):
@@ -315,13 +318,71 @@ def test_limit_point_takes_the_first_cone_holding_the_direction():
         u0 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(2))
         v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(2))
         x = limit_point(ctx, u0, v)
-        k = next(
-            k for k, c in enumerate(ctx.prefan.cones) if polyfan.in_relative_interior(c, v)
-        )
-        stratum = ctx.prefan.cones[k]
-        assert x.point.stratum == stratum
+        q, point = oracles.scanned_limit(ctx, u0, v)
+        k = ctx.parabolics.index(q)
+        assert x.point.stratum == ctx.prefan.cones[k]
         assert x.stratum_parabolic == ctx.parabolics[k]
-        assert x.point.residual == polyfan.BoundaryPoint(stratum, u0).residual
+        assert x.point == point
+
+
+def _limit_directions(rng, datum, count):
+    """Directions of every kind a ray limit meets: integer, rational and
+    zero, and the relative interior point of the Weyl cone of a random
+    parabolic, which lies on a wall of the Weyl fan unless the parabolic
+    is a Borel."""
+    n = datum.rank
+    directions = [(0,) * n]
+    directions += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(count)]
+    directions += [
+        tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+        for _ in range(count)
+    ]
+    parabolics = root_data.all_parabolics(datum)
+    directions += [
+        polyfan.relative_interior_point(type_geometry.weyl_cone(rng.choice(parabolics)))
+        for _ in range(2 * count)
+    ]
+    return directions
+
+
+@pytest.mark.parametrize("name", _RANK_AT_MOST_4 + ("F4",))
+def test_limit_point_agrees_with_the_scan_and_builds_no_prefan(name):
+    """On every type, limit_point lands where the scan over the prefan
+    lands, parabolic, cone and point, while a fresh context's prefan stays
+    unbuilt.  Beyond the random directions, walls of the prefan itself:
+    sums of some rays of one of its cones, plus its lineality."""
+    datum = build_named(name)
+    rng = random.Random(f"limit {name}")
+    count = 2 if name == "F4" else 4
+    for t in oracles.all_type_labels(datum.rank):
+        ctx = make_context(datum, t)
+        cases = [
+            (tuple(rng.randint(-4, 4) for _ in range(datum.rank)), v)
+            for v in _limit_directions(rng, datum, count)
+        ]
+        limits = [limit_point(ctx, u0, v) for u0, v in cases]
+        assert ctx._strata is None
+        for _ in range(2 * count):
+            lin, rays = polyfan.generators(rng.choice(ctx.prefan.cones))
+            chosen = [r for r in rays if rng.random() < 0.5] + list(lin)
+            v = tuple(sum(g[i] for g in chosen) for i in range(datum.rank))
+            u0 = tuple(rng.randint(-4, 4) for _ in range(datum.rank))
+            cases.append((u0, v))
+            limits.append(limit_point(ctx, u0, v))
+        for (u0, v), x in zip(cases, limits):
+            q, point = oracles.scanned_limit(ctx, u0, v)
+            assert x.stratum_parabolic.members == q.members, (t, v)
+            assert x.point == point, (t, v)  # the stratum cone and the residual
+
+
+@pytest.mark.parametrize("which", ["u0", "v"])
+def test_limit_point_checks_the_length_of_both_vectors(which):
+    ctx = _ctx("A3", {0})
+    for length in (2, 4):
+        vectors = {"u0": (1, 2, 3), "v": (0, -1, 1), which: tuple(range(1, length + 1))}
+        text = rf"^{which} has length {length}, expected the rank 3$"
+        with pytest.raises(ValidationError, match=text):
+            limit_point(ctx, vectors["u0"], vectors["v"])
 
 
 def test_limit_and_translate_point_on_the_quadrant_fan():
@@ -477,6 +538,42 @@ def test_limit_commutes_with_translate(data):
     assert limit_point(ctx, shifted, v) == translate_point(ctx, limit_point(ctx, u0, v), w)
 
 
+_NESTED_TYPES = tuple(
+    (name, t, t2)
+    for name in ("A2", "B2", "G2", "A3", "B3", "C3", "D4")
+    for t in oracles.all_type_labels(build_named(name).rank)
+    for t2 in oracles.all_type_labels(build_named(name).rank)
+    if t <= t2
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_limit_commutes_with_project(data):
+    """For t inside t', projecting the limit of type t to t' gives the
+    limit of type t': the minimal t'-relevant parabolic over the minimal
+    t-relevant one over P_v is the minimal t'-relevant one over P_v, and
+    both sides keep the class of u0 modulo the same span.  Half the
+    directions are sums of rays of one type-t cone, so that they fall on
+    walls."""
+    name, t, t2 = data.draw(st.sampled_from(_NESTED_TYPES))
+    ctx, ctx2 = _cached_ctx(name, t), _cached_ctx(name, t2)
+    n = ctx.datum.rank
+    vector = st.lists(_coordinates, min_size=n, max_size=n)
+    u0 = data.draw(vector)
+    if data.draw(st.booleans()):
+        v = data.draw(vector)
+    else:
+        lin, rays = polyfan.generators(data.draw(st.sampled_from(ctx.prefan.cones)))
+        weights = [data.draw(st.integers(0, 3)) for _ in rays]
+        weights += [data.draw(st.integers(-2, 2)) for _ in lin]
+        v = [sum(k * g[i] for k, g in zip(weights, rays + lin)) for i in range(n)]
+    projected = project(ctx, limit_point(ctx, u0, v), t2)
+    direct = limit_point(ctx2, u0, v)
+    assert projected.stratum_parabolic.members == direct.stratum_parabolic.members
+    assert projected.point == direct.point
+
+
 # ---------------------------------------------------------------------------
 # stabilizers
 
@@ -530,8 +627,6 @@ def test_determinism_of_context_and_stratum():
 
 # ---------------------------------------------------------------------------
 # lazy contexts
-
-_RANK_AT_MOST_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "A1xA1")
 
 
 @pytest.mark.parametrize("name", _RANK_AT_MOST_4)

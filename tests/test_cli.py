@@ -630,6 +630,19 @@ def test_e7_point_commands_build_one_stratum_and_the_charts_of_their_type(tmp_pa
         assert cpu < 1, argv
 
 
+def test_e7_limit_builds_one_stratum_at_small_types(tmp_path):
+    # The stratum of a ray limit is read off the parabolic of its direction,
+    # so no relevant orbit is built; at type {a1} the prefan would hold a
+    # cone for every parabolic of most orbits of W(E7).
+    f = _e7_datum_file(tmp_path)
+    for t in ("a1", "a1,a2,a3"):
+        for v in ("--v=1,-2,3,0,-1,2,-3", "--v=0,0,0,0,0,0,0", "--v=1,0,0,-1/2,0,0,0"):
+            argv = ("limit", "--datum-file", str(f), "--cap", "2903040", "--type", t)
+            proc, cpu = _timed_child(*argv, "--u0=1,2,3,4,5,6,7", v)
+            assert proc.returncode == 0, proc.stderr
+            assert cpu < 1, (t, v)
+
+
 def test_a_long_word_is_multiplied_out_and_named_once(tmp_path, capsys):
     # s_i s_i = 1, so pairs spliced into a reduced word leave its element.
     longest = oracles.matrix_weyl_group(build_named("B3"), 48)[0][-1]
@@ -1007,6 +1020,22 @@ def test_python_m_compiles_cli_once():
         assert (timed.returncode, timed.stdout, errors) == (
             plain.returncode, plain.stdout, plain.stderr.splitlines()
         ), argv
+
+
+def test_importtime_lists_the_command_module_a_command_loads():
+    """A point or cone command imports its module the way an import
+    statement does, so `python -X importtime` times it as it times every
+    other import."""
+    for argv, module in (
+        (("limit", "--datum", "A2", "--type", "a1", "--u0=1,2", "--v=0,-1"), "weylscope.cli_points"),
+        (("fan", "--datum", "A2"), "weylscope.cli_cones"),
+    ):
+        timed = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "weylscope.cli", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=30,
+        )
+        assert timed.returncode == 0, timed.stderr
+        assert any(line.endswith(f"| {module}") for line in timed.stderr.splitlines()), argv
 
 
 # Small JSON values, nested at most three deep with at most four entries per
