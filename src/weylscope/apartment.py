@@ -183,7 +183,7 @@ def chart_generators(p: ParabolicSet) -> Tuple[IntVector, ...]:
 def make_context(datum: RootDatum, t: Iterable[int]) -> ApartmentContext:
     """The context of type t, with the type and the cap on |W| checked now,
     before anything is built."""
-    label = type_geometry._check_type(datum, frozenset(t))
+    label = root_data._check_type(datum, frozenset(t))
     root_data.DatumTables.of(datum).within_cap(datum)
     return ApartmentContext(datum, label)
 
@@ -211,13 +211,23 @@ def _cone_of(ctx: ApartmentContext, q: ParabolicSet) -> Cone:
     return cone
 
 
+def _check_length(ctx: ApartmentContext, name: str, vector: Sequence) -> None:
+    """Refuse a vector whose length is not the rank, naming it."""
+    if len(vector) != ctx.datum.rank:
+        raise ValidationError(
+            f"{name} has length {len(vector)}, expected the rank {ctx.datum.rank}"
+        )
+
+
 def interior_point(ctx: ApartmentContext, u: Sequence) -> CompactApartmentPoint:
+    _check_length(ctx, "u", u)
     return stratum_point(ctx, root_data.standard_parabolic(ctx.datum, range(ctx.datum.rank)), u)
 
 
 def stratum_point(
     ctx: ApartmentContext, q: ParabolicSet, residual: Sequence
 ) -> CompactApartmentPoint:
+    _check_length(ctx, "residual", residual)
     return CompactApartmentPoint(
         point=BoundaryPoint(stratum=_cone_of(ctx, q), residual=linalg.vec(residual)),
         stratum_parabolic=q,
@@ -239,10 +249,7 @@ def limit_point(
     decide P_v, so v is scaled to integers once."""
     datum = ctx.datum
     for name, vector in (("u0", u0), ("v", v)):
-        if len(vector) != datum.rank:
-            raise ValidationError(
-                f"{name} has length {len(vector)}, expected the rank {datum.rank}"
-            )
+        _check_length(ctx, name, vector)
     vv = linalg.integer_row(v)
     p_v = ParabolicSet(datum, frozenset(r for r in datum.roots if linalg.dot(vv, r) >= 0))
     q = type_geometry.minimal_relevant(p_v, ctx.type_label)
@@ -255,6 +262,7 @@ def limit_point(
 def translate_point(
     ctx: ApartmentContext, x: CompactApartmentPoint, w: Sequence
 ) -> CompactApartmentPoint:
+    _check_length(ctx, "w", w)
     return CompactApartmentPoint(
         point=polyfan.translate(x.point, w), stratum_parabolic=x.stratum_parabolic
     )
@@ -423,17 +431,16 @@ def stratum_apartment(
     """Residual datum = Cartan submatrix over the active components; the
     extraction roots are the conjugated simple roots of the active part,
     which vanish on the stratum span and so descend to residual classes."""
-    rep = type_geometry.relevance_report(q, ctx.type_label)
-    if not rep.is_relevant:
+    w, y, components, forced = type_geometry._relevance(q, ctx.type_label)
+    if not forced <= y:
         raise ValidationError(
             f"parabolic {root_data.parabolic_name(q)} is not relevant for type"
             f" {root_data.type_name(ctx.type_label)}"
         )
     datum = ctx.datum
-    active = tuple(sorted(rep.active_components))
+    active = tuple(sorted(components))
     sub = [[datum.cartan[i][j] for j in active] for i in active]
     residual = root_data.build_from_cartan(sub)
-    w, _ = root_data.standard_position(q)
     columns = tuple(zip(*root_data.inverse(datum, w).matrix))
     extraction = tuple(columns[i] for i in active)
     return StratumApartment(
@@ -468,7 +475,7 @@ def project(
     """Coarsen the point from the context type t to a larger type: the new
     stratum is the minimal t'-relevant parabolic over the current stratum,
     and the residual class is carried along the span inclusion."""
-    new_label = type_geometry._check_type(ctx.datum, frozenset(t_prime))
+    new_label = root_data._check_type(ctx.datum, frozenset(t_prime))
     if not ctx.type_label <= new_label:
         raise ValidationError("type order violated: need the context type inside t'")
     if new_label == ctx.type_label:

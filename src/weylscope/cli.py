@@ -327,7 +327,7 @@ def _parabolic_texts(orbits: Sequence[root_data.Orbit], level: int) -> Iterator[
     and the word that of the standard position the orbit keeps."""
     inner = _newline(level + 1)
     for orbit in orbits:
-        names = [encode_basestring_ascii(n) for n in _type_names(orbit.standard.type_label)]
+        names = [encode_basestring_ascii(n) for n in _type_names(orbit.label)]
         head = "{" + inner + '"label": ' + _scalar_list(names, level + 1) + "," + inner + '"word": '
         tail = _newline(level) + "}"
         for inv in orbit.inverses:

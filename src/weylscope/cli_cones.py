@@ -179,10 +179,9 @@ def _cmd_cone(args) -> int:
         + f"{len(cone.eqs)} equalities"
     ]
     if args.kind == "type":
-        yes = "yes" if extra["is_relevant"] else "no"
+        yes = "yes" if rep.is_relevant else "no"
         summary.append(
-            f"relevant: {yes}; minimal relevant stratum: "
-            f"{parabolic_name(type_geometry.minimal_relevant(q, t))}"
+            f"relevant: {yes}; minimal relevant stratum: {parabolic_name(rep.minimal_relevant)}"
         )
     _emit(args, report, summary)
     return EXIT_OK

@@ -191,8 +191,8 @@ def _cmd_limit(args) -> int:
         v = _parse_vector(args.v, datum.rank, "--v")
     ctx = apartment.make_context(datum, t)
     x = apartment.limit_point(ctx, u0, v)
-    coords = apartment.extract_residual(ctx, x)
     sa = apartment.stratum_apartment(ctx, x.stratum_parabolic)
+    coords = sa.extract(x.point.residual)
     report = {
         "command": "limit",
         "datum": datum.name,

@@ -114,7 +114,8 @@ class WeylElement(NamedTuple):
 
 class _Record:
     """Base of the immutable records that are not NamedTuples, because a
-    field stays out of equality or the record iterates over something else.
+    field stays out of equality, the record iterates over something else,
+    or it must not equal the plain tuple of its fields.
     A subclass lists its fields in __slots__, in constructor order, then
     any slot it derives, named with a leading underscore, and sets each once
     with object.__setattr__.  Equality and hash are those of _key, every
@@ -197,26 +198,14 @@ class RootDatum(_Record):
 
 class ParabolicSet(_Record):
     """A closed generating subset of the roots (a parabolic containing the
-    fixed maximal split torus, identified with its root set).  Equality,
-    hash and repr ignore the type label."""
+    fixed maximal split torus, identified with its root set).  Its type
+    label is that of its standard position."""
 
-    __slots__ = ("datum", "members", "type_label")
+    __slots__ = ("datum", "members")
 
-    def __init__(
-        self,
-        datum: RootDatum,
-        members: FrozenSet[IntVector],
-        type_label: Optional[TypeLabel] = None,
-    ):
+    def __init__(self, datum: RootDatum, members: FrozenSet[IntVector]):
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "type_label", type_label)
-
-    def _key(self):
-        return self.datum, self.members
-
-    def __repr__(self):
-        return f"ParabolicSet(datum={self.datum!r}, members={self.members!r})"
 
 
 _NAMED_CARTAN: Dict[str, IntMatrix] = {}
@@ -342,7 +331,7 @@ def build_named(name: str) -> RootDatum:
 
 
 class Orbit(_Record):
-    """The orbit of the standard parabolic P_Y of a type label: for each
+    """The orbit of the standard parabolic P_Y of the type label Y: for each
     minimal coset representative w, in ShortLex order, the permutation w
     induces on root indices and w^{-1}, the standard position of w·P_Y.
     The parabolics w·P_Y are built from those on first use, which also
@@ -350,9 +339,12 @@ class Orbit(_Record):
     gives them.
     """
 
-    __slots__ = ("standard", "permutations", "inverses", "_parabolics")
+    __slots__ = ("label", "standard", "permutations", "inverses", "_parabolics")
 
-    def __init__(self, standard: ParabolicSet, permutations: tuple, inverses: tuple):
+    def __init__(
+        self, label: TypeLabel, standard: ParabolicSet, permutations: tuple, inverses: tuple
+    ):
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "standard", standard)
         object.__setattr__(self, "permutations", permutations)
         object.__setattr__(self, "inverses", inverses)
@@ -362,13 +354,13 @@ class Orbit(_Record):
     def parabolics(self) -> Tuple[ParabolicSet, ...]:
         parabolics = self._parabolics
         if parabolics is None:
-            datum, y = self.standard.datum, self.standard.type_label
+            datum, y = self.standard.datum, self.label
             tables = DatumTables.of(datum)
             idx = [tables.root_index[r] for r in self.standard.members]
             built = []
             for perm, inv in zip(self.permutations, self.inverses):
                 members = frozenset([datum.roots[perm[i]] for i in idx])
-                built.append(ParabolicSet(datum=datum, members=members, type_label=y))
+                built.append(ParabolicSet(datum=datum, members=members))
                 tables.positions[members] = (inv, y)
             parabolics = tuple(built)
             object.__setattr__(self, "_parabolics", parabolics)
@@ -444,7 +436,7 @@ class DatumTables:
         if std is None:
             negatives = (tuple(-c for c in b) for b in self.subsystem_positive_roots(label))
             members = frozenset(self.datum.positive_roots).union(negatives)
-            std = ParabolicSet(datum=self.datum, members=members, type_label=label)
+            std = ParabolicSet(datum=self.datum, members=members)
             self.standard[label] = std
         return std
 
@@ -589,7 +581,7 @@ def act(w: WeylElement, p: ParabolicSet) -> ParabolicSet:
         raise ValidationError(f"{exc.args[0]} is not a root") from exc
     perm = tables.permutation(w)
     members = frozenset(p.datum.roots[perm[i]] for i in idx)
-    return ParabolicSet(datum=p.datum, members=members, type_label=p.type_label)
+    return ParabolicSet(datum=p.datum, members=members)
 
 
 def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
@@ -626,6 +618,13 @@ def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
     result = (w, label)
     tables.positions[p.members] = result
     return result
+
+
+def companion(p: ParabolicSet, label: Iterable[int]) -> ParabolicSet:
+    """w^{-1}·P_label for the standard position (w, Y) of p: p itself for
+    the label Y, and for a type t a type-t parabolic osculatory with p."""
+    w, _ = standard_position(p)
+    return act(inverse(p.datum, w), standard_parabolic(p.datum, label))
 
 
 def _label_key(label: TypeLabel) -> Tuple[int, Tuple[int, ...]]:
@@ -705,7 +704,7 @@ def _coset_search(tables: DatumTables, y: TypeLabel, built: Dict[IntVector, tupl
             nxt[v] = element
         older, level = level, nxt
     permutations, inverses = zip(*elements)
-    return Orbit(tables.standard_parabolic(y), permutations, inverses)
+    return Orbit(y, tables.standard_parabolic(y), permutations, inverses)
 
 
 def parabolics_of(datum: RootDatum, labels: Iterable[TypeLabel]) -> Tuple[ParabolicSet, ...]:
@@ -722,8 +721,8 @@ def all_orbits(datum: RootDatum) -> Tuple[Orbit, ...]:
 
 
 def all_parabolics(datum: RootDatum) -> Tuple[ParabolicSet, ...]:
-    """Every closed generating root subset, tagged with its type label: the
-    parabolics of every orbit, in the order of parabolics_of."""
+    """Every closed generating root subset: the parabolics of every orbit,
+    in the order of parabolics_of."""
     return tuple(q for orbit in all_orbits(datum) for q in orbit)
 
 

@@ -3,10 +3,11 @@ relevance report of a parabolic, and the induced decomposition of Levi
 roots into vanishing and nonvanishing parts.
 
 Which type labels are relevant is Dynkin-diagram combinatorics on the
-label alone, and lives in root_data; relevant_labels is imported from
-there under its old name here.  The relevance report carries a label's
-relevancy to one parabolic: its minimal relevant parabolic and the root
-functionals that cut out the span of its type cone.
+label alone, and lives in root_data (relevant_labels); a parabolic is as
+relevant as the label of its standard position.  The relevance report
+carries that relevancy to one parabolic: its minimal relevant parabolic,
+one root_data.companion of it, and the root functionals that cut out the
+span of its type cone.
 
 The Weyl fan and every stratifying prefan are W-stable, and their cones are
 built one W-orbit at a time (ConeOrbits): the cone of w·P_Y is that of the
@@ -29,10 +30,10 @@ from .root_data import (
     ParabolicSet,
     RootDatum,
     TypeLabel,
+    WeylElement,
     _check_type,
     _components,
     _label_relevance,
-    relevant_labels,  # noqa: F401  (part of this module's interface)
 )
 
 
@@ -78,22 +79,14 @@ def type_cone_max(p: ParabolicSet) -> Cone:
     return polyfan.make_cone(p.datum.rank, sorted(root_data.outside_roots(p)), ())
 
 
-def _osculatory_companion(q: ParabolicSet, t: TypeLabel) -> ParabolicSet:
-    """A type-t parabolic sharing a minimal parabolic with q."""
-    datum = q.datum
-    w, _ = root_data.standard_position(q)
-    p_std = root_data.standard_parabolic(datum, t)
-    return root_data.act(root_data.inverse(datum, w), p_std)
-
-
 def type_cone(q: ParabolicSet, t: TypeLabel) -> TypeCone:
     """Smallest type-t prefan cone containing the Weyl cone of q: the
-    max-cone inequalities of an osculatory type-t companion, with those lying
-    in the Levi of q promoted to equalities."""
+    max-cone inequalities of the osculatory type-t companion of q,
+    root_data.companion(q, t), with those lying in the Levi of q promoted
+    to equalities."""
     datum = q.datum
     t = _check_type(datum, t)
-    p = _osculatory_companion(q, t)
-    psi = root_data.outside_roots(p)
+    psi = root_data.outside_roots(root_data.companion(q, t))
     levi = root_data.levi_roots(q)
     eqs = sorted(psi & levi)
     ineqs = sorted(psi - levi)
@@ -102,32 +95,37 @@ def type_cone(q: ParabolicSet, t: TypeLabel) -> TypeCone:
     )
 
 
+def _relevance(
+    q: ParabolicSet, t: TypeLabel
+) -> Tuple[WeylElement, TypeLabel, TypeLabel, TypeLabel]:
+    """The standard position (w, Y) of q, then the active components of Y
+    for t and the t-letters forced by them, as _label_relevance gives them."""
+    w, y = root_data.standard_position(q)
+    return (w, y) + _label_relevance(q.datum, y, _check_type(q.datum, t))
+
+
 def relevance_report(q: ParabolicSet, t: TypeLabel) -> RelevanceReport:
     """Standard-position Dynkin combinatorics: the active components of the
     Levi label are those meeting the complement of t; relevancy demands that
     every t-letter orthogonal to them already lies in the label."""
     datum = q.datum
     t = _check_type(datum, t)
-    w, y = root_data.standard_position(q)
-    meets, forced = _label_relevance(datum, y, t)
-    relevant = forced <= y
-    y_min = y | forced
+    w, y, active, forced = _relevance(q, t)
+    subsystem = root_data.DatumTables.of(datum).subsystem_positive_roots(active)
     w_inv = root_data.inverse(datum, w)
-    minimal = root_data.act(w_inv, root_data.standard_parabolic(datum, frozenset(y_min)))
-    subsystem = root_data.DatumTables.of(datum).subsystem_positive_roots(frozenset(meets))
-    span_eqs = tuple(sorted(w_inv.apply(b) for b in subsystem))
     return RelevanceReport(
         query=q,
         type_label=t,
-        is_relevant=relevant,
-        minimal_relevant=minimal,
-        active_components=frozenset(meets),
-        span_equalities=span_eqs,
+        is_relevant=forced <= y,
+        minimal_relevant=root_data.companion(q, y | forced),
+        active_components=active,
+        span_equalities=tuple(sorted(w_inv.apply(b) for b in subsystem)),
     )
 
 
 def is_relevant(q: ParabolicSet, t: TypeLabel) -> bool:
-    return relevance_report(q, t).is_relevant
+    _, y, _, forced = _relevance(q, t)
+    return forced <= y
 
 
 def minimal_relevant(q: ParabolicSet, t: TypeLabel) -> ParabolicSet:
@@ -135,15 +133,8 @@ def minimal_relevant(q: ParabolicSet, t: TypeLabel) -> ParabolicSet:
     it, without the rest of the report: w^{-1}·P_{Y ∪ F}, where (w, Y) is
     the standard position of q and F the t-letters orthogonal to the
     active components of Y."""
-    datum = q.datum
-    w, y = root_data.standard_position(q)
-    _, forced = _label_relevance(datum, y, _check_type(datum, t))
-    return root_data.act(root_data.inverse(datum, w), root_data.standard_parabolic(datum, y | forced))
-
-
-def span_equalities(q: ParabolicSet, t: TypeLabel) -> Tuple[IntVector, ...]:
-    """Root functionals cutting out the linear span of the type cone."""
-    return relevance_report(q, t).span_equalities
+    _, y, _, forced = _relevance(q, t)
+    return root_data.companion(q, y | forced)
 
 
 def rt_decomposition(q: ParabolicSet, t: TypeLabel) -> RtDecomposition:
@@ -152,8 +143,7 @@ def rt_decomposition(q: ParabolicSet, t: TypeLabel) -> RtDecomposition:
     equalities of the relevance report, w^{-1} applied to the roots on the
     active components, where (w, Y) is the standard position of q; so a
     root b vanishes on it iff w·b is supported on the active components."""
-    active = relevance_report(q, t).active_components
-    w, _ = root_data.standard_position(q)
+    w, _, active, _ = _relevance(q, t)
     vanishing: List[IntVector] = []
     nonvanishing: List[IntVector] = []
     for b in sorted(root_data.levi_roots(q)):

@@ -237,6 +237,14 @@ def scanned_standard_position(p):
     return None
 
 
+def scanned_companion(p, label):
+    """w^{-1}·P_label for the scanned standard position (w, Y) of p: the
+    roots r whose image under the action matrix of w lies in P_label."""
+    w, _ = scanned_standard_position(p)
+    std = _standard_members(p.datum, frozenset(label))
+    return root_data.ParabolicSet(p.datum, frozenset(r for r in p.datum.roots if w.apply(r) in std))
+
+
 def matrix_permutation(datum, w) -> Tuple[int, ...]:
     """The permutation w induces on root indices, by its action matrix on
     each root: what the Weyl enumeration's composed permutations replace."""

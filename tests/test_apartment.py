@@ -385,6 +385,25 @@ def test_limit_point_checks_the_length_of_both_vectors(which):
             limit_point(ctx, vectors["u0"], vectors["v"])
 
 
+@pytest.mark.parametrize("which", ["interior_point", "stratum_point", "translate_point"])
+def test_point_constructors_check_the_length_of_their_vector(which):
+    """A vector with other than rank entries is refused, where a residual of
+    that length used to be kept, cut or padded without a word."""
+    ctx = _ctx("A3", {0})
+    q = root_data.standard_parabolic(ctx.datum, (1, 2))
+    x = interior_point(ctx, (1, 2, 3))
+    name, call, residual = {
+        "interior_point": ("u", lambda vector: interior_point(ctx, vector), (1, 2, 3)),
+        "stratum_point": ("residual", lambda vector: stratum_point(ctx, q, vector), (0, 2, 3)),
+        "translate_point": ("w", lambda vector: translate_point(ctx, x, vector), (2, 4, 6)),
+    }[which]
+    assert call((1, 2, 3)).point.residual == residual
+    for length in (1, 2, 4):
+        text = rf"^{name} has length {length}, expected the rank 3$"
+        with pytest.raises(ValidationError, match=text):
+            call(tuple(range(1, length + 1)))
+
+
 def test_limit_and_translate_point_on_the_quadrant_fan():
     # A1 x A1 with the empty type: its prefan is the fan of the four quadrants
     datum = root_data.build_from_cartan(((2, 0), (0, 2)), name="A1xA1")

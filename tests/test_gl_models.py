@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylscope import apartment, linalg, polyfan, root_data, type_geometry
+from weylscope import apartment, linalg, polyfan, root_data
 from weylscope.gl_models import (
     DiagSeminorm,
     chi_diff,
@@ -238,7 +238,7 @@ def test_a5_context_builds_only_the_orbits_it_indexes(monkeypatch):
     ctx = gl_context.__wrapped__(5)
     assert tables.orbits == {} and tables.positions == {}
     assert len(ctx.parabolics) == 63
-    labels = type_geometry.relevant_labels(datum, hyperplane_type(5))
+    labels = root_data.relevant_labels(datum, hyperplane_type(5))
     assert set(tables.orbits) == set(labels)
     assert hyperplane_type(5) in tables.orbits
     built = [q for orbit in tables.orbits.values() for q in orbit]

@@ -63,17 +63,18 @@ def test_every_record_class_is_covered_and_immutable():
         assert hash(r) == hash(pickle.loads(pickle.dumps(r)))
 
 
-def test_parabolic_equality_hash_and_repr_ignore_the_type_label():
+def test_parabolic_equality_hash_and_repr_read_datum_and_members():
     datum = root_data.build_named("A1")
     members = frozenset({(1,), (-1,)})
-    tagged = ParabolicSet(datum=datum, members=members, type_label=frozenset({0}))
-    plain = ParabolicSet(datum, members)
-    assert tagged == plain and hash(tagged) == hash(plain) == hash((datum, members))
-    assert tagged.type_label == frozenset({0}) and plain.type_label is None
-    assert repr(tagged) == f"ParabolicSet(datum={A1_REPR}, members={members!r})"
-    assert tagged != ParabolicSet(datum, frozenset({(1,)}))
-    assert tagged != (datum, members)
-    assert pickle.loads(pickle.dumps(tagged)).type_label == frozenset({0})
+    p = ParabolicSet(datum=datum, members=members)
+    assert ParabolicSet.__slots__ == ("datum", "members")
+    assert p == ParabolicSet(datum, members) == root_data.standard_parabolic(datum, {0})
+    assert hash(p) == hash(root_data.standard_parabolic(datum, {0})) == hash((datum, members))
+    assert repr(p) == f"ParabolicSet(datum={A1_REPR}, members={members!r})"
+    assert p != ParabolicSet(datum, frozenset({(1,)}))
+    assert p != ParabolicSet(root_data.build_named("A2"), members)
+    assert p != (datum, members)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_root_datum_equality_and_hash_ignore_the_name():

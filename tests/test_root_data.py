@@ -248,7 +248,8 @@ def test_orbits_match_the_filter_of_the_matrix_search(monkeypatch, name):
     labels = oracles.all_type_labels(datum.rank)
     for y, orbit in zip(labels, root_data.all_orbits(datum)):
         parabolics, permutations, inverses = oracles.filtered_orbit(datum, y, weyl)
-        assert [(q.members, q.type_label) for q in orbit] == parabolics, sorted(y)
+        assert orbit.label == y
+        assert [(q.members, orbit.label) for q in orbit] == parabolics, sorted(y)
         assert list(orbit.permutations) == permutations, sorted(y)
         assert list(orbit.inverses) == inverses, sorted(y)
 
@@ -315,10 +316,16 @@ def test_compose_inverse_and_standard_position_match_the_oracles(monkeypatch, na
         assert oracles.scanned_standard_position(moved[w]) == standard_position(moved[w])
 
 
+def _labelled(orbits):
+    """(members, label) of each parabolic of the orbits, in order."""
+    return [(q.members, orbit.label) for orbit in orbits for q in orbit]
+
+
 def test_f4_parabolics_are_the_orbits_of_the_standard_ones():
     datum = build_named("F4")
-    parabolics = all_parabolics(datum)
-    assert [(q.members, q.type_label) for q in parabolics] == oracles.orbit_parabolics(datum)
+    orbits = oracles.orbit_parabolics(datum)
+    assert _labelled(root_data.all_orbits(datum)) == orbits
+    assert [q.members for q in all_parabolics(datum)] == [m for m, _ in orbits]
 
 
 def test_cartan_validation():
@@ -344,11 +351,13 @@ def test_all_parabolics_is_deterministic_and_tagged():
     first = all_parabolics(datum)
     second = all_parabolics(datum)
     assert first == second
-    for p in first:
-        w, y = standard_position(p)
-        assert y == p.type_label
-        std = standard_parabolic(datum, y)
-        assert act(w, p).members == std.members
+    assert first == tuple(p for orbit in root_data.all_orbits(datum) for p in orbit)
+    for orbit in root_data.all_orbits(datum):
+        for p in orbit:
+            w, y = standard_position(p)
+            assert y == orbit.label
+            std = standard_parabolic(datum, y)
+            assert act(w, p).members == std.members
 
 
 def test_standard_position_word_is_minimal(monkeypatch):
@@ -367,7 +376,8 @@ def test_standard_position_word_is_minimal(monkeypatch):
             scanned[members] = oracles.scanned_standard_position(p)
             assert standard_position(p) == scanned[members]
         parabolics = all_parabolics(datum)
-        assert [(q.members, q.type_label) for q in parabolics] == orbits
+        assert _labelled(root_data.all_orbits(datum)) == orbits
+        assert [q.members for q in parabolics] == [m for m, _ in orbits]
         # all_parabolics seeds the positions it finds with the same values.
         for q in parabolics:
             if q.members in scanned:
@@ -384,7 +394,7 @@ def test_parabolics_of_any_labels_filters_all_parabolics(monkeypatch, name):
     standard positions of their members only, and later calls add the
     missing orbits to it."""
     datum = build_named(name)
-    everything = [(q.members, q.type_label) for q in all_parabolics(datum)]
+    everything = _labelled(root_data.all_orbits(datum))
     labels = oracles.all_type_labels(datum.rank)
     rng = random.Random(name)
     subsets = [[], labels[:1], labels[-1:], labels[::-1]]
@@ -393,13 +403,15 @@ def test_parabolics_of_any_labels_filters_all_parabolics(monkeypatch, name):
         fresh = root_data.DatumTables(datum)
         monkeypatch.setitem(root_data._TABLES, datum, fresh)
         got = parabolics_of(datum, subset)
-        assert [(q.members, q.type_label) for q in got] == [
+        assert _labelled(root_data.orbits_of(datum, subset)) == [
             e for e in everything if e[1] in subset
         ]
+        assert [q.members for q in got] == [e[0] for e in everything if e[1] in subset]
         assert set(fresh.orbits) == set(subset)
         assert set(fresh.positions) == {q.members for q in got}
-    assert [(q.members, q.type_label) for q in parabolics_of(datum, labels)] == everything
-    assert [(q.members, q.type_label) for q in all_parabolics(datum)] == everything
+    assert _labelled(root_data.orbits_of(datum, labels)) == everything
+    assert [q.members for q in parabolics_of(datum, labels)] == [m for m, _ in everything]
+    assert [q.members for q in all_parabolics(datum)] == [m for m, _ in everything]
 
 
 def test_parabolics_of_rejects_labels_out_of_range():
@@ -449,6 +461,25 @@ def test_osculatory_matches_definition():
                 inter = p.members & q.members
                 expected = oracles.is_parabolic_subset(datum.roots, inter)
                 assert is_osculatory(p, q) == expected, (p.members, q.members)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C3", "G2", "F4"])
+def test_companion_of_every_label(name):
+    """companion(q, Y) is q for the label Y of q's orbit; for every label t,
+    companion(q, t) is osculatory with q and is w^{-1}·P_t for the scanned
+    standard position (w, Y) of q.  Every parabolic, but a seeded sample
+    of F4's."""
+    datum = build_named(name)
+    pairs = [(q, orbit.label) for orbit in root_data.all_orbits(datum) for q in orbit]
+    if name == "F4":
+        pairs = random.Random(name).sample(pairs, 24)
+    labels = oracles.all_type_labels(datum.rank)
+    for q, y in pairs:
+        assert root_data.companion(q, y) == q
+        for t in labels:
+            p = root_data.companion(q, t)
+            assert is_osculatory(p, q), (q.members, t)
+            assert p == oracles.scanned_companion(q, t), (q.members, t)
 
 
 def test_act_on_dual_pairs_against_inverse_action():

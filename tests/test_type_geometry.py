@@ -82,7 +82,7 @@ def test_type_cones_match_the_opposite_parabolic(name):
         assert type_cone_max(q) == make_cone(datum.rank, oracles.opposite_generators(q), ())
         levi = root_data.levi_roots(q)
         for t in oracles.all_type_labels(datum.rank):
-            psi = oracles.opposite_generators(type_geometry._osculatory_companion(q, t))
+            psi = oracles.opposite_generators(root_data.companion(q, t))
             eqs = [a for a in psi if a in levi]
             ineqs = [a for a in psi if a not in levi]
             assert type_cone(q, t).cone == make_cone(datum.rank, ineqs, eqs)
@@ -121,9 +121,10 @@ def test_standard_relevant_labels_a3_hyperplane_type():
 def test_relevant_labels_select_the_relevant_parabolics(name):
     datum = build_named(name)
     parabolics = all_parabolics(datum)
+    orbits = root_data.all_orbits(datum)
     for t in oracles.all_type_labels(datum.rank):
-        labels = frozenset(type_geometry.relevant_labels(datum, t))
-        by_label = tuple(q for q in parabolics if q.type_label in labels)
+        labels = frozenset(root_data.relevant_labels(datum, t))
+        by_label = tuple(q for orbit in orbits if orbit.label in labels for q in orbit)
         assert by_label == tuple(q for q in parabolics if is_relevant(q, t))
 
 
@@ -139,14 +140,38 @@ def test_label_relevance_agrees_with_the_relevance_report(name):
     for t in labels:
         relevant = []
         for y in labels:
-            active, forced = type_geometry._label_relevance(datum, y, t)
+            active, forced = root_data._label_relevance(datum, y, t)
             report = relevance_report(standard_parabolic(datum, y), t)
             assert (forced <= y) == report.is_relevant, (t, y)
             assert active == report.active_components
             assert standard_parabolic(datum, y | forced) == report.minimal_relevant
             if report.is_relevant:
                 relevant.append(y)
-        assert type_geometry.relevant_labels(datum, t) == tuple(relevant)
+        assert root_data.relevant_labels(datum, t) == tuple(relevant)
+
+
+def test_relevancy_reads_the_label_without_a_report(monkeypatch):
+    """is_relevant, minimal_relevant and rt_decomposition give what the
+    relevance report gives, and build none: they read the label of the
+    standard position, and the minimal relevant parabolic is its companion.
+    type_geometry names nothing that root_data decides."""
+    datum = build_named("B3")
+    labels = oracles.all_type_labels(datum.rank)
+    cases = [(q, t) for q in all_parabolics(datum) for t in labels]
+    reports = [relevance_report(q, t) for q, t in cases]
+
+    def refuse(q, t):
+        raise AssertionError("built a relevance report")
+
+    monkeypatch.setattr(type_geometry, "relevance_report", refuse)
+    for (q, t), rep in zip(cases, reports):
+        assert is_relevant(q, t) == rep.is_relevant
+        assert minimal_relevant(q, t) == rep.minimal_relevant
+        span = set(rep.span_equalities)
+        vanishing = set(rt_decomposition(q, t).vanishing)
+        assert vanishing == span | {tuple(-c for c in b) for b in span}
+    for name in ("relevant_labels", "_osculatory_companion"):
+        assert not hasattr(type_geometry, name)
 
 
 def test_minimal_relevant_is_relevant_and_minimal():
