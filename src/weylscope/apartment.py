@@ -211,23 +211,21 @@ def _cone_of(ctx: ApartmentContext, q: ParabolicSet) -> Cone:
     return cone
 
 
-def _check_length(ctx: ApartmentContext, name: str, vector: Sequence) -> None:
+def _check_length(rank: int, name: str, vector: Sequence) -> None:
     """Refuse a vector whose length is not the rank, naming it."""
-    if len(vector) != ctx.datum.rank:
-        raise ValidationError(
-            f"{name} has length {len(vector)}, expected the rank {ctx.datum.rank}"
-        )
+    if len(vector) != rank:
+        raise ValidationError(f"{name} has length {len(vector)}, expected the rank {rank}")
 
 
 def interior_point(ctx: ApartmentContext, u: Sequence) -> CompactApartmentPoint:
-    _check_length(ctx, "u", u)
+    _check_length(ctx.datum.rank, "u", u)
     return stratum_point(ctx, root_data.standard_parabolic(ctx.datum, range(ctx.datum.rank)), u)
 
 
 def stratum_point(
     ctx: ApartmentContext, q: ParabolicSet, residual: Sequence
 ) -> CompactApartmentPoint:
-    _check_length(ctx, "residual", residual)
+    _check_length(ctx.datum.rank, "residual", residual)
     return CompactApartmentPoint(
         point=BoundaryPoint(stratum=_cone_of(ctx, q), residual=linalg.vec(residual)),
         stratum_parabolic=q,
@@ -249,7 +247,7 @@ def limit_point(
     decide P_v, so v is scaled to integers once."""
     datum = ctx.datum
     for name, vector in (("u0", u0), ("v", v)):
-        _check_length(ctx, name, vector)
+        _check_length(datum.rank, name, vector)
     vv = linalg.integer_row(v)
     p_v = ParabolicSet(datum, frozenset(r for r in datum.roots if linalg.dot(vv, r) >= 0))
     q = type_geometry.minimal_relevant(p_v, ctx.type_label)
@@ -262,7 +260,7 @@ def limit_point(
 def translate_point(
     ctx: ApartmentContext, x: CompactApartmentPoint, w: Sequence
 ) -> CompactApartmentPoint:
-    _check_length(ctx, "w", w)
+    _check_length(ctx.datum.rank, "w", w)
     return CompactApartmentPoint(
         point=polyfan.translate(x.point, w), stratum_parabolic=x.stratum_parabolic
     )
@@ -351,6 +349,7 @@ def group_seminorm_eval(
 ) -> Fraction:
     """Interior evaluation in the group big cell: exponent keys index
     datum.roots, characters carry weight zero."""
+    _check_length(datum.rank, "u", u)
     uu = linalg.vec(u)
     best: Optional[Fraction] = None
     for m in f.monomials:
@@ -410,6 +409,7 @@ class StratumApartment(NamedTuple):
     conjugator: WeylElement
 
     def extract(self, u: Sequence) -> Vector:
+        _check_length(self.parent.datum.rank, "u", u)
         return tuple(linalg.dot(u, b) for b in self.extraction_roots)
 
     def embed(self, y: Sequence) -> Vector:
@@ -533,6 +533,7 @@ def levi_projection(datum: RootDatum, u: Sequence, q: ParabolicSet) -> Vector:
     """Coordinates of u in the apartment of the Levi quotient of q: pairings
     with the conjugated simple roots of the Levi label.  The kernel is the
     span of the Weyl cone of q (the annihilator of the Levi roots)."""
+    _check_length(datum.rank, "u", u)
     w, y = root_data.standard_position(q)
     columns = tuple(zip(*root_data.inverse(datum, w).matrix))
     uu = linalg.vec(u)

@@ -461,23 +461,18 @@ _TABLES: Dict[RootDatum, DatumTables] = {}
 
 
 def weyl_elements(datum: RootDatum, cap: Optional[int] = None) -> Tuple[WeylElement, ...]:
-    """All Weyl elements in ShortLex order of their canonical reduced words:
-    the representatives of the orbit of the Borel (Y empty), each named by
-    an inverse that orbit keeps, since W is closed under inversion.
+    """All Weyl elements in ShortLex order of their canonical reduced words.
+    The orbit of the Borel (Y empty) keeps the inverse of each of its
+    representatives, named by its ShortLex-least word, and W is closed
+    under inversion, so those inverses are W.
 
     The one library function that takes a cap: cap, else WEYLSCOPE_ENUM_CAP,
     else the default, checked against |W| even when the datum has passed a
     cap before.  A cap passed here serves every later lookup on the datum,
     which lets the rest of the library work on a group above the default."""
-    tables = DatumTables.of(datum)
-    tables.check_cap(datum, cap)
+    DatumTables.of(datum).check_cap(datum, cap)
     orbit = orbits_of(datum, [frozenset()])[0]
-    element_of = {x.matrix: x for x in orbit.inverses}
-    simple = [tables.root_index[a] for a in _identity_matrix(datum.rank)]
-    return tuple(
-        element_of[tuple(zip(*[datum.roots[perm[k]] for k in simple]))]
-        for perm in orbit.permutations
-    )
+    return tuple(sorted(orbit.inverses, key=lambda x: (len(x.word), x.word)))
 
 
 def weyl_order(datum: RootDatum) -> int:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -303,6 +304,57 @@ def test_stratum_of_rejects_a_stored_stratum_that_is_not_relevant():
         stratum_of(ctx, claim)
 
 
+@pytest.mark.parametrize("name", _RANK_AT_MOST_4 + ("F4",))
+def test_distinct_relevant_parabolics_have_distinct_type_cones(name):
+    """The prefan cones of a context, one per t-relevant parabolic, have
+    pairwise distinct canonical keys on every type: the strata are indexed
+    one-to-one by the relevant parabolics, so a point's cone names its
+    stratum."""
+    started = time.monotonic()
+    datum = build_named(name)
+    for t in oracles.all_type_labels(datum.rank):
+        cones = make_context(datum, t).prefan.cones
+        assert len({polyfan._canonical_key(c) for c in cones}) == len(cones), sorted(t)
+    assert time.monotonic() - started < (20 if name == "F4" else 5)
+
+
+def _verdict(ctx, x):
+    """The parabolic stratum_of returns for x, or None when it refuses x."""
+    try:
+        return stratum_of(ctx, x)
+    except ValidationError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "name,per_type",
+    [(name, None) for name in ("A1", "A2", "A3", "B2", "G2", "A1xA1")]
+    + [("B3", 20), ("C3", 20), ("A4", 8), ("B4", 8), ("C4", 8), ("D4", 8), ("F4", 6)],
+)
+def test_stratum_of_accepts_exactly_the_stratum_of_the_point(name, per_type):
+    """On every type, a point of a stratum claims its own stratum and other
+    relevant parabolics, and stratum_of accepts exactly the first.  Up to G2
+    that is every stratum against every claim (13,844 wrong claims);
+    beyond, where the chart scans make every pair take minutes, a seeded
+    sample of per_type strata, each against one other claim."""
+    started = time.monotonic()
+    datum = build_named(name)
+    rng = random.Random(f"verdict {name}")
+    for t in oracles.all_type_labels(datum.rank):
+        ctx = make_context(datum, t)
+        strata = ctx.parabolics
+        if per_type is not None:
+            strata = rng.sample(strata, min(per_type, len(strata)))
+        for q in strata:
+            x = stratum_point(ctx, q, [rng.randint(-3, 3) for _ in range(datum.rank)])
+            claims = ctx.parabolics if per_type is None else (q, rng.choice(ctx.parabolics))
+            for claimed in claims:
+                claim = apartment.CompactApartmentPoint(x.point, claimed)
+                expected = claimed if claimed is q else None
+                assert _verdict(ctx, claim) is expected, sorted(t)
+    assert time.monotonic() - started < 10
+
+
 @pytest.mark.parametrize(
     "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2"]
 )
@@ -400,6 +452,26 @@ def test_point_constructors_check_the_length_of_their_vector(which):
     assert call((1, 2, 3)).point.residual == residual
     for length in (1, 2, 4):
         text = rf"^{name} has length {length}, expected the rank 3$"
+        with pytest.raises(ValidationError, match=text):
+            call(tuple(range(1, length + 1)))
+
+
+@pytest.mark.parametrize("which", ["levi_projection", "group_seminorm_eval", "extract"])
+def test_vector_readers_check_the_length_of_their_vector(which):
+    """levi_projection, group_seminorm_eval and StratumApartment.extract
+    refuse a vector with other than rank entries, which they used to zip,
+    cutting or padding it without a word."""
+    ctx = _ctx("A3", {0})
+    q = standard_parabolic(ctx.datum, (0, 1))
+    f = make_polynomial([make_monomial({0: 1}, 0)])
+    call = {
+        "levi_projection": lambda u: levi_projection(ctx.datum, u, q),
+        "group_seminorm_eval": lambda u: group_seminorm_eval(ctx.datum, u, f),
+        "extract": lambda u: stratum_apartment(ctx, q).extract(u),
+    }[which]
+    call((1, 2, 3))
+    for length in (1, 5):
+        text = rf"^u has length {length}, expected the rank 3$"
         with pytest.raises(ValidationError, match=text):
             call(tuple(range(1, length + 1)))
 
@@ -555,6 +627,53 @@ def test_limit_commutes_with_translate(data):
         v = [sum(k * g[i] for k, g in zip(weights, rays + lin)) for i in range(n)]
     shifted = [a + b for a, b in zip(u0, w)]
     assert limit_point(ctx, shifted, v) == translate_point(ctx, limit_point(ctx, u0, v), w)
+
+
+_SEMIRING_CONTEXTS = tuple(
+    (name, t)
+    for name, rank in (("A2", 2), ("B2", 2), ("G2", 2), ("A3", 3))
+    for t in oracles.all_type_labels(rank)
+)
+
+
+def _tropical_polynomials(generators: int):
+    """Polynomials of up to four monomials over the generator indices, with
+    rational or -inf coefficients."""
+    exponents = (
+        st.dictionaries(st.integers(0, generators - 1), st.integers(1, 3), max_size=2)
+        if generators
+        else st.just({})
+    )
+    monomial = st.builds(
+        make_monomial, exponents, st.one_of(st.just(NEG_INF), _rationals.map(finite))
+    )
+    return st.lists(monomial, max_size=4).map(make_polynomial)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_seminorm_is_a_semiring_morphism(data):
+    """In any chart holding the point, the seminorm of f + g (tropical sum)
+    is the max of those of f and g, and that of f * g (tropical product)
+    their sum, -inf absorbing: at interior points, at points of a stratum
+    and at limits of rays."""
+    name, t = data.draw(st.sampled_from(_SEMIRING_CONTEXTS))
+    ctx = _cached_ctx(name, t)
+    vector = st.lists(_rationals, min_size=ctx.datum.rank, max_size=ctx.datum.rank)
+    kind = data.draw(st.sampled_from(("interior", "stratum", "limit")))
+    if kind == "interior":
+        x = interior_point(ctx, data.draw(vector))
+    elif kind == "stratum":
+        x = stratum_point(ctx, data.draw(st.sampled_from(ctx.parabolics)), data.draw(vector))
+    else:
+        x = limit_point(ctx, data.draw(vector), data.draw(vector))
+    p = data.draw(st.sampled_from([p for p, _ in ctx.charts if chart_membership(ctx, x, p)]))
+    polynomials = _tropical_polynomials(len(chart_generators(p)))
+    f, g = data.draw(polynomials), data.draw(polynomials)
+    vf, vg = seminorm_eval(ctx, x, f, p), seminorm_eval(ctx, x, g, p)
+    assert seminorm_eval(ctx, x, tropical_sum(f, g), p) == max(vf, vg)
+    product = NEG_INF if NEG_INF in (vf, vg) else finite(vf.value + vg.value)
+    assert seminorm_eval(ctx, x, tropical_product(f, g), p) == product
 
 
 _NESTED_TYPES = tuple(
