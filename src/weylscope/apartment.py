@@ -251,19 +251,15 @@ def limit_point(
     vv = linalg.integer_row(v)
     p_v = ParabolicSet(datum, frozenset(r for r in datum.roots if linalg.dot(vv, r) >= 0))
     q = type_geometry.minimal_relevant(p_v, ctx.type_label)
-    return CompactApartmentPoint(
-        point=BoundaryPoint(stratum=_cone_of(ctx, q), residual=linalg.vec(u0)),
-        stratum_parabolic=q,
-    )
+    return stratum_point(ctx, q, u0)
 
 
 def translate_point(
     ctx: ApartmentContext, x: CompactApartmentPoint, w: Sequence
 ) -> CompactApartmentPoint:
     _check_length(ctx.datum.rank, "w", w)
-    return CompactApartmentPoint(
-        point=polyfan.translate(x.point, w), stratum_parabolic=x.stratum_parabolic
-    )
+    point = BoundaryPoint(x.point.stratum, linalg.add(x.point.residual, linalg.vec(w)))
+    return CompactApartmentPoint(point, x.stratum_parabolic)
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +306,27 @@ def _values_in_chart(x: CompactApartmentPoint, p: ParabolicSet) -> Tuple[Extende
     return vals
 
 
-def _monomial_value(
-    m: TropicalMonomial, values: Sequence[ExtendedValue]
-) -> ExtendedValue:
-    total = m.coeff
-    for k, n in m.exponents:
-        if k < 0 or k >= len(values):
-            raise ValidationError(
-                f"generator index {k} out of range for a chart with {len(values)} generators"
-            )
-        v = values[k]
-        if v.kind < 0:
-            return NEG_INF
-        total = total + ExtendedValue(0, v.value * n)
-    return total
+def _first_bad_key(f: TropicalPolynomial, count: int) -> Optional[int]:
+    """The first exponent key of f outside 0..count-1, if any."""
+    return next((k for m in f.monomials for k, _ in m.exponents if not 0 <= k < count), None)
+
+
+def _max_plus(f: TropicalPolynomial, values: Sequence[ExtendedValue]) -> ExtendedValue:
+    """Max over the monomials of f of coefficient plus exponent-weighted
+    values, the keys indexing values; a monomial dies when a value it uses
+    with positive exponent is -inf."""
+    best = NEG_INF
+    for m in f.monomials:
+        total = m.coeff
+        for k, n in m.exponents:
+            v = values[k]
+            if v.kind < 0:
+                break
+            total = total + ExtendedValue(0, v.value * n)
+        else:
+            if total > best:
+                best = total
+    return best
 
 
 def seminorm_eval(
@@ -332,39 +335,31 @@ def seminorm_eval(
     f: TropicalPolynomial,
     p: ParabolicSet,
 ) -> ExtendedValue:
-    """Log of the seminorm of f at x in the chart of p: max over monomials
-    of coefficient plus exponent-weighted generator values; a monomial dies
-    when a generator it uses with positive exponent sits at -inf."""
+    """Log of the seminorm of f at x in the chart of p: the max-plus value
+    of f at the generator values, with keys indexing the chart generators."""
     values = _values_in_chart(x, p)
-    best = NEG_INF
-    for m in f.monomials:
-        val = _monomial_value(m, values)
-        if val > best:
-            best = val
-    return best
+    bad = _first_bad_key(f, len(values))
+    if bad is not None:
+        raise ValidationError(
+            f"generator index {bad} out of range for a chart with {len(values)} generators"
+        )
+    return _max_plus(f, values)
 
 
 def group_seminorm_eval(
     datum: RootDatum, u: Sequence, f: TropicalPolynomial
 ) -> Fraction:
-    """Interior evaluation in the group big cell: exponent keys index
-    datum.roots, characters carry weight zero."""
+    """Interior evaluation in the group big cell: the max-plus value of f at
+    the pairings <u, r>, keys indexing datum.roots; characters weigh zero."""
     _check_length(datum.rank, "u", u)
+    bad = _first_bad_key(f, len(datum.roots))
+    if bad is not None:
+        raise ValidationError(f"root index {bad} out of range")
     uu = linalg.vec(u)
-    best: Optional[Fraction] = None
-    for m in f.monomials:
-        if m.coeff.kind < 0:
-            continue
-        total = m.coeff.value
-        for k, n in m.exponents:
-            if k < 0 or k >= len(datum.roots):
-                raise ValidationError(f"root index {k} out of range")
-            total += n * linalg.dot(uu, datum.roots[k])
-        if best is None or total > best:
-            best = total
-    if best is None:
+    best = _max_plus(f, [finite(linalg.dot(uu, r)) for r in datum.roots])
+    if best.kind < 0:
         raise ValidationError("the zero polynomial has no interior group value")
-    return best
+    return best.value
 
 
 def is_norm(ctx: ApartmentContext, x: CompactApartmentPoint, p: ParabolicSet) -> bool:
@@ -430,13 +425,10 @@ def stratum_apartment(
 ) -> StratumApartment:
     """Residual datum = Cartan submatrix over the active components; the
     extraction roots are the conjugated simple roots of the active part,
-    which vanish on the stratum span and so descend to residual classes."""
-    w, y, components, forced = type_geometry._relevance(q, ctx.type_label)
-    if not forced <= y:
-        raise ValidationError(
-            f"parabolic {root_data.parabolic_name(q)} is not relevant for type"
-            f" {root_data.type_name(ctx.type_label)}"
-        )
+    which vanish on the stratum span and so descend to residual classes.
+    q must index a stratum of the context, as its stratum cone does."""
+    _cone_of(ctx, q)
+    w, _, components, _ = type_geometry._relevance(q, ctx.type_label)
     datum = ctx.datum
     active = tuple(sorted(components))
     sub = [[datum.cartan[i][j] for j in active] for i in active]

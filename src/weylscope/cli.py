@@ -92,7 +92,11 @@ def _datum_from_file(path: str) -> RootDatum:
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     if "name" in data:
+        if len(data) > 1:
+            raise ValidationError(f'{path}: "name" must stand alone')
         return root_data.build_named(str(data["name"]))
+    if not isinstance(data.get("label", ""), str):
+        raise ValidationError(f'{path}: "label" must be a JSON string')
     if "rank" not in data or "cartan" not in data:
         raise ValidationError(f'{path}: need "name" or both "rank" and "cartan"')
     rank = _require_int(data["rank"], f'{path}: "rank"')
@@ -396,8 +400,6 @@ def _cmd_datum_info(args) -> int:
 def _cmd_relevant(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
-    # 2^rank <= |W|, so the cap on |W| also bounds the list of type labels.
-    root_data.DatumTables.of(datum).within_cap(datum)
     labels = root_data.relevant_labels(datum, t)
     report = {
         "command": "relevant",

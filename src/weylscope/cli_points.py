@@ -96,6 +96,10 @@ def _point_from_args(ctx: apartment.ApartmentContext, args) -> apartment.Compact
         data = _load_json(args.point_file)
         if not isinstance(data, dict):
             raise ValidationError(f"{args.point_file}: expected a JSON object")
+        if "interior" in data and "stratum" in data:
+            raise ValidationError(
+                f'{args.point_file}: give exactly one of "interior" and "stratum"'
+            )
         if "interior" in data:
             u = _json_vector(data["interior"], datum.rank, f"{args.point_file}: interior")
             return apartment.interior_point(ctx, u)
@@ -191,8 +195,7 @@ def _cmd_limit(args) -> int:
         v = _parse_vector(args.v, datum.rank, "--v")
     ctx = apartment.make_context(datum, t)
     x = apartment.limit_point(ctx, u0, v)
-    sa = apartment.stratum_apartment(ctx, x.stratum_parabolic)
-    coords = sa.extract(x.point.residual)
+    coords = apartment.extract_residual(ctx, x)
     report = {
         "command": "limit",
         "datum": datum.name,
@@ -203,7 +206,8 @@ def _cmd_limit(args) -> int:
         "stratum_dim": polyfan.dim(x.point.stratum),
         "residual": _fractions(x.point.residual),
         "residual_coords": _fractions(coords),
-        "residual_rank": sa.residual_datum.rank,
+        # The residual datum has one simple root per coordinate.
+        "residual_rank": len(coords),
     }
     _emit(
         args,
@@ -211,8 +215,7 @@ def _cmd_limit(args) -> int:
         [
             f"ray limit lands on stratum {parabolic_name(x.stratum_parabolic)} "
             f"(cone dim {report['stratum_dim']}); residual class "
-            f"({', '.join(report['residual'])}), residual rank "
-            f"{sa.residual_datum.rank}"
+            f"({', '.join(report['residual'])}), residual rank {len(coords)}"
         ],
     )
     return EXIT_OK

@@ -1,6 +1,6 @@
 """Rational polyhedral cones, prefans, and compactified-cone boundary
-calculus: faces, covering tests, boundary evaluation, translation, and
-stratum closures.
+calculus: faces, covering tests, boundary evaluation and stratum
+closures.
 
 Log-additive convention throughout: a functional value "alpha <= 1" of the
 multiplicative picture is represented as <u, phi> <= 0, and the boundary
@@ -579,12 +579,6 @@ def eval_at_boundary(point: BoundaryPoint, phi: Sequence[int]) -> ExtendedValue:
         return POS_INF
     raise IndeterminateValueError(
         f"functional {f} changes sign on the stratum cone"
-    )
-
-
-def translate(point: BoundaryPoint, w: Sequence) -> BoundaryPoint:
-    return BoundaryPoint(
-        stratum=point.stratum, residual=linalg.add(point.residual, linalg.vec(w))
     )
 
 

@@ -251,7 +251,8 @@ _register_named()
 
 def _generate_roots(cartan: IntMatrix) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
     """Close the simple roots (and coroots, in parallel) under the simple
-    reflections; raises ValidationError when the system is not finite."""
+    reflections; raises ValidationError past _ROOT_COUNT_CAP roots, which
+    also stops a system that is not finite."""
     rank = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     coroot_of: Dict[IntVector, IntVector] = {
@@ -276,7 +277,9 @@ def _generate_roots(cartan: IntMatrix) -> Tuple[Tuple[IntVector, ...], Tuple[Int
                 coroot_of[refl] = crefl
                 nxt.append(refl)
                 if len(coroot_of) > _ROOT_COUNT_CAP:
-                    raise ValidationError("root system is not of finite type")
+                    raise ValidationError(
+                        f"root system exceeds the bound of {_ROOT_COUNT_CAP} roots"
+                    )
         frontier = nxt
     roots = tuple(sorted(coroot_of))
     coroots = tuple(coroot_of[r] for r in roots)
@@ -801,8 +804,10 @@ def relevant_labels(datum: RootDatum, t: TypeLabel) -> Tuple[TypeLabel, ...]:
     """The t-relevant type labels, in type-label order.  Relevancy reads
     only the label of the standard position, so a parabolic is t-relevant
     exactly when its label is one of these.  One test per subset of the
-    simple roots: callers bound the rank first."""
+    simple roots, after the cap on |W| is checked: 2^rank <= |W|, so the cap
+    bounds the walk."""
     t = _check_type(datum, t)
+    DatumTables.of(datum).within_cap(datum)
     return tuple(y for y in _type_labels(datum.rank) if _label_relevance(datum, y, t)[1] <= y)
 
 

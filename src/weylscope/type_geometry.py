@@ -285,12 +285,8 @@ def weyl_fan(datum: RootDatum) -> Prefan:
 def type_cone_orbits(datum: RootDatum, t: TypeLabel) -> ConeOrbits:
     """The type-t cone of every t-relevant parabolic, orbit by orbit: the
     companion w·P_t and the Levi roots of w·P_Y are the images under w of
-    those of P_Y, so type_cone(w·P_Y, t) is the image of type_cone(P_Y, t).
-
-    The cap is checked first, as every reader of W checks it: 2^rank <=
-    |W|, so it bounds the 2^rank labels that relevant_labels walks."""
+    those of P_Y, so type_cone(w·P_Y, t) is the image of type_cone(P_Y, t)."""
     t = _check_type(datum, t)
-    root_data.DatumTables.of(datum).within_cap(datum)
     orbits = root_data.orbits_of(datum, root_data.relevant_labels(datum, t))
     return _cone_orbits(orbits, lambda p: type_cone(p, t).cone)
 

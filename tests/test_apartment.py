@@ -237,6 +237,61 @@ def test_group_seminorm_eval_uses_root_indexing():
         group_seminorm_eval(datum, u, make_polynomial([]))
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "A1xA1"])
+def test_chart_and_group_seminorms_agree_at_interior_points(name):
+    """At an interior point the value of a chart generator is its pairing
+    with u, so the chart seminorm of f is the group seminorm of f with each
+    generator key moved to the index of its root."""
+    datum = build_named(name)
+    rng = random.Random(29)
+    for t in oracles.all_type_labels(datum.rank):
+        ctx = make_context(datum, t)
+        for _ in range(30):
+            u = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(datum.rank))
+            x = interior_point(ctx, u)
+            p, psi, _ = apartment._accepting_chart(ctx, x)
+            if psi:
+                f = _random_poly(rng, len(psi), characters=rng.randint(0, 2))
+            else:  # the chart of type G has no generators
+                f = make_polynomial([make_monomial({}, rng.randint(-3, 3))])
+            index = {k: datum.roots.index(a) for k, a in enumerate(psi)}
+            g = make_polynomial(
+                make_monomial({index[k]: n for k, n in m.exponents}, m.coeff, m.character)
+                for m in f.monomials
+            )
+            if not f.monomials:
+                assert seminorm_eval(ctx, x, f, p) == NEG_INF
+                continue
+            assert seminorm_eval(ctx, x, f, p) == finite(group_seminorm_eval(datum, u, g))
+
+
+@pytest.mark.parametrize("key", [99, 2, -1])
+def test_an_out_of_range_key_is_refused_wherever_the_point_lies(key):
+    """A key outside the chart is refused at an interior point, a stratum
+    point and a ray limit alike, also where an earlier generator of its
+    monomial sits at -inf; the group big cell refuses a key outside the
+    roots for every u."""
+    ctx = _ctx("A2", {0})
+    q = standard_parabolic(ctx.datum, (0,))
+    points = (
+        interior_point(ctx, (1, 2)),
+        stratum_point(ctx, q, (1, 2)),
+        limit_point(ctx, (1, 2), (-1, 0)),
+    )
+    f = make_polynomial([make_monomial({0: 1, key: 1}, 0)])
+    text = rf"^generator index {key} out of range for a chart with 2 generators$"
+    for x in points:
+        p, _, values = apartment._accepting_chart(ctx, x)
+        assert (values[0].kind < 0) == (x is not points[0])
+        with pytest.raises(ValidationError, match=text):
+            seminorm_eval(ctx, x, f, p)
+    bad = key * len(ctx.datum.roots)
+    g = make_polynomial([make_monomial({0: 1, bad: 1}, 0)])
+    for u in ((1, 2), (0, 0)):
+        with pytest.raises(ValidationError, match=rf"^root index {bad} out of range$"):
+            group_seminorm_eval(ctx.datum, u, g)
+
+
 # ---------------------------------------------------------------------------
 # strata
 
@@ -519,7 +574,8 @@ def test_stratum_apartment_round_trip():
 def test_stratum_apartment_needs_relevance():
     ctx = _ctx("A3", {0, 1})
     q = standard_parabolic(ctx.datum, (1,))  # not relevant for this type
-    with pytest.raises(ValidationError):
+    text = r"^parabolic \{a2\} does not index a stratum of type \{a1,a2\} \(not relevant\)$"
+    with pytest.raises(ValidationError, match=text):
         stratum_apartment(ctx, q)
 
 

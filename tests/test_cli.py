@@ -350,6 +350,40 @@ def test_datum_file_roots_checked(tmp_path, capsys):
     assert "roots" in err
 
 
+@pytest.mark.parametrize("label", [1.5, True, 5, ["x"], {}])
+def test_datum_file_label_must_be_a_string(tmp_path, capsys, label):
+    """A label of another JSON type is refused before the summary line, where
+    a float used to fail in the report after it."""
+    f = tmp_path / "datum.json"
+    f.write_text(json.dumps({"rank": 2, "cartan": [[2, -1], [-1, 2]], "label": label}))
+    assert _run(capsys, "datum-info", "--datum-file", str(f)) == (
+        2, "", f'error: {f}: "label" must be a JSON string\n'
+    )
+
+
+def test_datum_file_name_must_stand_alone(tmp_path, capsys):
+    f = tmp_path / "datum.json"
+    f.write_text(json.dumps({"name": "G2", "rank": 2, "cartan": [[2, -1], [-1, 2]]}))
+    assert _run(capsys, "datum-info", "--datum-file", str(f)) == (
+        2, "", f'error: {f}: "name" must stand alone\n'
+    )
+
+
+@pytest.mark.parametrize("rank,edges", [(22, True), (300, False)])
+def test_a_cartan_matrix_past_the_root_bound_names_the_bound(tmp_path, capsys, rank, edges):
+    """A22 (506 roots) and A1^300 (600 roots) are of finite type; the error
+    states the bound they pass."""
+    cartan = [
+        [2 if i == j else -int(edges and abs(i - j) == 1) for j in range(rank)]
+        for i in range(rank)
+    ]
+    f = tmp_path / "datum.json"
+    f.write_text(json.dumps({"rank": rank, "cartan": cartan}))
+    assert _run(capsys, "datum-info", "--datum-file", str(f)) == (
+        2, "", "error: root system exceeds the bound of 500 roots\n"
+    )
+
+
 def test_unknown_datum_name(capsys):
     code, _, err = _run(capsys, "datum-info", "--datum", "E9")
     assert code == 2
@@ -878,6 +912,26 @@ def test_point_file_stratum(tmp_path, capsys):
         str(point),
     )
     assert report["stratum"] == {"label": ["a2"], "word": []}
+
+
+def test_a_point_file_with_interior_and_stratum_is_refused(tmp_path, capsys):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"interior": [1, 2], "stratum": ["a1"]}))
+    where = ("--datum", "A2", "--type", "a1")
+    assert _run(capsys, "stabilizer", *where, "--point-file", str(point)) == (
+        2, "", f'error: {point}: give exactly one of "interior" and "stratum"\n'
+    )
+
+
+def test_seminorm_refuses_an_out_of_range_key_at_every_point(tmp_path, capsys):
+    """Generator 0 is -inf on the stratum {a1}, and a key past the chart is
+    refused there as it is at an interior point."""
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps([{"exponents": {"0": 1, "99": 1}, "log_coeff": "0"}]))
+    where = ("seminorm", "--datum", "A2", "--type", "a1", "--poly", str(poly))
+    line = "error: generator index 99 out of range for a chart with 2 generators\n"
+    for point in (["--interior=1,2"], ["--stratum", "a1", "--residual=1,2"]):
+        assert _run(capsys, *where, *point) == (2, "", line)
 
 
 def test_render_structure(tmp_path, capsys):

@@ -128,6 +128,16 @@ def test_relevant_labels_select_the_relevant_parabolics(name):
         assert by_label == tuple(q for q in parabolics if is_relevant(q, t))
 
 
+def test_relevant_labels_checks_the_cap_before_its_walk(monkeypatch):
+    """|W(D5)| = 1920 is above the default cap, which also bounds the 2^rank
+    labels, so relevant_labels refuses D5 as orbits_of does."""
+    monkeypatch.delenv("WEYLSCOPE_ENUM_CAP", raising=False)
+    datum = build_named("D5")
+    monkeypatch.setitem(root_data._TABLES, datum, root_data.DatumTables(datum))
+    with pytest.raises(root_data.EnumerationCapError, match="exceeded cap 1152"):
+        root_data.relevant_labels(datum, frozenset({0}))
+
+
 @pytest.mark.parametrize(
     "name",
     ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "A1xA1", "F4"],
