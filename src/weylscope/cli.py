@@ -87,6 +87,14 @@ def _load_json(path: str):
         raise ValidationError(f"{path}: {exc}")
 
 
+def _check_fields(data: Dict, known: Tuple[str, ...], where: str) -> None:
+    """Refuse a field that the reader does not read, so that a misspelt or
+    misplaced one is not dropped without a word."""
+    unknown = next((key for key in data if key not in known), None)
+    if unknown is not None:
+        raise ValidationError(f"{where}: unknown field {json.dumps(unknown)}")
+
+
 def _datum_from_file(path: str) -> RootDatum:
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -95,6 +103,7 @@ def _datum_from_file(path: str) -> RootDatum:
         if len(data) > 1:
             raise ValidationError(f'{path}: "name" must stand alone')
         return root_data.build_named(str(data["name"]))
+    _check_fields(data, ("rank", "cartan", "roots", "label"), path)
     if not isinstance(data.get("label", ""), str):
         raise ValidationError(f'{path}: "label" must be a JSON string')
     if "rank" not in data or "cartan" not in data:

@@ -15,6 +15,7 @@ from . import apartment, polyfan, root_data
 from .cli import (
     EXIT_OK,
     MAX_TOKEN_CHARS,
+    _check_fields,
     _dim_counts,
     _emit,
     _load_datum,
@@ -70,6 +71,7 @@ def _parabolic_from_json(datum: RootDatum, obj, where: str) -> ParabolicSet:
         names = ",".join(str(x) for x in obj)
         return _parabolic_from_parts(datum, names, None, f"{where}: stratum")
     if isinstance(obj, dict) and "label" in obj:
+        _check_fields(obj, ("label", "word"), f"{where}: stratum")
         label, word = obj["label"], obj.get("word", [])
         if not isinstance(label, list) or not isinstance(word, list):
             raise ValidationError(f'{where}: "label" and "word" must be lists')
@@ -101,9 +103,11 @@ def _point_from_args(ctx: apartment.ApartmentContext, args) -> apartment.Compact
                 f'{args.point_file}: give exactly one of "interior" and "stratum"'
             )
         if "interior" in data:
+            _check_fields(data, ("interior",), args.point_file)
             u = _json_vector(data["interior"], datum.rank, f"{args.point_file}: interior")
             return apartment.interior_point(ctx, u)
         if "stratum" in data:
+            _check_fields(data, ("stratum", "residual"), args.point_file)
             q = _parabolic_from_json(datum, data["stratum"], args.point_file)
             residual = data.get("residual", [0] * datum.rank)
             u = _json_vector(residual, datum.rank, f"{args.point_file}: residual")
@@ -128,6 +132,7 @@ def _polynomial_from_file(path: str) -> apartment.TropicalPolynomial:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict) or not isinstance(entry.get("exponents"), dict):
             raise ValidationError(f'{path}: monomial {i} needs an "exponents" object')
+        _check_fields(entry, ("exponents", "log_coeff", "character"), f"{path}: monomial {i}")
         exps = {}
         for key, val in entry["exponents"].items():
             try:
@@ -186,6 +191,7 @@ def _cmd_limit(args) -> int:
         data = _load_json(args.ray_file)
         if not isinstance(data, dict) or "u0" not in data or "v" not in data:
             raise ValidationError(f'{args.ray_file}: need "u0" and "v" vectors')
+        _check_fields(data, ("u0", "v"), args.ray_file)
         u0 = _json_vector(data["u0"], datum.rank, f"{args.ray_file}: u0")
         v = _json_vector(data["v"], datum.rank, f"{args.ray_file}: v")
     else:
@@ -325,6 +331,7 @@ def _cmd_pgl(args) -> int:
         data = _load_json(args.seminorm_file)
         if not isinstance(data, dict) or not isinstance(data.get("values"), list):
             raise ValidationError(f'{args.seminorm_file}: need a "values" list')
+        _check_fields(data, ("values",), args.seminorm_file)
         raw = [str(v) for v in data["values"]]
     elif args.values is not None:
         raw = [v.strip() for v in args.values.split(",")]

@@ -170,7 +170,7 @@ def stabilizer_blocks(s: DiagSeminorm) -> StabilizerProfile:
 
 def degeneration_ray(
     start: Sequence, ker: Iterable[int]
-) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+) -> Tuple[Tuple[Fraction, ...], IntVector]:
     """u0, v for the ray of seminorms driving the given entries to -inf:
     c(n) = start - n on the kernel entries, fixed elsewhere."""
     vals = [Fraction(_coerce_value(v).value) for v in start]
@@ -178,6 +178,5 @@ def degeneration_ray(
     if not 0 < len(k) < len(vals) or any(i < 0 or i >= len(vals) for i in k):
         raise ValidationError("kernel must be a proper nonempty index subset")
     u0 = tuple(vals[i + 1] - vals[i] for i in range(len(vals) - 1))
-    ind = [Fraction(1) if i in k else Fraction(0) for i in range(len(vals))]
-    v = tuple(ind[i] - ind[i + 1] for i in range(len(vals) - 1))
+    v = tuple(int(i in k) - int(i + 1 in k) for i in range(len(vals) - 1))
     return u0, v

@@ -3,9 +3,9 @@
 Integers in, integers out wherever no division happens: functionals and
 rays are integer tuples, elimination is fraction-free Gauss-Jordan on
 integer rows (each row divided by its content), and nullspace bases are
-primitive integer vectors.  Fraction appears only where a division is
-unavoidable: the reduced row echelon form and the residual classes built
-on it.  Nothing here touches floating point.
+primitive integer vectors.  Fraction appears only in residual classes,
+where reducing a rational vector modulo a span divides by a pivot.
+Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -50,13 +50,12 @@ def integer_row(u: Sequence) -> List[int]:
 
 
 def primitive(u: Sequence) -> IntVector:
-    """Scale a rational vector to coprime integers, first nonzero entry > 0."""
+    """Scale a rational vector to coprime integers by a positive factor, so
+    its direction (and every sign) is kept."""
     ints = integer_row(u)
     g = gcd(*ints)
     if g == 0:
         return (0,) * len(ints)
-    if next(a for a in ints if a != 0) < 0:
-        g = -g
     return tuple(a // g for a in ints)
 
 
@@ -91,14 +90,6 @@ def _reduce(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     return mat[:r], pivots
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[Vector], List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    red, pivots = _reduce(rows)
-    return [
-        tuple(Fraction(a, row[p]) for a in row) for row, p in zip(red, pivots)
-    ], pivots
-
-
 def rank(rows: Sequence[Sequence]) -> int:
     return len(_reduce(rows)[0])
 
@@ -126,13 +117,13 @@ def nullspace(rows: Sequence[Sequence], n: int) -> List[IntVector]:
 def reduce_mod_span(basis_vectors: Sequence[Sequence], v: Sequence) -> Vector:
     """Canonical representative of v modulo the span of the given vectors.
 
-    Zeroes the pivot coordinates of the span's RREF; two vectors are congruent
-    mod the span iff their representatives are equal.
+    Zeroes the pivot coordinates of the span's reduced echelon rows; two
+    vectors are congruent mod the span iff their representatives are equal.
     """
-    red, pivots = rref(basis_vectors)
+    red, pivots = _reduce(basis_vectors)
     out = list(map(Fraction, v))
     for row, p in zip(red, pivots):
         if out[p] != 0:
-            f = out[p]
+            f = out[p] / row[p]
             out = [a - f * b for a, b in zip(out, row)]
     return tuple(out)

@@ -35,16 +35,6 @@ from .linalg import IntVector, Vector
 Functional = Tuple[int, ...]
 
 
-def _primitive_ray(v: Sequence) -> IntVector:
-    """Coprime integer representative of a ray direction, sign preserved
-    (linalg.primitive normalizes the sign, which is only correct for
-    functionals considered up to sign)."""
-    p = linalg.primitive(v)
-    if next((x for x in v if x != 0), 0) < 0:
-        return linalg.neg_int(p)
-    return p
-
-
 class FanAxiomViolation(Exception):
     """A prefan axiom fails; carries a witness point inside the offending
     region and, when raised by verify_prefan, the indices of the cones at
@@ -53,7 +43,7 @@ class FanAxiomViolation(Exception):
     def __init__(
         self,
         message: str,
-        witness: Optional[Vector] = None,
+        witness: Optional[IntVector] = None,
         cones: Tuple[int, ...] = (),
     ):
         super().__init__(message)
@@ -190,7 +180,7 @@ def _double_description(cone: Cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVec
         return (), tuple(sorted(r for r, _ in rays))
     lin = tuple(linalg.nullspace(cone.ineqs + cone.eqs, cone.space_dim))
     return lin, tuple(
-        sorted(_primitive_ray(linalg.reduce_mod_span(lin, r)) for r, _ in rays)
+        sorted(linalg.primitive(linalg.reduce_mod_span(lin, r)) for r, _ in rays)
     )
 
 
@@ -273,14 +263,14 @@ def in_relative_interior(cone: Cone, u: Sequence) -> bool:
     return True
 
 
-def relative_interior_point(cone: Cone) -> Vector:
+def relative_interior_point(cone: Cone) -> IntVector:
     """Deterministic relative interior point: the sum of the extreme rays
     (zero for a linear subspace)."""
     _, rays = generators(cone)
-    pt = [sum(column) for column in zip(*rays)] if rays else [0] * cone.space_dim
+    pt = tuple(map(sum, zip(*rays))) if rays else (0,) * cone.space_dim
     if not in_relative_interior(cone, pt):
         raise RuntimeError(f"the sum of the rays of {cone} is not in its relative interior")
-    return linalg.vec(pt)
+    return pt
 
 
 def cone_subset(a: Cone, b: Cone) -> bool:

@@ -18,7 +18,6 @@ only that one goes through the double description."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 from . import linalg, polyfan, root_data
@@ -171,16 +170,13 @@ def type_support(datum: RootDatum, t: TypeLabel) -> Tuple[FrozenSet[int], Frozen
     return frozenset(live), frozenset(trivial)
 
 
-def lineality_space(datum: RootDatum, t: TypeLabel) -> Tuple[linalg.Vector, ...]:
+def lineality_space(datum: RootDatum, t: TypeLabel) -> Tuple[IntVector, ...]:
     """Basis of the common lineality of all type-t cones: coordinate axes of
     the trivial components."""
     _, trivial = type_support(datum, t)
-    basis = []
-    for i in sorted(trivial):
-        basis.append(
-            tuple(Fraction(1 if j == i else 0) for j in range(datum.rank))
-        )
-    return tuple(basis)
+    return tuple(
+        tuple(int(j == i) for j in range(datum.rank)) for i in sorted(trivial)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -624,12 +624,6 @@ def _contains(cone, u: Sequence[int]) -> bool:
     )
 
 
-def _ray(v: Sequence) -> IntVector:
-    """Coprime integers on the ray of a rational vector (sign kept)."""
-    p = linalg.primitive(v)
-    return neg(p) if next(x for x in v if x != 0) < 0 else p
-
-
 @lru_cache(maxsize=None)
 def enumerated_generators(cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
     """(lineality basis, extreme rays) by trying every subset of `want`
@@ -642,7 +636,8 @@ def enumerated_generators(cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector,
     n = cone.space_dim
     lin = tuple(linalg.nullspace(cone.ineqs + cone.eqs, n))
     ell = len(lin)
-    directions = sorted({linalg.primitive(f) for f in cone.ineqs if any(f)})
+    directions = sorted({max(linalg.primitive(f), neg(linalg.primitive(f)))
+                         for f in cone.ineqs if any(f)})
     want = n - ell - 1 - (linalg.rank(cone.eqs) if cone.eqs else 0)
     if want < 0 or want > len(directions):
         return lin, ()
@@ -658,7 +653,7 @@ def enumerated_generators(cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector,
             if _contains(cone, cand):
                 red = linalg.reduce_mod_span(lin, cand)
                 if any(red):
-                    rays.add(_ray(red))
+                    rays.add(linalg.primitive(red))
                 break
     return lin, tuple(sorted(rays))
 

@@ -923,6 +923,53 @@ def test_a_point_file_with_interior_and_stratum_is_refused(tmp_path, capsys):
     )
 
 
+_STABILIZER_A2 = ["stabilizer", "--datum", "A2", "--type", "a1", "--point-file"]
+
+
+@pytest.mark.parametrize(
+    "argv,data,where,field",
+    [
+        (
+            _STABILIZER_A2,
+            {"stratum": {"label": ["a1"], "words": [2]}, "residual": [1, 2]},
+            ": stratum",
+            "words",
+        ),
+        (_STABILIZER_A2, {"interior": [1, 2], "residual": [5, 5]}, "", "residual"),
+        (
+            ["datum-info", "--datum-file"],
+            {"rank": 2, "cartan": [[2, -1], [-1, 2]], "root": [[1, 0]]},
+            "",
+            "root",
+        ),
+        (
+            ["limit", "--datum", "A2", "--type", "a1", "--ray-file"],
+            {"u0": [1, 2], "v": [0, 1], "V": [1, 1]},
+            "",
+            "V",
+        ),
+        (["pgl", "--seminorm-file"], {"values": ["0", "-1"], "kernel": [1]}, "", "kernel"),
+        (
+            ["seminorm", "--datum", "A2", "--type", "a1", "--interior=0,0", "--poly"],
+            [{"exponents": {}, "coeff": "5"}],
+            ": monomial 0",
+            "coeff",
+        ),
+    ],
+    ids=["stratum-word", "interior-residual", "datum-roots", "ray", "pgl", "monomial"],
+)
+def test_input_files_refuse_a_field_their_reader_does_not_read(
+    tmp_path, capsys, argv, data, where, field
+):
+    """A misspelt or misplaced field is refused, not dropped: each of these
+    files ran to exit 0 on what was left of it."""
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    assert _run(capsys, *argv, str(path)) == (
+        2, "", f'error: {path}{where}: unknown field "{field}"\n'
+    )
+
+
 def test_seminorm_refuses_an_out_of_range_key_at_every_point(tmp_path, capsys):
     """Generator 0 is -inf on the stratum {a1}, and a key past the chart is
     refused there as it is at an interior point."""

@@ -32,23 +32,11 @@ def test_vector_basics():
 
 
 def test_primitive_normalizes_scale_and_sign():
+    """The scale goes, and the sign stays: a ray and its opposite differ."""
     assert linalg.primitive([Fraction(2, 3), Fraction(-4, 3)]) == (1, -2)
-    assert linalg.primitive([Fraction(-2, 3), Fraction(4, 3)]) == (1, -2)
-    assert linalg.primitive([0, Fraction(0), Fraction(-5, 7)]) == (0, 0, 1)
-
-
-def test_rref_shape_and_idempotence():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    reduced, pivots = linalg.rref(rows)
-    assert pivots == [0, 1]
-    again, pivots2 = linalg.rref(reduced)
-    assert [list(r) for r in again] == [list(r) for r in reduced]
-    assert pivots2 == pivots
-    for i, p in enumerate(pivots):
-        assert reduced[i][p] == 1
-        for j in range(len(reduced)):
-            if j != i:
-                assert reduced[j][p] == 0
+    assert linalg.primitive([Fraction(-2, 3), Fraction(4, 3)]) == (-1, 2)
+    assert linalg.primitive([0, Fraction(0), Fraction(-5, 7)]) == (0, 0, -1)
+    assert linalg.primitive([-6, 0, 9]) == (-2, 0, 3)
 
 
 def test_rank_and_nullspace_dimension_add_up():
@@ -146,7 +134,10 @@ def _matrix_and_vector(draw):
 def test_integer_kernel_agrees_with_the_fraction_oracle(case):
     rows, v, n = case
     assert linalg.rank(rows) == oracles.rank(rows)
-    assert linalg.rref(rows) == oracles.rref(rows)
+    # the integer echelon rows, each divided by its pivot, are the RREF
+    red, pivots = linalg._reduce(rows)
+    normalized = [tuple(Fraction(a, row[p]) for a in row) for row, p in zip(red, pivots)]
+    assert (normalized, pivots) == oracles.rref(rows)
     null = linalg.nullspace(rows, n)
     expected = oracles.nullspace(rows, n)
     assert len(null) == len(expected)
@@ -156,10 +147,14 @@ def test_integer_kernel_agrees_with_the_fraction_oracle(case):
         assert all(type(a) is int for a in x)
         scale = next(a for a in x if a != 0) / next(b for b in y if b != 0)
         assert scale > 0 and tuple(a / scale for a in x) == y
-        assert linalg.primitive(x) in (x, linalg.neg_int(x))
+        assert linalg.primitive(x) == x
     in_span = oracles.rank(rows + [v]) == oracles.rank(rows)
     assert oracles.in_row_span(rows, v) == in_span
-    assert linalg.is_zero(linalg.reduce_mod_span(rows, v)) == in_span
+    residual = linalg.reduce_mod_span(rows, v)
+    assert linalg.is_zero(residual) == in_span
+    # the one representative of v's class that is zero on the RREF pivots
+    assert all(residual[p] == 0 for p in pivots)
+    assert oracles.rank(rows + [[a - b for a, b in zip(v, residual)]]) == oracles.rank(rows)
 
 
 @settings(max_examples=200, deadline=None)

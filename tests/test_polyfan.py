@@ -637,3 +637,44 @@ def test_integer_sign_tests_agree_with_the_fraction_oracle(data):
             ints = tuple(int(a) for a in point)
             assert contains_point(cone, ints) == inside
             assert in_relative_interior(cone, ints) == interior
+
+
+def _is_int_tuple(v) -> bool:
+    return isinstance(v, tuple) and all(type(a) is int for a in v)
+
+
+def _raised_witness(cones):
+    with pytest.raises(FanAxiomViolation) as err:
+        verify_prefan(make_prefan(cones))
+    return err.value.witness
+
+
+@pytest.mark.parametrize("name", ("A2", "B2", "G2", "A3", "A1xA1"))
+def test_points_axes_directions_and_witnesses_are_integer_tuples(name):
+    """At type {a1} (A1xA1 has lineality there): interior points, lineality
+    axes, degeneration directions, primitive rays and the witnesses of both
+    axioms that verify_prefan checks hold ints, and primitive keeps a sign."""
+    datum = root_data.build_named(name)
+    t = frozenset({0})
+    cones = type_geometry.prefan_of_type(datum, t).cones
+    axes = type_geometry.lineality_space(datum, t)
+    assert len(axes) == (1 if name == "A1xA1" else 0)
+    assert all(_is_int_tuple(a) for a in axes)
+    for cone in cones:
+        assert _is_int_tuple(relative_interior_point(cone))
+        for r in generators(cone)[1]:
+            assert linalg.primitive(r) == r
+            assert linalg.primitive([-2 * a for a in r]) == linalg.neg_int(r)
+    n = datum.rank
+    u0, v = gl_models.degeneration_ray(range(n + 1), {0, n})
+    assert _is_int_tuple(v) and v == (1,) + (0,) * (n - 2) + (-1,)
+    # one face of each lower dimension dropped: face closure fails
+    dims = {polyfan.dim(c): i for i, c in enumerate(cones)}
+    for d, i in dims.items():
+        if d < max(dims):
+            witness = _raised_witness(cones[:i] + cones[i + 1:])
+            assert _is_int_tuple(witness)
+    # a half-space and its wall, closed under faces, cut the cones across
+    tilted = make_cone(n, [tuple(range(1, n + 1))])
+    witness = _raised_witness(cones + tuple(polyfan.faces(tilted)))
+    assert _is_int_tuple(witness)
