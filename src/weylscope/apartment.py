@@ -130,7 +130,8 @@ def tropical_product(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPo
 class ApartmentContext(root_data._Record):
     """A root datum with a fixed type t; contexts are equal when their
     datum and type are.  Built on first read: the stratifying prefan (one
-    cone per t-relevant parabolic, aligned index-wise with parabolics), the
+    cone per t-relevant parabolic, aligned index-wise with parabolics, with
+    the rays of each carried from its orbit's standard cone), the
     big-cell charts (one per type-t parabolic, in ShortLex order over W^t,
     with its generator roots), and the stratum cone of each parabolic asked
     about.  Those cones live in one table keyed by parabolic members, which
@@ -147,22 +148,21 @@ class ApartmentContext(root_data._Record):
         object.__setattr__(self, "_charts", None)
         object.__setattr__(self, "_cones", {})
 
-    def _built_strata(self) -> Tuple[Prefan, Tuple[ParabolicSet, ...]]:
+    def _built_strata(self) -> type_geometry.ConeOrbits:
         strata = self._strata
         if strata is None:
-            family = type_geometry.type_cone_orbits(self.datum, self.type_label)
-            strata = (polyfan.make_prefan(family.cones), family.parabolics)
-            self._cones.update(zip((q.members for q in strata[1]), strata[0].cones))
+            strata = type_geometry.type_cone_orbits(self.datum, self.type_label)
+            self._cones.update(zip((q.members for q in strata.parabolics), strata.prefan.cones))
             object.__setattr__(self, "_strata", strata)
         return strata
 
     @property
     def prefan(self) -> Prefan:
-        return self._built_strata()[0]
+        return self._built_strata().prefan
 
     @property
     def parabolics(self) -> Tuple[ParabolicSet, ...]:
-        return self._built_strata()[1]
+        return self._built_strata().parabolics
 
     @property
     def charts(self) -> Tuple[Tuple[ParabolicSet, Tuple[IntVector, ...]], ...]:
@@ -337,7 +337,11 @@ def seminorm_eval(
 ) -> ExtendedValue:
     """Log of the seminorm of f at x in the chart of p: the max-plus value
     of f at the generator values, with keys indexing the chart generators."""
-    values = _values_in_chart(x, p)
+    return _chart_seminorm(f, _values_in_chart(x, p))
+
+
+def _chart_seminorm(f: TropicalPolynomial, values: Sequence[ExtendedValue]) -> ExtendedValue:
+    """The max-plus value of f at the values of a chart's generators."""
     bad = _first_bad_key(f, len(values))
     if bad is not None:
         raise ValidationError(

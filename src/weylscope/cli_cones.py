@@ -9,7 +9,7 @@ commands do not compile it."""
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 from . import polyfan, type_geometry
 from .cli import (
@@ -26,23 +26,25 @@ from .cli import (
     _scalar_list,
     _type_names,
 )
+from .linalg import IntVector
 from .polyfan import Cone
 from .root_data import parabolic_name, type_name
-from .type_geometry import ConeGeometry
 
 
 # ---------------------------------------------------------------------------
 # report helpers
 
 
-def _cone_report(cone: Cone, geometry: ConeGeometry) -> Dict:
+def _cone_report(
+    cone: Cone, lineality: Tuple[IntVector, ...], rays: Tuple[IntVector, ...], dim: int
+) -> Dict:
     return {
         "space_dim": cone.space_dim,
-        "dim": geometry.dim,
+        "dim": dim,
         "ineqs": [list(phi) for phi in cone.ineqs],
         "eqs": [list(phi) for phi in cone.eqs],
-        "lineality_dim": len(geometry.lineality),
-        "rays": [[str(c) for c in r] for r in geometry.rays],
+        "lineality_dim": len(lineality),
+        "rays": [[str(c) for c in r] for r in rays],
     }
 
 
@@ -61,14 +63,11 @@ class _RowTexts(dict):
         return text
 
 
-def _cone_entries(
-    family: type_geometry.ConeOrbits, geometry: Sequence[ConeGeometry]
-) -> _EncodedList:
+def _cone_entries(family: type_geometry.ConeOrbits) -> _EncodedList:
     """The report entries of the cones, numbered and labelled by their
-    parabolics, with the rays and dimensions carried along each orbit
-    (family.geometry(), computed by the caller): what _cone_report gives,
-    with "index" and "parabolic" added.  Functionals are lists of ints and
-    rays lists of strings."""
+    parabolics, with the rays and dimensions the family carries along each
+    orbit: what _cone_report gives, with "index" and "parabolic" added.
+    Functionals are lists of ints and rays lists of strings."""
 
     def items(level: int) -> Iterator[str]:
         keys = ("dim", "eqs", "index", "ineqs", "lineality_dim", "parabolic", "rays", "space_dim")
@@ -77,15 +76,17 @@ def _cone_entries(
         functionals = _RowTexts(int.__repr__, level + 2)
         rays = _RowTexts(lambda c: encode_basestring_ascii(str(c)), level + 2)
         parabolics = _parabolic_texts(family.orbits, level + 1)
-        for i, (c, g, p) in enumerate(zip(family.cones, geometry, parabolics)):
+        prefan = family.prefan
+        cones = zip(prefan.cones, prefan.generators, family.dims, parabolics)
+        for i, (c, (lin, gens), d, p) in enumerate(cones):
             yield entry.format(
-                g.dim,
+                d,
                 _scalar_list([functionals[v] for v in c.eqs], level + 1),
                 i,
                 _scalar_list([functionals[v] for v in c.ineqs], level + 1),
-                len(g.lineality),
+                len(lin),
                 p,
-                _scalar_list([rays[v] for v in g.rays], level + 1),
+                _scalar_list([rays[v] for v in gens], level + 1),
                 c.space_dim,
             )
 
@@ -99,20 +100,19 @@ def _cone_entries(
 def _cmd_fan(args) -> int:
     datum = _load_datum(args)
     family = type_geometry.weyl_cone_orbits(datum)
-    geometry = tuple(family.geometry())
-    dims, dim_text = _dim_counts([g.dim for g in geometry])
+    dims, dim_text = _dim_counts(family.dims)
     report = {
         "command": "fan",
         "datum": datum.name,
         "rank": datum.rank,
-        "count": len(geometry),
+        "count": len(family.dims),
         "dims": dims,
-        "cones": _cone_entries(family, geometry),
+        "cones": _cone_entries(family),
     }
     _emit(
         args,
         report,
-        [f"Weyl fan of {datum.name or 'datum'}: {len(geometry)} cones ({dim_text})"],
+        [f"Weyl fan of {datum.name or 'datum'}: {len(family.dims)} cones ({dim_text})"],
     )
     return EXIT_OK
 
@@ -121,24 +121,23 @@ def _cmd_prefan(args) -> int:
     datum = _load_datum(args)
     t = _parse_type(args.type, datum)
     family = type_geometry.type_cone_orbits(datum, t)
-    geometry = tuple(family.geometry())
-    dims, dim_text = _dim_counts([g.dim for g in geometry])
+    dims, dim_text = _dim_counts(family.dims)
     lin = type_geometry.lineality_space(datum, t)
     report = {
         "command": "prefan",
         "datum": datum.name,
         "type": _type_names(t),
-        "count": len(geometry),
+        "count": len(family.dims),
         "dims": dims,
         "lineality_dim": len(lin),
-        "cones": _cone_entries(family, geometry),
+        "cones": _cone_entries(family),
     }
     _emit(
         args,
         report,
         [
             f"stratifying prefan of {datum.name or 'datum'} for type "
-            f"{type_name(t)}: {len(geometry)} cones ({dim_text})"
+            f"{type_name(t)}: {len(family.dims)} cones ({dim_text})"
         ],
     )
     return EXIT_OK
@@ -169,7 +168,7 @@ def _cmd_cone(args) -> int:
         "kind": args.kind,
         "type": _type_names(t),
         "parabolic": _parabolic_id(q),
-        "cone": _cone_report(cone, ConeGeometry(*polyfan.generators(cone), polyfan.dim(cone))),
+        "cone": _cone_report(cone, *polyfan.generators(cone), polyfan.dim(cone)),
     }
     report.update(extra)
     summary = [

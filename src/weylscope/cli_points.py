@@ -238,18 +238,19 @@ def _cmd_seminorm(args) -> int:
             raise ValidationError(
                 f"--chart: index {args.chart} out of range 0..{len(ctx.charts) - 1}"
             )
-        p = ctx.charts[args.chart][0]
+        p, psi = ctx.charts[args.chart]
+        values = apartment._values_in_chart(x, p)
     else:
-        p, _, _ = apartment._accepting_chart(ctx, x)
-    value = apartment.seminorm_eval(ctx, x, f, p)
-    norm = apartment.is_norm(ctx, x, p)
+        p, psi, values = apartment._accepting_chart(ctx, x)
+    value = apartment._chart_seminorm(f, values)
+    norm = all(v.kind == 0 for v in values)
     report = {
         "command": "seminorm",
         "datum": datum.name,
         "type": _type_names(t),
         "chart": {
             "parabolic": _parabolic_id(p),
-            "generators": [list(a) for a in apartment.chart_generators(p)],
+            "generators": [list(a) for a in psi],
         },
         "stratum": _parabolic_id(apartment.stratum_of(ctx, x)),
         "value": str(value),

@@ -18,6 +18,10 @@ products, uncached.  Faces, facets and common faces are read off the
 ray-inequality incidences: a face keeps the lineality of its cone, its rays
 are the rays vanishing on its tight inequalities, and its tight inequalities
 are those vanishing on its rays.
+
+A Prefan carries the pair of each cone (make_prefan asks `generators`; a
+W-built family moves its standard cones' pairs), and certification reads
+them: it runs the double description only on pairs of maximal cones.
 """
 
 from __future__ import annotations
@@ -189,10 +193,11 @@ def generators(cone: Cone) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]
     """(lineality basis, extreme-ray representatives) of _double_description.
 
     The module's one memo table, least recently used first out.  Its bound
-    holds the largest working sets measured: criterion 1 scans the 5,089
-    cones of the F4 Weyl fan, and certifying every type of A4 and of D4
-    leaves 6,521 cones; at 1 << 10 that scan thrashed and took 19 s instead
-    of 7."""
+    holds the largest working set measured: criterion 1 scans the 5,089
+    cones of the F4 Weyl fan once per type; at 1 << 10 that scan thrashed
+    and took 19 s instead of 7.  Certification adds nothing to it, since a
+    prefan carries its cones' pairs: certifying every type of A4 and of D4
+    leaves it empty."""
     return _double_description(cone)
 
 
@@ -223,14 +228,6 @@ def span_basis(cone: Cone) -> Tuple[IntVector, ...]:
 def dim(cone: Cone) -> int:
     lin, rays = generators(cone)
     return linalg.rank(lin + rays)
-
-
-def _is_full_dimensional(cone: Cone) -> bool:
-    """Whether dim(cone) is the ambient dimension; a cone with fewer
-    generators than that is not, and needs no rank computed."""
-    lin, rays = generators(cone)
-    n = cone.space_dim
-    return len(lin) + len(rays) >= n and dim(cone) == n
 
 
 def contains_point(cone: Cone, u: Sequence) -> bool:
@@ -293,13 +290,12 @@ def _promoted(cone: Cone, tight: int) -> Cone:
     )
 
 
-def _face_closure(cone: Cone):
+def _face_closure(cone: Cone, rays: Sequence[IntVector]):
     """The map from a bitmask of inequalities to (tight set, rays) of the face
-    on which they all vanish, read off the ray-inequality incidences: its
-    rays are the rays of the cone vanishing on every one of them, its tight
-    set the inequalities vanishing on all of those rays.  The face keeps the
-    lineality of the cone."""
-    _, rays = generators(cone)
+    on which they all vanish, read off the ray-inequality incidences of the
+    cone's rays: its rays are those vanishing on every one of them, its
+    tight set the inequalities vanishing on all of those rays.  The face
+    keeps the lineality of the cone."""
     incidence = [
         (r, sum(1 << i for i, f in enumerate(cone.ineqs) if linalg.dot(r, f) == 0))
         for r in rays
@@ -318,11 +314,12 @@ def _face_closure(cone: Cone):
     return closure
 
 
-def _face_table(cone: Cone) -> List[Tuple[int, Tuple[IntVector, ...]]]:
-    """Every face as (tight set, rays), found breadth-first by adding one
-    inequality at a time to a tight set and closing it, and sorted by the
-    size and then the indices of the tight set."""
-    closure = _face_closure(cone)
+def _face_table(cone: Cone, rays: Sequence[IntVector]) -> List[Tuple[int, Tuple[IntVector, ...]]]:
+    """Every face of the cone with the given rays as (tight set, rays), found
+    breadth-first by adding one inequality at a time to a tight set and
+    closing it, and sorted by the size and then the indices of the tight
+    set."""
+    closure = _face_closure(cone, rays)
     start, rays = closure(0)
     table = {start: rays}
     frontier = [start]
@@ -347,16 +344,16 @@ def _face_table(cone: Cone) -> List[Tuple[int, Tuple[IntVector, ...]]]:
 def faces(cone: Cone) -> List[Cone]:
     """Complete face list (cone itself included), each face the cone with its
     tight inequalities promoted to equalities; finite and deduplicated."""
-    return [_promoted(cone, tight) for tight, _ in _face_table(cone)]
+    return [_promoted(cone, tight) for tight, _ in _face_table(cone, generators(cone)[1])]
 
 
-def _facet_table(cone: Cone) -> List[Tuple[int, Tuple[IntVector, ...]]]:
-    """Every codimension-one face as (tight set, rays), in the order of the
-    first inequality cutting it out.  Each facet is cut out by one
-    inequality of an H-description, and every proper face lies in a facet,
-    so the facets are the proper faces cut out by one inequality whose
-    tight sets are minimal among those."""
-    closure = _face_closure(cone)
+def _facet_table(cone: Cone, rays: Sequence[IntVector]) -> List[Tuple[int, Tuple[IntVector, ...]]]:
+    """Every codimension-one face of the cone with the given rays as (tight
+    set, rays), in the order of the first inequality cutting it out.  Each
+    facet is cut out by one inequality of an H-description, and every
+    proper face lies in a facet, so the facets are the proper faces cut out
+    by one inequality whose tight sets are minimal among those."""
+    closure = _face_closure(cone, rays)
     whole, _ = closure(0)
     cut = {}
     for i in range(len(cone.ineqs)):
@@ -372,7 +369,7 @@ def _facet_table(cone: Cone) -> List[Tuple[int, Tuple[IntVector, ...]]]:
 
 def facets(cone: Cone) -> List[Cone]:
     """Codimension-one faces, in the order of _facet_table."""
-    return [_promoted(cone, tight) for tight, _ in _facet_table(cone)]
+    return [_promoted(cone, tight) for tight, _ in _facet_table(cone, generators(cone)[1])]
 
 
 def _violation_witness(
@@ -390,45 +387,52 @@ def _violation_witness(
     return None
 
 
-def _face_witness(
-    c: Cone, closure, inter: Cone, inter_rays: Sequence[IntVector]
-) -> Optional[IntVector]:
-    """A generator of the face of c cut out by the inequalities tight on its
-    subcone inter (rays inter_rays; closure is _face_closure(c)) that leaves
-    inter; None when that face is inter, that is, when inter is a face of c."""
-    tight = sum(
-        1 << i
-        for i, f in enumerate(c.ineqs)
-        if all(linalg.dot(r, f) == 0 for r in inter_rays)
-    )
-    _, rays = closure(tight)
-    return _violation_witness(lineality_basis(c), rays, inter)
+def _common_face_witness(a: Cone, b: Cone, sides) -> Tuple[Cone, Optional[IntVector]]:
+    """a ∩ b, and None when it is a face of both cones; otherwise a generator
+    that leaves a ∩ b of the face of a (then of b) cut out by the
+    inequalities vanishing on the rays of a ∩ b.  sides holds the lineality
+    basis and the _face_closure of a and of b."""
+    inter = Cone(space_dim=a.space_dim, ineqs=a.ineqs + b.ineqs, eqs=a.eqs + b.eqs)
+    _, inter_rays = _double_description(inter)
+    for c, (lin, closure) in zip((a, b), sides):
+        tight = sum(
+            1 << i
+            for i, f in enumerate(c.ineqs)
+            if all(linalg.dot(r, f) == 0 for r in inter_rays)
+        )
+        witness = _violation_witness(lin, closure(tight)[1], inter)
+        if witness is not None:
+            return inter, witness
+    return inter, None
+
+
+def _side(cone: Cone, pair):
+    """The lineality basis and _face_closure of the cone, from its
+    (lineality, rays) pair."""
+    lin, rays = pair
+    return lin, _face_closure(cone, rays)
 
 
 def common_face(a: Cone, b: Cone) -> Cone:
     """The intersection, when it is a face of both; FanAxiomViolation with a
-    witness point otherwise.  The face of each side is the one cut out by
-    the inequalities vanishing on the rays of the intersection."""
+    witness point otherwise."""
     if a.space_dim != b.space_dim:
         raise ValueError("cones live in different ambient spaces")
-    inter = Cone(
-        space_dim=a.space_dim, ineqs=a.ineqs + b.ineqs, eqs=a.eqs + b.eqs
-    )
-    _, inter_rays = _double_description(inter)
-    for c in (a, b):
-        witness = _face_witness(c, _face_closure(c), inter, inter_rays)
-        if witness is not None:
-            raise FanAxiomViolation(
-                "intersection is not a face of both cones", witness=witness
-            )
+    inter, witness = _common_face_witness(a, b, (_side(a, generators(a)), _side(b, generators(b))))
+    if witness is not None:
+        raise FanAxiomViolation(
+            "intersection is not a face of both cones", witness=witness
+        )
     return inter
 
 
 class Prefan(NamedTuple):
     """A finite cone family closed under faces with pairwise common-face
-    intersections."""
+    intersections, with the (lineality basis, rays) pair of each cone, as
+    generators gives it, at the same index."""
 
     cones: Tuple[Cone, ...]
+    generators: Tuple[Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]], ...]
 
     @property
     def space_dim(self) -> int:
@@ -436,14 +440,16 @@ class Prefan(NamedTuple):
 
 
 def make_prefan(cones: Sequence[Cone]) -> Prefan:
-    return Prefan(cones=tuple(cones))
+    cones = tuple(cones)
+    return Prefan(cones=cones, generators=tuple(map(generators, cones)))
 
 
 def verify_prefan(prefan: Prefan) -> None:
     """Face closure and pairwise common-face axioms; a violation names the
     two cones in different ambient spaces, the cone whose face is missing,
     or the first pair in index order whose intersection is not a common
-    face.
+    face.  Every cone's rays and lineality are read off the prefan, so the
+    double description runs only on the intersections of pairs.
 
     Once the family is closed under faces, the common-face check runs only
     on pairs of maximal cones, those that are not a proper face of another
@@ -453,19 +459,18 @@ def verify_prefan(prefan: Prefan) -> None:
     hence of A and of B (Ziegler 1995, Lectures on Polytopes, §7.1).  A cone
     that lies inside a maximal cone without being one of its faces is
     maximal itself, so it gets paired."""
-    cones = prefan.cones
+    cones, pairs = prefan.cones, prefan.generators
     for j, c in enumerate(cones):
         if c.space_dim != cones[0].space_dim:
             raise FanAxiomViolation(
                 f"cones 0 and {j} live in different ambient spaces", cones=(0, j)
             )
-    keys = [_canonical_key(c) for c in cones]
+    keys = [(c.space_dim, lin, frozenset(rays)) for c, (lin, rays) in zip(cones, pairs)]
     members = set(keys)
     proper_faces = set()
-    for i, c in enumerate(cones):
-        lin = lineality_basis(c)
-        for tight, rays in _face_table(c):
-            key = (c.space_dim, lin, frozenset(rays))
+    for i, (c, (lin, rays)) in enumerate(zip(cones, pairs)):
+        for tight, face_rays in _face_table(c, rays):
+            key = (c.space_dim, lin, frozenset(face_rays))
             if key not in members:
                 raise FanAxiomViolation(
                     f"face closure fails: a face of cone {i} is not in the prefan",
@@ -474,39 +479,32 @@ def verify_prefan(prefan: Prefan) -> None:
                 )
             if key != keys[i]:
                 proper_faces.add(key)
-    maximal = [
-        (c, _face_closure(c))
-        for c, key in zip(cones, keys)
-        if key not in proper_faces
-    ]
-    for (a, closure_a), (b, closure_b) in combinations(maximal, 2):
-        inter = Cone(
-            space_dim=a.space_dim, ineqs=a.ineqs + b.ineqs, eqs=a.eqs + b.eqs
-        )
-        _, inter_rays = _double_description(inter)
-        if (
-            _face_witness(a, closure_a, inter, inter_rays) is not None
-            or _face_witness(b, closure_b, inter, inter_rays) is not None
-        ):
-            break
-    else:
+    maximal = [i for i, key in enumerate(keys) if key not in proper_faces]
+    sides = [_side(c, pair) for c, pair in zip(cones, pairs)]
+    if all(
+        _common_face_witness(cones[i], cones[j], (sides[i], sides[j]))[1] is None
+        for i, j in combinations(maximal, 2)
+    ):
         return
     # Some pair fails.  Name the first failing pair in index order; the scan
     # reaches the maximal pair just found at the latest.
     for i, j in combinations(range(len(cones)), 2):
-        try:
-            common_face(cones[i], cones[j])
-        except FanAxiomViolation as err:
+        _, witness = _common_face_witness(cones[i], cones[j], (sides[i], sides[j]))
+        if witness is not None:
             raise FanAxiomViolation(
-                f"cones {i} and {j}: {err}", witness=err.witness, cones=(i, j)
-            ) from None
+                f"cones {i} and {j}: intersection is not a face of both cones",
+                witness=witness,
+                cones=(i, j),
+            )
 
 
 def covers(prefan: Prefan) -> bool:
     """Whether the cones cover the ambient space: every facet of every
     full-dimensional cone is a facet of exactly one other full-dimensional
     cone (cones are compared as sets, so a repeated cone counts once and a
-    cone equal to it is not another).
+    cone equal to it is not another).  A cone is full-dimensional when its
+    rays and lineality have the ambient rank; one with fewer of them than
+    that is not, and needs no rank computed.
 
     Exact for a family that passes verify_prefan.  Facets are keyed as
     verify_prefan keys faces, by (space_dim, lineality, rays): two cones of
@@ -518,14 +516,17 @@ def covers(prefan: Prefan) -> bool:
     their common face F, so it lies on the other side of F, and that
     boundary point is interior to the union: a contradiction."""
     n = prefan.space_dim
-    full = [c for c in prefan.cones if _is_full_dimensional(c)]
+    full = [
+        (c, lin, rays)
+        for c, (lin, rays) in zip(prefan.cones, prefan.generators)
+        if len(lin) + len(rays) >= n and linalg.rank(lin + rays) == n
+    ]
     if not full:
         return n == 0 and bool(prefan.cones)
     holders = defaultdict(set)  # facet key -> canonical keys of its cones
-    for c in full:
-        lin = lineality_basis(c)
-        for _, rays in _facet_table(c):
-            holders[(n, lin, frozenset(rays))].add(_canonical_key(c))
+    for c, lin, rays in full:
+        for _, facet_rays in _facet_table(c, rays):
+            holders[(n, lin, frozenset(facet_rays))].add((n, lin, frozenset(rays)))
     return all(len(keys) == 2 for keys in holders.values())
 
 

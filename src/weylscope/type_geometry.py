@@ -14,11 +14,12 @@ built one W-orbit at a time (ConeOrbits): the cone of w·P_Y is that of the
 standard parabolic P_Y with every functional, a root, moved by the root
 permutation of w, and its rays are those of the standard cone times
 M(w^{-1}).  So only one cone per orbit is described from its roots, and
-only that one goes through the double description."""
+only that one goes through the double description; the prefan carries the
+moved rays of every cone, and certifying it reads them."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Set, Tuple
 
 from . import linalg, polyfan, root_data
 from .polyfan import Cone, Prefan
@@ -183,15 +184,6 @@ def lineality_space(datum: RootDatum, t: TypeLabel) -> Tuple[IntVector, ...]:
 # cones by W-orbit
 
 
-class ConeGeometry(NamedTuple):
-    """What polyfan.generators and polyfan.dim give for a cone: its
-    canonical lineality basis, its canonical rays and its dimension."""
-
-    lineality: Tuple[IntVector, ...]
-    rays: Tuple[IntVector, ...]
-    dim: int
-
-
 def _row_times(v: Sequence[int], m: IntMatrix) -> IntVector:
     """The row vector v times the matrix m."""
     return tuple(sum(a * b for a, b in zip(v, col)) for col in zip(*m))
@@ -199,71 +191,71 @@ def _row_times(v: Sequence[int], m: IntMatrix) -> IntVector:
 
 class ConeOrbits(NamedTuple):
     """One cone per parabolic of some whole W-orbits, in the order of
-    root_data.parabolics_of: the cone of w·P_Y is the image under w of the
-    cone of the standard parabolic P_Y, the first of its orbit."""
+    root_data.parabolics_of, as a prefan that carries the generators of
+    each cone, and the dimension of each cone: the cone of w·P_Y is the
+    image under w of the cone of the standard parabolic P_Y, the first of
+    its orbit."""
 
     orbits: Tuple[Orbit, ...]
-    cones: Tuple[Cone, ...]
+    prefan: Prefan
+    dims: Tuple[int, ...]
 
     @property
     def parabolics(self) -> Tuple[ParabolicSet, ...]:
         return tuple(q for orbit in self.orbits for q in orbit)
-
-    def geometry(self) -> Iterator[ConeGeometry]:
-        """The generators and dimension of every cone, in order, with the
-        double description run on the first cone of each orbit only.
-
-        u lies in C(P_Y) iff u·M(w^{-1}) lies in C(w·P_Y), so the rays of
-        C(w·P_Y) are v·M(w^{-1}) for the rays v of C(P_Y), still primitive
-        since M(w^{-1}) is unimodular, and the dimension is that of C(P_Y).
-        They need no reduction modulo the lineality either.  A Weyl cone
-        has none; a type-t cone has the coordinate axes of the components
-        inside t, the same canonical basis for every cone, and generators
-        reduces a ray modulo it by zeroing those coordinates.  M(w^{-1})
-        acts component by component, so the moved rays keep them zero.
-
-        The same standard ray meets the same w^{-1} in many orbits, so each
-        product is computed once per call, with the element keyed by its
-        word."""
-        moved: Dict[Tuple[IntVector, int], IntVector] = {}
-        element_ids: Dict[Tuple[int, ...], int] = {}
-        start = 0
-        for orbit in self.orbits:
-            std = self.cones[start]
-            start += len(orbit)
-            lin, rays = polyfan.generators(std)
-            d = polyfan.dim(std)
-            for inv in orbit.inverses:
-                key = element_ids.setdefault(inv.word, len(element_ids))
-                images = []
-                for v in rays:
-                    image = moved.get((v, key))
-                    if image is None:
-                        image = moved[v, key] = _row_times(v, inv.matrix)
-                    images.append(image)
-                images.sort()
-                yield ConeGeometry(lin, tuple(images), d)
 
 
 def _cone_orbits(
     orbits: Tuple[Orbit, ...], standard_cone: Callable[[ParabolicSet], Cone]
 ) -> ConeOrbits:
     """The cone standard_cone gives the first parabolic P_Y of each orbit,
-    and its image under each representative w for w·P_Y: the images w·φ of
-    its functionals cut that out, and as every φ is a root, w·φ is read
-    off the root permutation of w."""
+    and its image under each representative w for w·P_Y, with the
+    generators and dimension of each; the double description runs on the
+    standard cone only, and its result stays out of polyfan.generators.
+
+    The images w·φ of the standard cone's functionals cut out the image,
+    and as every φ is a root, w·φ is read off the root permutation of w.
+    u lies in C(P_Y) iff u·M(w^{-1}) lies in C(w·P_Y), so the rays of
+    C(w·P_Y) are v·M(w^{-1}) for the rays v of C(P_Y), still primitive
+    since M(w^{-1}) is unimodular, and the dimension is that of C(P_Y).
+    They need no reduction modulo the lineality either.  A Weyl cone has
+    none; a type-t cone has the coordinate axes of the components inside
+    t, the same canonical basis for every cone, and the double description
+    reduces a ray modulo it by zeroing those coordinates.  M(w^{-1}) acts
+    component by component, so the moved rays keep them zero.
+
+    The same standard ray meets the same w^{-1} in many orbits, so each
+    product is computed once per call, with the element keyed by its
+    word."""
     cones: List[Cone] = []
+    pairs: List[Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]] = []
+    dims: List[int] = []
+    moved: Dict[Tuple[IntVector, int], IntVector] = {}
+    element_ids: Dict[Tuple[int, ...], int] = {}
     for orbit in orbits:
         std = standard_cone(orbit.standard)
+        lin, rays = polyfan._double_description(std)
+        d = linalg.rank(lin + rays)
         datum = orbit.standard.datum
         index = root_data.DatumTables.of(datum).root_index
         ineqs = [index[f] for f in std.ineqs]
         eqs = [index[f] for f in std.eqs]
-        for perm in orbit.permutations:
+        for perm, inv in zip(orbit.permutations, orbit.inverses):
             moved_ineqs = sorted([datum.roots[perm[i]] for i in ineqs])
             moved_eqs = sorted([datum.roots[perm[i]] for i in eqs])
             cones.append(Cone(std.space_dim, tuple(moved_ineqs), tuple(moved_eqs)))
-    return ConeOrbits(orbits=orbits, cones=tuple(cones))
+            key = element_ids.setdefault(inv.word, len(element_ids))
+            images = []
+            for v in rays:
+                image = moved.get((v, key))
+                if image is None:
+                    image = moved[v, key] = _row_times(v, inv.matrix)
+                images.append(image)
+            pairs.append((lin, tuple(sorted(images))))
+            dims.append(d)
+    return ConeOrbits(
+        orbits=orbits, prefan=Prefan(tuple(cones), tuple(pairs)), dims=tuple(dims)
+    )
 
 
 def weyl_cone_orbits(datum: RootDatum) -> ConeOrbits:
@@ -275,7 +267,7 @@ def weyl_cone_orbits(datum: RootDatum) -> ConeOrbits:
 
 
 def weyl_fan(datum: RootDatum) -> Prefan:
-    return polyfan.make_prefan(weyl_cone_orbits(datum).cones)
+    return weyl_cone_orbits(datum).prefan
 
 
 def type_cone_orbits(datum: RootDatum, t: TypeLabel) -> ConeOrbits:
@@ -290,4 +282,4 @@ def type_cone_orbits(datum: RootDatum, t: TypeLabel) -> ConeOrbits:
 def prefan_of_type(datum: RootDatum, t: TypeLabel) -> Prefan:
     """Prefan whose cones are the type cones of the t-relevant parabolics, in
     parabolic enumeration order."""
-    return polyfan.make_prefan(type_cone_orbits(datum, t).cones)
+    return type_cone_orbits(datum, t).prefan

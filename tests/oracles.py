@@ -371,21 +371,23 @@ def parabolic_id(q) -> dict:
     return {"label": _type_names(y), "word": [i + 1 for i in w.word]}
 
 
-def _cone_report(cone, geometry) -> dict:
+def _cone_report(cone, lineality, rays, dim) -> dict:
     return {
         "space_dim": cone.space_dim,
-        "dim": geometry.dim,
+        "dim": dim,
         "ineqs": [list(phi) for phi in cone.ineqs],
         "eqs": [list(phi) for phi in cone.eqs],
-        "lineality_dim": len(geometry.lineality),
-        "rays": [[str(c) for c in r] for r in geometry.rays],
+        "lineality_dim": len(lineality),
+        "rays": [[str(c) for c in r] for r in rays],
     }
 
 
 def _cone_list(family) -> List[dict]:
     entries = []
-    for i, (q, c, g) in enumerate(zip(family.parabolics, family.cones, family.geometry())):
-        entry = _cone_report(c, g)
+    prefan = family.prefan
+    cones = zip(family.parabolics, prefan.cones, prefan.generators, family.dims)
+    for i, (q, c, (lin, rays), d) in enumerate(cones):
+        entry = _cone_report(c, lin, rays, d)
         entry["index"] = i
         entry["parabolic"] = parabolic_id(q)
         entries.append(entry)
@@ -750,10 +752,9 @@ def all_pairs_verify_prefan(prefan) -> None:
     order; raises the FanAxiomViolation of the first cone or pair at
     fault."""
     keys = {polyfan._canonical_key(c) for c in prefan.cones}
-    for i, c in enumerate(prefan.cones):
-        lin = polyfan.lineality_basis(c)
-        for tight, rays in polyfan._face_table(c):
-            if (c.space_dim, lin, frozenset(rays)) not in keys:
+    for i, (c, (lin, rays)) in enumerate(zip(prefan.cones, prefan.generators)):
+        for tight, face_rays in polyfan._face_table(c, rays):
+            if (c.space_dim, lin, frozenset(face_rays)) not in keys:
                 raise polyfan.FanAxiomViolation(
                     f"face closure fails: a face of cone {i} is not in the prefan",
                     witness=polyfan.relative_interior_point(polyfan._promoted(c, tight)),

@@ -364,12 +364,16 @@ def test_distinct_relevant_parabolics_have_distinct_type_cones(name):
     """The prefan cones of a context, one per t-relevant parabolic, have
     pairwise distinct canonical keys on every type: the strata are indexed
     one-to-one by the relevant parabolics, so a point's cone names its
-    stratum."""
+    stratum.  The generators the prefan carries for each cone are those of
+    the double description."""
     started = time.monotonic()
     datum = build_named(name)
     for t in oracles.all_type_labels(datum.rank):
-        cones = make_context(datum, t).prefan.cones
+        prefan = make_context(datum, t).prefan
+        cones = prefan.cones
         assert len({polyfan._canonical_key(c) for c in cones}) == len(cones), sorted(t)
+        for i, c in enumerate(cones):
+            assert prefan.generators[i] == polyfan.generators(c), (sorted(t), i)
     assert time.monotonic() - started < (20 if name == "F4" else 5)
 
 

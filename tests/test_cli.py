@@ -970,6 +970,38 @@ def test_input_files_refuse_a_field_their_reader_does_not_read(
     )
 
 
+def test_seminorm_evaluates_its_chart_once(tmp_path, capsys, monkeypatch):
+    """seminorm reads the value and the norm off one evaluation of its chart,
+    the accepting one or the one --chart names; besides that, only the
+    stratum check of stratum_of scans the charts, once."""
+    from weylscope import apartment, polyfan
+
+    calls = []
+    evaluate = polyfan.eval_at_boundary
+
+    def counted(point, phi):
+        calls.append(phi)
+        return evaluate(point, phi)
+
+    monkeypatch.setattr(polyfan, "eval_at_boundary", counted)
+    datum = build_named("A3")
+    ctx = apartment.make_context(datum, {0})
+    x = apartment.stratum_point(ctx, root_data.standard_parabolic(datum, {1}), (1, -2, 3))
+    del calls[:]
+    apartment.stratum_of(ctx, x)
+    scan = len(calls)
+    p, psi, _ = apartment._accepting_chart(ctx, x)
+    chart = [c for c, _ in ctx.charts].index(p)
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps([{"exponents": {"0": 1, "1": 2}, "log_coeff": "1/2"}]))
+    where = ("seminorm", "--datum", "A3", "--type", "a1", "--poly", str(poly), "--stratum", "a2")
+    for extra, evaluations in (((), 2 * scan), (("--chart", str(chart)), len(psi) + scan)):
+        del calls[:]
+        code, _, err = _run(capsys, *where, "--residual=1,-2,3", *extra)
+        assert (code, err) == (0, "")
+        assert len(calls) == evaluations, extra
+
+
 def test_seminorm_refuses_an_out_of_range_key_at_every_point(tmp_path, capsys):
     """Generator 0 is -inf on the stratum {a1}, and a key past the chart is
     refused there as it is at an interior point."""

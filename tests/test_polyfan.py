@@ -260,14 +260,40 @@ def test_covers_counts_a_repeated_cone_once():
 
 
 def test_verify_prefan_caches_no_intersection():
-    """verify_prefan asks the generators cache about at most the cones it
-    is given: the intersections of its pair checks bypass it.  Misses are
-    counted, not the size, which stops growing once the cache is full."""
+    """make_prefan and verify_prefan ask the generators cache about at most
+    the cones they are given: the intersections of the pair checks bypass
+    it.  Misses are counted, not the size, which stops growing once the
+    cache is full."""
     datum = root_data.build_named("A3")
-    prefan = type_geometry.prefan_of_type(datum, frozenset({1}))
+    cones = type_geometry.prefan_of_type(datum, frozenset({1})).cones
     before = generators.cache_info().misses
-    verify_prefan(prefan)
-    assert generators.cache_info().misses - before <= len(prefan.cones)
+    verify_prefan(make_prefan(cones))
+    assert generators.cache_info().misses - before <= len(cones)
+
+
+def test_certifying_a_w_built_family_reads_its_carried_generators(monkeypatch):
+    """verify_prefan and covers read every cone's rays off the prefan: on
+    the prefan of A3 at {a2} and the B3 Weyl fan they ask generators about
+    none of the family's cones, and run the double description once per
+    pair of maximal cones, the full-dimensional ones of these complete
+    fans, and nowhere else."""
+    for prefan in (
+        type_geometry.prefan_of_type(root_data.build_named("A3"), frozenset({1})),
+        type_geometry.weyl_fan(root_data.build_named("B3")),
+    ):
+        n = prefan.space_dim
+        maximal = sum(1 for c in prefan.cones if dim(c) == n)
+        asked, described = [], []
+        cached, describe = polyfan.generators, polyfan._double_description
+        monkeypatch.setattr(polyfan, "generators", lambda c: asked.append(c) or cached(c))
+        monkeypatch.setattr(
+            polyfan, "_double_description", lambda c: described.append(c) or describe(c)
+        )
+        verify_prefan(prefan)
+        assert covers(prefan)
+        monkeypatch.undo()
+        assert not set(asked) & set(prefan.cones)
+        assert len(described) == maximal * (maximal - 1) // 2 > 0
 
 
 def test_generators_is_the_one_bounded_memo_table():
@@ -398,14 +424,22 @@ def test_every_type_of_a4_is_certified():
 
 
 @pytest.mark.parametrize("name", ("A2", "B2", "G2", "A3", "B3", "C3", "A4"))
-def test_full_dimensional_test_of_covers_agrees_with_dim(name):
+def test_full_dimensional_test_of_covers_agrees_with_dim(name, monkeypatch):
+    """covers reads the facets of exactly the cones whose dim is the
+    ambient dimension, in order."""
     datum = root_data.build_named(name)
     fans = [type_geometry.weyl_fan(datum)] + [
         type_geometry.prefan_of_type(datum, t) for t in oracles.all_type_labels(datum.rank)
     ]
+    facet_table = polyfan._facet_table
+    read = []
+    monkeypatch.setattr(
+        polyfan, "_facet_table", lambda c, rays: read.append(c) or facet_table(c, rays)
+    )
     for fan in fans:
-        for c in fan.cones:
-            assert polyfan._is_full_dimensional(c) == (dim(c) == c.space_dim), c
+        del read[:]
+        covers(fan)
+        assert read == [c for c in fan.cones if dim(c) == c.space_dim]
 
 
 def test_extended_value_arithmetic_and_order():

@@ -152,7 +152,7 @@ def test_a_group_enumerated_under_a_larger_cap_serves_every_lookup(monkeypatch):
     assert len(weyl_elements(datum, cap=1920)) == 1920
     assert len(parabolics_of(datum, [frozenset({0})])) == 960
     everything = frozenset(range(5))
-    assert len(type_geometry.type_cone_orbits(datum, everything).cones) == 1
+    assert len(type_geometry.type_cone_orbits(datum, everything).prefan.cones) == 1
     assert len(apartment.make_context(datum, everything).charts) == 1
 
 

@@ -364,14 +364,15 @@ def test_weyl_fan_deterministic():
 
 def _assert_carried(family, per_parabolic_cone) -> int:
     """Every cone of the family is the per-parabolic cone of its parabolic,
-    and its transported geometry is the double description of that cone."""
-    geometry = list(family.geometry())
-    assert len(family.cones) == len(geometry) == len(family.parabolics)
-    for q, cone, g in zip(family.parabolics, family.cones, geometry):
+    and its transported generators and dimension are the double description
+    of that cone."""
+    prefan = family.prefan
+    count = len(prefan.cones)
+    assert len(prefan.generators) == len(family.dims) == len(family.parabolics) == count
+    for q, cone, pair, d in zip(family.parabolics, prefan.cones, prefan.generators, family.dims):
         assert cone == per_parabolic_cone(q), root_data.parabolic_name(q)
-        lin, rays = polyfan.generators(cone)
-        assert (g.lineality, g.rays, g.dim) == (lin, rays, dim(cone)), root_data.parabolic_name(q)
-    return len(geometry)
+        assert (pair, d) == (polyfan.generators(cone), dim(cone)), root_data.parabolic_name(q)
+    return count
 
 
 _RANK_AT_MOST_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "A1xA1")
