@@ -15,7 +15,10 @@ is evaluated, and the whole prefan only when something reads it (the
 renderer).  A ray limit reads its stratum off the parabolic of its
 direction by Dynkin combinatorics, with no search over the prefan.  A
 point command at rank 7 or 8 then builds one stratum cone and the charts
-of type t, not every relevant orbit.
+of type t, not every relevant orbit.  The stratum a point stores is
+checked on the values of one chart holding it, and any such chart gives
+the same verdict: `stratum_of` scans for the first, and `seminorm` checks
+on the chart it evaluates.
 """
 
 from __future__ import annotations
@@ -374,14 +377,35 @@ def is_norm(ctx: ApartmentContext, x: CompactApartmentPoint, p: ParabolicSet) ->
 # strata
 
 
-def stratum_of(ctx: ApartmentContext, x: CompactApartmentPoint) -> ParabolicSet:
-    """The stored stratum parabolic q of x, verified against the vanishing
-    pattern of the first accepting chart: q indexes a stratum, the chart
-    generators outside the Levi part of q are exactly those at -inf, and q
-    is osculatory with the chart parabolic."""
+def _stratum_in_chart(
+    ctx: ApartmentContext,
+    x: CompactApartmentPoint,
+    p: ParabolicSet,
+    psi: Sequence[IntVector],
+    vals: Sequence[ExtendedValue],
+) -> ParabolicSet:
+    """The stored stratum parabolic q of x, checked against the values vals
+    of the generators psi of a chart p holding x: the generators at -inf are
+    exactly those outside the Levi part of q, and q is osculatory with p.
+
+    Every chart holding x gives one verdict: a t-relevant q passes iff it is
+    q0, the parabolic whose type cone is the cone C of x.  The generators,
+    the roots outside p, are <= 0 on C and cut out the prefan cone C(p);
+    prefan cones meet in common faces, so C is the face of C(p) where the
+    generators with finite values, those vanishing on C, vanish.  q0 passes:
+    the relative interior of its Weyl cone, where exactly its Levi roots
+    vanish, lies in that of C, so a generator vanishing on C is a Levi root
+    of q0, and a Levi root not vanishing on C takes both signs there and is
+    no generator.  The negative of a generator is >= 0 on C, so lies in q0,
+    and p ∩ q0 holds each root or its negative.  Now let q pass.  A
+    generator a outside the Levi part of q has -a in the unipotent radical
+    of q, else p ∩ q would hold neither a nor -a, so a < 0 on the relative
+    interior of the Weyl cone of q.  That interior lies in the relative
+    interior of the face of C(p) where the generators in the Levi part of q
+    vanish, a prefan cone, so that face is the type cone of q; by the
+    pattern it is C, and q = q0, as distinct relevant parabolics have
+    distinct type cones."""
     q = x.stratum_parabolic
-    _cone_of(ctx, q)
-    p, psi, vals = _accepting_chart(ctx, x)
     levi = root_data.levi_roots(q)
     if not (
         all((a not in levi) == (v.kind < 0) for a, v in zip(psi, vals))
@@ -393,6 +417,13 @@ def stratum_of(ctx: ApartmentContext, x: CompactApartmentPoint) -> ParabolicSet:
             f" type {root_data.type_name(ctx.type_label)}"
         )
     return q
+
+
+def stratum_of(ctx: ApartmentContext, x: CompactApartmentPoint) -> ParabolicSet:
+    """The stored stratum parabolic q of x: q indexes a stratum and passes
+    _stratum_in_chart on the first chart holding x, as on any other."""
+    _cone_of(ctx, x.stratum_parabolic)
+    return _stratum_in_chart(ctx, x, *_accepting_chart(ctx, x))
 
 
 class StratumApartment(NamedTuple):

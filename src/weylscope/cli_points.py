@@ -252,7 +252,7 @@ def _cmd_seminorm(args) -> int:
             "parabolic": _parabolic_id(p),
             "generators": [list(a) for a in psi],
         },
-        "stratum": _parabolic_id(apartment.stratum_of(ctx, x)),
+        "stratum": _parabolic_id(apartment._stratum_in_chart(ctx, x, p, psi, values)),
         "value": str(value),
         "is_norm": norm,
         "monomials": len(f.monomials),
@@ -387,9 +387,9 @@ def _cmd_render(args) -> int:
         )
     t = _parse_type(args.type, datum)
     ctx = apartment.make_context(datum, t)
-    svg = render.render_svg(datum, t, ctx)
+    svg = render.render_svg(ctx)
     _write_file(args.out, lambda fh: fh.write(svg))
-    _, dim_text = _dim_counts([polyfan.dim(c) for c in ctx.prefan.cones])
+    _, dim_text = _dim_counts(ctx._built_strata().dims)
     print(
         f"wrote SVG for {datum.name or 'datum'} type {type_name(t)} "
         f"({dim_text}) to {args.out}"

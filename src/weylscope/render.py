@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from . import polyfan, root_data
+from . import root_data
 from .apartment import ApartmentContext
 from .root_data import RootDatum, ValidationError
 
@@ -21,32 +21,17 @@ _PALETTE = (
 )
 
 
-def _symmetrizer(cartan) -> Tuple[Fraction, ...]:
-    """Positive rationals d with d_i c_ij = d_j c_ji, normalized to min 1
-    (so short roots get squared length 2)."""
-    n = len(cartan)
-    d: List[Optional[Fraction]] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j != i and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                    stack.append(j)
-    lo = min(x for x in d if x is not None)
-    return tuple(x / lo for x in d)
-
-
 def _realization(datum: RootDatum):
     """Euclidean simple roots (columns of R) and the dual-point map
-    M = R^{-T}, so that exact pairings match Euclidean dot products."""
-    d = _symmetrizer(datum.cartan)
+    M = R^{-T}, so that exact pairings match Euclidean dot products.  The
+    Gram matrix is the Cartan matrix symmetrized by the positive d with
+    d_0 c_01 = d_1 c_10, normalized to min 1 (so short roots get squared
+    length 2)."""
+    (_, c01), (c10, _) = datum.cartan
+    r = Fraction(c01, c10) if c01 else Fraction(1)  # d_1 / d_0
+    d = (1 / r, Fraction(1)) if r < 1 else (Fraction(1), r)
     g00 = 2 * float(d[0])
-    g01 = float(d[0] * datum.cartan[0][1])
+    g01 = float(d[0] * c01)
     g11 = 2 * float(d[1])
     a1 = (math.sqrt(g00), 0.0)
     a2x = g01 / a1[0]
@@ -97,42 +82,37 @@ def _arc_points(
     ]
 
 
-def _svg_point(cx: float, cy: float, p: Tuple[float, float]) -> str:
-    return f"{cx + p[0]:.4f},{cy - p[1]:.4f}"
-
-
-def render_svg(datum: RootDatum, t, ctx: ApartmentContext) -> str:
+def render_svg(ctx: ApartmentContext) -> str:
     """The SVG picture of the stratifying prefan of a rank-2 context: one
     sector per 2-dimensional cone, one line per ray, a dot at the origin,
-    and a legend naming the parabolic of every cone."""
+    and a legend naming the parabolic of every cone.  It draws the rays and
+    dimensions the context's cone orbits carry; a sector's inner direction
+    is the sum of its rays, as polyfan.relative_interior_point takes it."""
+    datum = ctx.datum
     to_plane = _realization(datum)
     size = 480.0
     cx = cy = size / 2
     radius = 190.0
-    entries = list(zip(ctx.parabolics, ctx.prefan.cones))
-    legend_h = 24 + 16 * (len(entries) + 1)
-    height = size + legend_h
-    lines: List[str] = []
-    lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    lines.append(
+    strata = ctx._built_strata()
+    entries = list(zip(strata.parabolics, strata.prefan.generators, strata.dims))
+    height = size + 24 + 16 * (len(entries) + 1)  # the legend below the disc
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {size:.0f} {height:.0f}">'
-    )
-    lines.append(f'<rect x="0" y="0" width="{size:.0f}" height="{height:.0f}" fill="#ffffff"/>')
+        f'viewBox="0 0 {size:.0f} {height:.0f}">',
+        f'<rect x="0" y="0" width="{size:.0f}" height="{height:.0f}" fill="#ffffff"/>',
+    ]
 
     sectors: List[str] = []
     rays: List[str] = []
     labels: List[str] = []
     has_origin = False
     color_i = 0
-    for idx, (q, cone) in enumerate(entries):
-        d = polyfan.dim(cone)
-        lin, ray_gens = polyfan.generators(cone)
+    for idx, (q, (lin, ray_gens), d) in enumerate(entries):
         if d == 2:
             fill = _PALETTE[color_i % len(_PALETTE)]
             color_i += 1
-            mid = polyfan.relative_interior_point(cone)
             if len(lin) == 2:
                 sectors.append(
                     f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="{radius:.4f}" '
@@ -140,19 +120,18 @@ def render_svg(datum: RootDatum, t, ctx: ApartmentContext) -> str:
                 )
                 label_at = (0.0, 0.0)
             else:
+                mid_dir = _unit(to_plane(tuple(map(sum, zip(*ray_gens)))))
                 if len(lin) == 1:
                     a_dir = _unit(to_plane(lin[0]))
                     b_dir = (-a_dir[0], -a_dir[1])
-                    mid_dir = _unit(to_plane(mid))
                 else:
                     a_dir = _unit(to_plane(ray_gens[0]))
                     b_dir = _unit(to_plane(ray_gens[1]))
-                    mid_dir = _unit(to_plane(mid))
                 theta_a = math.atan2(a_dir[1], a_dir[0])
                 theta_b = math.atan2(b_dir[1], b_dir[0])
                 theta_m = math.atan2(mid_dir[1], mid_dir[0])
                 pts = [(0.0, 0.0)] + _arc_points(theta_a, theta_b, theta_m, radius)
-                path = " ".join(_svg_point(cx, cy, p) for p in pts)
+                path = " ".join(f"{cx + x:.4f},{cy - y:.4f}" for x, y in pts)
                 sectors.append(
                     f'<polygon points="{path}" fill="{fill}" stroke="none"/>'
                 )
@@ -163,28 +142,18 @@ def render_svg(datum: RootDatum, t, ctx: ApartmentContext) -> str:
                 f'fill="#333333">{idx}</text>'
             )
         elif d == 1:
-            if lin:
-                a_dir = _unit(to_plane(lin[0]))
-                p1 = (a_dir[0] * radius, a_dir[1] * radius)
-                p2 = (-a_dir[0] * radius, -a_dir[1] * radius)
-                rays.append(
-                    f'<line x1="{cx + p1[0]:.4f}" y1="{cy - p1[1]:.4f}" '
-                    f'x2="{cx + p2[0]:.4f}" y2="{cy - p2[1]:.4f}" '
-                    'stroke="#000000" stroke-width="2"/>'
-                )
-                label_dir = a_dir
-            else:
-                a_dir = _unit(to_plane(ray_gens[0]))
-                rays.append(
-                    f'<line x1="{cx:.4f}" y1="{cy:.4f}" '
-                    f'x2="{cx + a_dir[0] * radius:.4f}" '
-                    f'y2="{cy - a_dir[1] * radius:.4f}" '
-                    'stroke="#000000" stroke-width="2"/>'
-                )
-                label_dir = a_dir
+            # A line through the origin from tip to -tip, or a ray to tip.
+            a_dir = _unit(to_plane((lin or ray_gens)[0]))
+            tip = (a_dir[0] * radius, a_dir[1] * radius)
+            p1, p2 = (tip, (-tip[0], -tip[1])) if lin else ((0.0, 0.0), tip)
+            rays.append(
+                f'<line x1="{cx + p1[0]:.4f}" y1="{cy - p1[1]:.4f}" '
+                f'x2="{cx + p2[0]:.4f}" y2="{cy - p2[1]:.4f}" '
+                'stroke="#000000" stroke-width="2"/>'
+            )
             labels.append(
-                f'<text x="{cx + label_dir[0] * radius * 0.92 + 8:.4f}" '
-                f'y="{cy - label_dir[1] * radius * 0.92 - 6:.4f}" '
+                f'<text x="{cx + a_dir[0] * radius * 0.92 + 8:.4f}" '
+                f'y="{cy - a_dir[1] * radius * 0.92 - 6:.4f}" '
                 'font-family="monospace" font-size="13" '
                 f'fill="#000000">{idx}</text>'
             )
@@ -204,16 +173,16 @@ def render_svg(datum: RootDatum, t, ctx: ApartmentContext) -> str:
         )
     lines.extend(labels)
 
-    title = f"{datum.name or 'datum'}, type {root_data.type_name(t)}"
+    title = f"{datum.name or 'datum'}, type {root_data.type_name(ctx.type_label)}"
     lines.append(
         f'<text x="10" y="{size + 18:.0f}" font-family="monospace" '
         f'font-size="13" fill="#000000">{title}: {len(entries)} strata</text>'
     )
-    for idx, (q, cone) in enumerate(entries):
+    for idx, (q, _, d) in enumerate(entries):
         y = size + 18 + 16 * (idx + 1)
         lines.append(
             f'<text x="10" y="{y:.0f}" font-family="monospace" font-size="12" '
-            f'fill="#333333">[{idx}] dim {polyfan.dim(cone)}  '
+            f'fill="#333333">[{idx}] dim {d}  '
             f'{root_data.parabolic_name(q)}</text>'
         )
     lines.append("</svg>")

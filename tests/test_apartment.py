@@ -377,10 +377,11 @@ def test_distinct_relevant_parabolics_have_distinct_type_cones(name):
     assert time.monotonic() - started < (20 if name == "F4" else 5)
 
 
-def _verdict(ctx, x):
-    """The parabolic stratum_of returns for x, or None when it refuses x."""
+def _verdict(check, *args):
+    """The parabolic check returns for its point, or None when it refuses
+    the point."""
     try:
-        return stratum_of(ctx, x)
+        return check(*args)
     except ValidationError:
         return None
 
@@ -392,10 +393,12 @@ def _verdict(ctx, x):
 )
 def test_stratum_of_accepts_exactly_the_stratum_of_the_point(name, per_type):
     """On every type, a point of a stratum claims its own stratum and other
-    relevant parabolics, and stratum_of accepts exactly the first.  Up to G2
-    that is every stratum against every claim (13,844 wrong claims);
-    beyond, where the chart scans make every pair take minutes, a seeded
-    sample of per_type strata, each against one other claim."""
+    relevant parabolics, and stratum_of accepts exactly the first.  The
+    check on the values of one chart, which stratum_of runs on the first
+    chart holding the point, gives that verdict on every chart holding it.
+    Up to G2 that is every stratum against every claim (13,844 wrong
+    claims); beyond, where the chart scans make every pair take minutes, a
+    seeded sample of per_type strata, each against one other claim."""
     started = time.monotonic()
     datum = build_named(name)
     rng = random.Random(f"verdict {name}")
@@ -406,11 +409,18 @@ def test_stratum_of_accepts_exactly_the_stratum_of_the_point(name, per_type):
             strata = rng.sample(strata, min(per_type, len(strata)))
         for q in strata:
             x = stratum_point(ctx, q, [rng.randint(-3, 3) for _ in range(datum.rank)])
+            # The values at x of every chart, read once: no claim changes them.
+            charts = [(p, psi, apartment._chart_values(x, psi)) for p, psi in ctx.charts]
+            held = [chart for chart in charts if chart[2] is not None]
+            assert held, sorted(t)
             claims = ctx.parabolics if per_type is None else (q, rng.choice(ctx.parabolics))
             for claimed in claims:
                 claim = apartment.CompactApartmentPoint(x.point, claimed)
                 expected = claimed if claimed is q else None
-                assert _verdict(ctx, claim) is expected, sorted(t)
+                assert _verdict(stratum_of, ctx, claim) is expected, sorted(t)
+                for chart in held:
+                    verdict = _verdict(apartment._stratum_in_chart, ctx, claim, *chart)
+                    assert verdict is expected, (sorted(t), chart[0])
     assert time.monotonic() - started < 10
 
 

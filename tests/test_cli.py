@@ -971,9 +971,11 @@ def test_input_files_refuse_a_field_their_reader_does_not_read(
 
 
 def test_seminorm_evaluates_its_chart_once(tmp_path, capsys, monkeypatch):
-    """seminorm reads the value and the norm off one evaluation of its chart,
-    the accepting one or the one --chart names; besides that, only the
-    stratum check of stratum_of scans the charts, once."""
+    """seminorm evaluates one chart, once: the first accepting one, found
+    by one scan, or the one --chart names, with no scan.  The value, the
+    norm and the stratum check all read that chart's values.  The second
+    point lies in two charts, and --chart names the later one: its report
+    names the stratum the default run's does."""
     from weylscope import apartment, polyfan
 
     calls = []
@@ -986,20 +988,24 @@ def test_seminorm_evaluates_its_chart_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(polyfan, "eval_at_boundary", counted)
     datum = build_named("A3")
     ctx = apartment.make_context(datum, {0})
-    x = apartment.stratum_point(ctx, root_data.standard_parabolic(datum, {1}), (1, -2, 3))
-    del calls[:]
-    apartment.stratum_of(ctx, x)
-    scan = len(calls)
-    p, psi, _ = apartment._accepting_chart(ctx, x)
-    chart = [c for c, _ in ctx.charts].index(p)
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps([{"exponents": {"0": 1, "1": 2}, "log_coeff": "1/2"}]))
     where = ("seminorm", "--datum", "A3", "--type", "a1", "--poly", str(poly), "--stratum", "a2")
-    for extra, evaluations in (((), 2 * scan), (("--chart", str(chart)), len(psi) + scan)):
+    for residual, held in (((1, -2, 3), 1), ((1, 0, -1), 2)):
+        x = apartment.stratum_point(ctx, root_data.standard_parabolic(datum, {1}), residual)
+        values = [apartment._chart_values(x, psi) for _, psi in ctx.charts]
+        charts = [i for i, v in enumerate(values) if v is not None]
+        assert len(charts) == held
         del calls[:]
-        code, _, err = _run(capsys, *where, "--residual=1,-2,3", *extra)
-        assert (code, err) == (0, "")
-        assert len(calls) == evaluations, extra
+        apartment._accepting_chart(ctx, x)
+        scan = len(calls)
+        psi = ctx.charts[charts[-1]][1]
+        point = "--residual=" + ",".join(map(str, residual))
+        for extra, evaluations in (((), scan), (("--chart", str(charts[-1])), len(psi))):
+            del calls[:]
+            report, _ = _report(tmp_path, capsys, *where, point, *extra)
+            assert len(calls) == evaluations, (residual, extra)
+            assert report["stratum"] == {"label": ["a2"], "word": []}, (residual, extra)
 
 
 def test_seminorm_refuses_an_out_of_range_key_at_every_point(tmp_path, capsys):
@@ -1055,6 +1061,27 @@ def test_render_matches_pinned_digests(tmp_path, capsys, datum, t):
     code, _, _ = _run(capsys, "render", "--datum", datum, "--type", t, "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_SVGS[datum, t]
+
+
+@pytest.mark.parametrize("datum,t", [("G2", 0), ("A2", 0), ("B2", 1)])
+def test_render_draws_the_rays_its_prefan_carries(tmp_path, capsys, monkeypatch, datum, t):
+    """The double description runs once per orbit of strata, on the
+    standard cone the prefan moves its rays from, and on no cone of the
+    picture, even with the generators cache empty."""
+    from weylscope import polyfan
+
+    calls = []
+    describe = polyfan._double_description
+
+    def counted(cone):
+        calls.append(cone)
+        return describe(cone)
+
+    monkeypatch.setattr(polyfan, "_double_description", counted)
+    polyfan.generators.cache_clear()
+    out = str(tmp_path / "pic.svg")
+    assert _run(capsys, "render", "--datum", datum, "--type", f"a{t + 1}", "--out", out)[0] == 0
+    assert len(calls) == len(root_data.relevant_labels(build_named(datum), {t}))
 
 
 def test_no_floats_outside_the_renderer():
