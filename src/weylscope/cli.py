@@ -206,7 +206,7 @@ def _parabolic_from_parts(
     if not word:
         return std
     w = _element_from_word(datum, word)
-    return root_data.act(root_data.inverse(datum, w), std)
+    return root_data.act_inverse(w, std)
 
 
 # ---------------------------------------------------------------------------

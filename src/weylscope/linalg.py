@@ -35,10 +35,6 @@ def neg_int(u: Sequence) -> IntVector:
     return tuple(-int(a) for a in u)
 
 
-def is_zero(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
-
-
 def integer_row(u: Sequence) -> List[int]:
     """The row times the least common multiple of its denominators: a
     positive factor, so every sign the row gives a pairing is kept."""

@@ -12,12 +12,14 @@ parabolic of a type label Y, kept once per label in the datum's table,
 holds the positive roots and the negatives of those supported on Y.  Its
 orbit is W/W_Y, so `orbits_of` walks the minimal coset representatives
 W^Y, once per label asked for, and keeps each one's root permutation and
-inverse: cones of P_Y carry to the rest of the orbit through them.  An
-element is named by its ShortLex-least word, taking the least descent at
-each step, and |W| is read off the heights of the positive roots, so the
-cap on |W| is checked without listing W.  `standard_position` descends by
-simple reflections, each adding one positive root, so the element it
-builds has the least length any solution can have.
+inverse: cones of P_Y carry to the rest of the orbit through them.  W acts
+through the root-index permutations of the simple reflections, computed
+once per datum: `act` reads a root set through those of w's letters,
+`standard_position` descends on root indices, each step adding one
+positive root, so the element it finds has the least length any solution
+can have, and an element is named by its ShortLex-least word, taking the
+least descent at each step.  |W| is read off the heights of the positive
+roots, so the cap on |W| is checked without listing W.
 
 Relevancy for a type t is read off the Dynkin diagram too: whether a type
 label is t-relevant depends on the components of the label that meet the
@@ -84,13 +86,6 @@ def _mat_vec(m: IntMatrix, v: Sequence[int]) -> IntVector:
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def _times_reflection(m: IntMatrix, j: int, cartan: IntMatrix) -> IntMatrix:
     """m·s_j: column k becomes column k minus cartan[j][k] times column j."""
     c = cartan[j]
@@ -103,7 +98,8 @@ def _identity_matrix(n: int) -> IntMatrix:
 
 class WeylElement(NamedTuple):
     """A Weyl group element: ShortLex-least reduced word plus its action
-    matrix on the character lattice."""
+    matrix on the character lattice (column j is the root w·α_j); it moves
+    root sets through the simple-reflection permutations of its letters."""
 
     word: Tuple[int, ...]
     matrix: IntMatrix
@@ -191,9 +187,6 @@ class RootDatum(_Record):
 
     def pairing(self, chi: Sequence[int], coroot: Sequence[int]) -> int:
         return sum(a * b for a, b in zip(chi, coroot))
-
-    def reflection_matrix(self, i: int) -> IntMatrix:
-        return _times_reflection(_identity_matrix(self.rank), i, self.cartan)
 
 
 class ParabolicSet(_Record):
@@ -385,9 +378,11 @@ def _type_labels(rank: int) -> Iterable[TypeLabel]:
 class DatumTables:
     """Every combinatorial table of one root datum, shared by all equal data.
 
-    The root index is built with the table; the standard parabolic, the
-    orbit and the subsystem roots of each type label, the standard
-    positions, and the root permutation and name of each element, only when
+    Built with the table: the root index, the indices of the simple roots,
+    and the permutation of root indices by each simple reflection,
+    s_i·β = β - <β, α_i^vee>·α_i, through which W acts and is named with no
+    entry per element.  The standard parabolic, the orbit and the subsystem
+    roots of each type label, and the standard positions, only when
     something asks for them: one label's orbit never builds the other
     2^rank - 1.  Each entry is computed in full before one assignment
     stores it, and computing it again gives an equal value, so threads may
@@ -397,12 +392,20 @@ class DatumTables:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.root_index: Dict[IntVector, int] = {r: i for i, r in enumerate(datum.roots)}
+        self.simple: Tuple[int, ...] = tuple(
+            self.root_index[a] for a in _identity_matrix(datum.rank)
+        )
+        self.reflections: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(
+                self.root_index[r[:i] + (r[i] - datum.pairing(r, c),) + r[i + 1 :]]
+                for r in datum.roots
+            )
+            for i, c in enumerate(datum.cartan)
+        )
         self.cap_passed = False
         self.standard: Dict[TypeLabel, ParabolicSet] = {}
         self.orbits: Dict[TypeLabel, Orbit] = {}
         self.positions: Dict[FrozenSet[IntVector], Tuple[WeylElement, TypeLabel]] = {}
-        self.permutations: Dict[IntMatrix, Tuple[int, ...]] = {}
-        self.named: Dict[IntMatrix, Tuple[WeylElement, WeylElement]] = {}
         self.subsystem_roots: Dict[TypeLabel, Tuple[IntVector, ...]] = {}
 
     @staticmethod
@@ -442,14 +445,6 @@ class DatumTables:
             std = ParabolicSet(datum=self.datum, members=members)
             self.standard[label] = std
         return std
-
-    def permutation(self, w: WeylElement) -> Tuple[int, ...]:
-        """The permutation w induces on root indices, from its matrix."""
-        perm = self.permutations.get(w.matrix)
-        if perm is None:
-            perm = tuple(self.root_index[w.apply(r)] for r in self.datum.roots)
-            self.permutations[w.matrix] = perm
-        return perm
 
     def subsystem_positive_roots(self, label: TypeLabel) -> Tuple[IntVector, ...]:
         """The positive roots supported on the label."""
@@ -494,55 +489,51 @@ def identity_element(datum: RootDatum) -> WeylElement:
     return WeylElement(word=(), matrix=_identity_matrix(datum.rank))
 
 
-def _inverse_by_descent(m: IntMatrix, cartan: IntMatrix) -> WeylElement:
-    """w^{-1} by its ShortLex-least word, for the w of matrix m: its least
-    left descent is the least i with w·α_i < 0 (column i of m), and w^{-1} =
-    s_i·(w·s_i)^{-1}.  m·s_i changes the columns k with cartan[i][k] != 0."""
-    zero = (0,) * len(m)
-    cols = list(zip(*m))
-    inv = list(_identity_matrix(len(m)))
-    word: List[int] = []
+def _images(tables: DatumTables, word: Sequence[int], indices: Iterable[int]) -> List[int]:
+    """The root indices s_{word[0]}···s_{word[-1]} sends those of indices
+    to, through the permutation of each letter, the last letter first."""
+    reflections = tables.reflections
+    images = list(indices)
+    for i in reversed(word):
+        s_i = reflections[i]
+        images = [s_i[k] for k in images]
+    return images
+
+
+def _element(datum: RootDatum, word: Sequence[int]) -> WeylElement:
+    """The element w = s_{word[0]}···s_{word[-1]} of any word for it, named
+    by its ShortLex-least word.  The letters' permutations carry the simple
+    roots to the roots w·α_j, the columns of its matrix, and w^{-1}·α_j.
+    The least left descent of w is the least i with w^{-1}·α_i < 0, and
+    w = s_i·(s_i·w), where (s_i·w)^{-1}·α_k is w^{-1}·α_k less
+    cartan[i][k]·w^{-1}·α_i."""
+    tables = DatumTables.of(datum).within_cap(datum)
+    roots, cartan = datum.roots, datum.cartan
+    cols = [roots[k] for k in _images(tables, word[::-1], tables.simple)]
+    zero = (0,) * datum.rank
+    named: List[int] = []
     while True:
         i = next((i for i, c in enumerate(cols) if c < zero), None)
         if i is None:
-            return WeylElement(word=tuple(word), matrix=tuple(zip(*inv)))
-        word.append(i)
-        for part in (cols, inv):
-            ci = part[i]
-            for k, a in enumerate(cartan[i]):
-                if a:
-                    part[k] = tuple([x - a * y for x, y in zip(part[k], ci)])
-
-
-def _named(datum: RootDatum, m: IntMatrix) -> Tuple[WeylElement, WeylElement]:
-    """The element of matrix m and its inverse, each by its ShortLex-least
-    word, kept in the datum's table under both matrices."""
-    tables = DatumTables.of(datum)
-    pair = tables.named.get(m)
-    if pair is None:
-        tables.within_cap(datum)
-        inv = _inverse_by_descent(m, datum.cartan)
-        pair = tables.named[m] = (_inverse_by_descent(inv.matrix, datum.cartan), inv)
-        tables.named[inv.matrix] = (inv, pair[0])
-    return pair
-
-
-def compose(datum: RootDatum, a: WeylElement, b: WeylElement) -> WeylElement:
-    """Canonical form of a∘b (a applied after b)."""
-    return _named(datum, _mat_mul(a.matrix, b.matrix))[0]
+            break
+        named.append(i)
+        ci = cols[i]
+        for k, a in enumerate(cartan[i]):
+            if a:
+                cols[k] = tuple([x - a * y for x, y in zip(cols[k], ci)])
+    matrix = tuple(zip(*[roots[k] for k in _images(tables, word, tables.simple)]))
+    return WeylElement(word=tuple(named), matrix=matrix)
 
 
 def inverse(datum: RootDatum, a: WeylElement) -> WeylElement:
-    return _named(datum, a.matrix)[1]
+    """a^{-1}: the word of a read backwards, named."""
+    return _element(datum, a.word[::-1])
 
 
 def element_of_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
-    """s_{word[0]}···s_{word[-1]}, by 0-based index, multiplied out and
-    then named once by its ShortLex-least word."""
-    m = _identity_matrix(datum.rank)
-    for i in word:
-        m = _times_reflection(m, i, datum.cartan)
-    return _named(datum, m)[0]
+    """s_{word[0]}···s_{word[-1]}, by 0-based index, named once by its
+    ShortLex-least word."""
+    return _element(datum, tuple(word))
 
 
 def act_on_dual(datum: RootDatum, w: WeylElement, u: Sequence) -> Tuple:
@@ -571,48 +562,63 @@ def is_generating(datum: RootDatum, members: FrozenSet[IntVector]) -> bool:
     )
 
 
-def act(w: WeylElement, p: ParabolicSet) -> ParabolicSet:
+def _moved(p: ParabolicSet, word: Sequence[int]) -> ParabolicSet:
     tables = DatumTables.of(p.datum)
     try:
         idx = [tables.root_index[r] for r in p.members]
     except KeyError as exc:
         raise ValidationError(f"{exc.args[0]} is not a root") from exc
-    perm = tables.permutation(w)
-    members = frozenset(p.datum.roots[perm[i]] for i in idx)
-    return ParabolicSet(datum=p.datum, members=members)
+    roots = p.datum.roots
+    return ParabolicSet(p.datum, frozenset([roots[k] for k in _images(tables, word, idx)]))
+
+
+def act(w: WeylElement, p: ParabolicSet) -> ParabolicSet:
+    """w·p, through the permutations of the letters of w."""
+    return _moved(p, w.word)
+
+
+def act_inverse(w: WeylElement, p: ParabolicSet) -> ParabolicSet:
+    """w^{-1}·p, through the letters of w read backwards: w^{-1} is not
+    named."""
+    return _moved(p, w.word[::-1])
 
 
 def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
     """The ShortLex-least w with act(w, p) standard, plus the type label.
 
-    Descent from u = 1: while a simple root α_i is missing from p, -α_i is
-    in it (p generates), and p, u become s_i·p, s_i·u.  s_i swaps ±α_i and
+    Descent from u = 1 on the root indices of p: while a simple root α_i is
+    missing from p, -α_i is in it (p generates), and p, u become s_i·p,
+    s_i·u, p read through the permutation of s_i.  s_i swaps ±α_i and
     permutes the other positive roots, so each step adds one positive root
     and removes none, and u ends with length #(positive roots not in p).  No
     solution is shorter (its inverse maps the positive roots into p), and
     the solutions form one coset W_Y·u, whose least element is unique: so u
-    is the answer (its inverse multiplied out as it descends), named by its
-    ShortLex-least word.
+    is the answer, named once by its ShortLex-least word.
     """
     tables = DatumTables.of(p.datum)
     hit = tables.positions.get(p.members)
     if hit is not None:
         return hit
-    datum = p.datum
-    simple = _identity_matrix(datum.rank)
-    cur, back = p, simple
+    index, simple, reflections = tables.root_index, tables.simple, tables.reflections
+    stray = next((r for r in p.members if r not in index), None)
+    cur = {index[r] for r in p.members if r in index}
+    word: List[int] = []
     while True:
-        i = next((i for i, a in enumerate(simple) if a not in cur.members), None)
+        i = next((i for i, a in enumerate(simple) if a not in cur), None)
         if i is None:
             break
-        if tuple(-c for c in simple[i]) not in cur.members:
+        s_i = reflections[i]
+        if s_i[simple[i]] not in cur:
             raise ValidationError("subset is not Weyl-conjugate to a standard parabolic")
-        cur = act(WeylElement(word=(i,), matrix=datum.reflection_matrix(i)), cur)
-        back = _times_reflection(back, i, datum.cartan)
-    label = frozenset(i for i, a in enumerate(simple) if tuple(-c for c in a) in cur.members)
-    if cur.members != tables.standard_parabolic(label).members:
+        if stray is not None:
+            raise ValidationError(f"{stray} is not a root")
+        cur = {s_i[k] for k in cur}
+        word.append(i)
+    label = frozenset(i for i, a in enumerate(simple) if reflections[i][a] in cur)
+    members = frozenset([p.datum.roots[k] for k in cur])
+    if stray is not None or members != tables.standard_parabolic(label).members:
         raise ValidationError("subset is not Weyl-conjugate to a standard parabolic")
-    w = identity_element(datum) if back == simple else _named(datum, back)[1]
+    w = _element(p.datum, word[::-1]) if word else identity_element(p.datum)
     result = (w, label)
     tables.positions[p.members] = result
     return result
@@ -620,9 +626,11 @@ def standard_position(p: ParabolicSet) -> Tuple[WeylElement, TypeLabel]:
 
 def companion(p: ParabolicSet, label: Iterable[int]) -> ParabolicSet:
     """w^{-1}·P_label for the standard position (w, Y) of p: p itself for
-    the label Y, and for a type t a type-t parabolic osculatory with p."""
+    the label Y, and for a type t a type-t parabolic osculatory with p.
+    Reading w^{-1} needs the datum within the cap, even when w = 1."""
     w, _ = standard_position(p)
-    return act(inverse(p.datum, w), standard_parabolic(p.datum, label))
+    DatumTables.of(p.datum).within_cap(p.datum)
+    return act_inverse(w, standard_parabolic(p.datum, label))
 
 
 def _label_key(label: TypeLabel) -> Tuple[int, Tuple[int, ...]]:
@@ -669,15 +677,10 @@ def _coset_search(tables: DatumTables, y: TypeLabel, built: Dict[IntVector, tupl
     level being of one length.  The permutation and the inverse depend on
     the element only, so built keeps them for the other labels of a call.
     """
-    datum = tables.datum
-    reflections = [
-        tables.permutation(WeylElement(word=(j,), matrix=datum.reflection_matrix(j)))
-        for j in range(datum.rank)
-    ]
+    datum, reflections = tables.datum, tables.reflections
     negative = [not datum.is_positive(r) for r in datum.roots]
     in_y = sorted(y)
-    start = tuple(tables.root_index[a] for a in _identity_matrix(datum.rank))
-    level = {start: (tuple(range(len(datum.roots))), identity_element(datum))}
+    level = {tables.simple: (tuple(range(len(datum.roots))), identity_element(datum))}
     older: Dict[IntVector, tuple] = {}
     elements: List[Tuple[Tuple[int, ...], WeylElement]] = []
     while level:

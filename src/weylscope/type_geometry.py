@@ -266,10 +266,6 @@ def weyl_cone_orbits(datum: RootDatum) -> ConeOrbits:
     return _cone_orbits(root_data.all_orbits(datum), weyl_cone)
 
 
-def weyl_fan(datum: RootDatum) -> Prefan:
-    return weyl_cone_orbits(datum).prefan
-
-
 def type_cone_orbits(datum: RootDatum, t: TypeLabel) -> ConeOrbits:
     """The type-t cone of every t-relevant parabolic, orbit by orbit: the
     companion w·P_t and the Levi roots of w·P_Y are the images under w of

@@ -245,6 +245,26 @@ def scanned_companion(p, label):
     return root_data.ParabolicSet(p.datum, frozenset(r for r in p.datum.roots if w.apply(r) in std))
 
 
+def reflection_matrix(datum, i: int) -> Tuple[IntVector, ...]:
+    """s_i on the character lattice: chi - <chi, alpha_i^vee>·alpha_i, so
+    row i is that of the identity less row i of the Cartan matrix."""
+    return tuple(
+        tuple(int(j == k) - (datum.cartan[i][k] if j == i else 0) for k in range(datum.rank))
+        for j in range(datum.rank)
+    )
+
+
+def compose(datum, a, b):
+    """a∘b (a applied after b), named by the library from the concatenated
+    words."""
+    return root_data.element_of_word(datum, a.word + b.word)
+
+
+def weyl_fan(datum):
+    """The prefan of the Weyl cones of every parabolic."""
+    return type_geometry.weyl_cone_orbits(datum).prefan
+
+
 def matrix_permutation(datum, w) -> Tuple[int, ...]:
     """The permutation w induces on root indices, by its action matrix on
     each root: what the Weyl enumeration's composed permutations replace."""
@@ -816,13 +836,17 @@ def sample_grid_covers(prefan) -> bool:
 Constraint = Tuple[IntVector, bool]
 
 
+def is_zero(u: Sequence) -> bool:
+    return all(a == 0 for a in u)
+
+
 def in_row_span(rows: Sequence[Sequence], v: Sequence) -> bool:
     red, pivots = linalg._reduce(rows)
     w = linalg.integer_row(v)
     for row, p in zip(red, pivots):
         if w[p] != 0:
             w = [row[p] * a - w[p] * b for a, b in zip(w, row)]
-    return linalg.is_zero(w)
+    return is_zero(w)
 
 
 def _normalize_constraint(row: Sequence, strict: bool) -> Constraint:
@@ -854,7 +878,7 @@ def _eliminate(cons: List[Constraint], k: int) -> Optional[List[Constraint]]:
                 -nrow[k] * a + prow[k] * b for a, b in zip(prow, nrow)
             )
             strict = pstrict or nstrict
-            if linalg.is_zero(comb):
+            if is_zero(comb):
                 if strict:
                     return None
                 continue
@@ -877,7 +901,7 @@ def feasible_point(
     cons: List[Constraint] = []
     for row, strict in constraints:
         c = _normalize_constraint(row, strict)
-        if linalg.is_zero(c[0]):
+        if is_zero(c[0]):
             if c[1]:
                 return None
             continue

@@ -141,7 +141,7 @@ def test_chart_membership_counts():
     generic_residual = next(
         u
         for u in ((7, 0), (0, 7))
-        if not linalg.is_zero(linalg.reduce_mod_span(span, u))
+        if not oracles.is_zero(linalg.reduce_mod_span(span, u))
     )
     generic = stratum_point(ctx, q, generic_residual)
     hits = [p for p, _ in ctx.charts if chart_membership(ctx, generic, p)]

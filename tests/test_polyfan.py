@@ -279,7 +279,7 @@ def test_certifying_a_w_built_family_reads_its_carried_generators(monkeypatch):
     fans, and nowhere else."""
     for prefan in (
         type_geometry.prefan_of_type(root_data.build_named("A3"), frozenset({1})),
-        type_geometry.weyl_fan(root_data.build_named("B3")),
+        oracles.weyl_fan(root_data.build_named("B3")),
     ):
         n = prefan.space_dim
         maximal = sum(1 for c in prefan.cones if dim(c) == n)
@@ -358,7 +358,7 @@ def _check_one_pass_reads(cone, points, residuals, functionals):
 @pytest.mark.parametrize("name", ("A1xA1", "A2", "B2", "G2", "A3", "B3", "C3"))
 def test_covers_matches_the_sample_grid_oracle_on_every_fan(name):
     datum = root_data.build_named(name)
-    fans = [type_geometry.weyl_fan(datum)] + [
+    fans = [oracles.weyl_fan(datum)] + [
         type_geometry.prefan_of_type(datum, t) for t in oracles.all_type_labels(datum.rank)
     ]
     for fan in fans:
@@ -428,7 +428,7 @@ def test_full_dimensional_test_of_covers_agrees_with_dim(name, monkeypatch):
     """covers reads the facets of exactly the cones whose dim is the
     ambient dimension, in order."""
     datum = root_data.build_named(name)
-    fans = [type_geometry.weyl_fan(datum)] + [
+    fans = [oracles.weyl_fan(datum)] + [
         type_geometry.prefan_of_type(datum, t) for t in oracles.all_type_labels(datum.rank)
     ]
     facet_table = polyfan._facet_table
@@ -537,7 +537,7 @@ def _skeleton_cones(name):
     """Every cone of the Weyl fan and of the prefan of every type, once each,
     in a fixed order."""
     datum = root_data.build_named(name)
-    fans = [type_geometry.weyl_fan(datum)] + [
+    fans = [oracles.weyl_fan(datum)] + [
         type_geometry.prefan_of_type(datum, frozenset(t))
         for k in range(datum.rank + 1)
         for t in combinations(range(datum.rank), k)

@@ -6,6 +6,7 @@ import inspect
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -18,7 +19,6 @@ from weylscope.root_data import (
     all_parabolics,
     build_from_cartan,
     build_named,
-    compose,
     inverse,
     is_osculatory,
     levi_roots,
@@ -59,9 +59,9 @@ def test_weyl_words_are_shortlex_minimal_and_act_correctly():
         mat = root_data.identity_element(datum)
         for i in w.word:
             step = root_data.WeylElement(
-                word=(i,), matrix=datum.reflection_matrix(i)
+                word=(i,), matrix=oracles.reflection_matrix(datum, i)
             )
-            mat = root_data.compose(datum, mat, step)
+            mat = oracles.compose(datum, mat, step)
         assert mat.matrix == w.matrix
         assert mat.word <= w.word  # compose canonicalizes to ShortLex least
 
@@ -78,7 +78,7 @@ def test_inverse_composes_to_identity():
     datum = build_named("A3")
     for w in weyl_elements(datum):
         back = inverse(datum, w)
-        assert root_data.compose(datum, w, back).word == ()
+        assert oracles.compose(datum, w, back).word == ()
 
 
 def test_enumeration_cap(monkeypatch):
@@ -201,7 +201,7 @@ def test_root_index_enumeration_matches_the_matrix_search(monkeypatch, name):
     assert list(root_data.orbits_of(datum, [frozenset()])[0].permutations) == permutations
     assert {w.matrix: inverse(datum, w) for w in got} == inverses
     one = root_data.identity_element(datum)
-    assert [root_data.compose(datum, one, w) for w in got] == list(elements)
+    assert [oracles.compose(datum, one, w) for w in got] == list(elements)
 
 
 def test_root_index_enumeration_stops_where_the_matrix_search_does(monkeypatch):
@@ -290,7 +290,7 @@ def _times(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
-@pytest.mark.parametrize("name", ("A3", "B3", "G2", "F4"))
+@pytest.mark.parametrize("name", ("A1xA1", "A3", "B3", "D4", "G2", "F4"))
 def test_compose_inverse_and_standard_position_match_the_oracles(monkeypatch, name):
     """On a fresh table, so every element is named by its descent: the
     inverse of each element, its products with the simple reflections and
@@ -309,9 +309,9 @@ def test_compose_inverse_and_standard_position_match_the_oracles(monkeypatch, na
         assert inverse(datum, w) == inverses[w.matrix]
         assert root_data.element_of_word(datum, w.word) == w
         for j in range(datum.rank):
-            s_j = root_data.WeylElement(word=(j,), matrix=datum.reflection_matrix(j))
-            assert compose(datum, w, s_j) == element_of[_times(w.matrix, s_j.matrix)]
-            assert compose(datum, s_j, w) == element_of[_times(s_j.matrix, w.matrix)]
+            s_j = root_data.WeylElement(word=(j,), matrix=oracles.reflection_matrix(datum, j))
+            assert oracles.compose(datum, w, s_j) == element_of[_times(w.matrix, s_j.matrix)]
+            assert oracles.compose(datum, s_j, w) == element_of[_times(s_j.matrix, w.matrix)]
     for w in random.Random(name).sample(elements, min(48, len(elements))):
         assert oracles.scanned_standard_position(moved[w]) == standard_position(moved[w])
 
@@ -428,6 +428,56 @@ def test_standard_position_rejects_non_parabolic_sets():
         assert oracles.scanned_standard_position(p) is None
         with pytest.raises(ValidationError):
             standard_position(p)
+    # A member that is not a root is named once the descent moves the set,
+    # and otherwise the set is refused as not conjugate.
+    for members, message in (
+        ({(-1, 0), a2, a12, (5, 5)}, r"^\(5, 5\) is not a root$"),
+        ({a1, a2, a12, (0, 0)}, "^subset is not Weyl-conjugate to a standard parabolic$"),
+        ({a2, (-1, -1), (5, 5)}, "^subset is not Weyl-conjugate to a standard parabolic$"),
+    ):
+        p = root_data.ParabolicSet(datum=datum, members=frozenset(members))
+        with pytest.raises(ValidationError, match=message):
+            standard_position(p)
+    with pytest.raises(ValidationError, match=r"^\(5, 5\) is not a root$"):
+        act(weyl_elements(datum)[1], root_data.ParabolicSet(datum, frozenset({a1, (5, 5)})))
+
+
+def _e8():
+    """E8 in Bourbaki numbering (the chain 1-3-4-5-6-7-8, with 2 on 4)."""
+    e = [(0, 2), (1, 3)] + [(k, k + 1) for k in range(2, 7)]
+    return build_from_cartan(
+        [[2 * (i == j) - ((i, j) in e or (j, i) in e) for j in range(8)] for i in range(8)]
+    )
+
+
+def test_e8_standard_positions_agree_with_action_length_and_names(monkeypatch):
+    """On E8, where no oracle lists W, and on a fresh table: for the
+    parabolic P_v of seeded directions v, and of v = (-1, ..., -1), whose w
+    is the longest element, the standard position (w, Y) moves P_v onto
+    P_Y, w has one letter per positive root outside P_v, inverting twice
+    and naming the word give w back, and the permutations carry each simple
+    root to the column of the matrix of w."""
+    datum = _e8()
+    tables = root_data.DatumTables(datum)
+    monkeypatch.setitem(root_data._TABLES, datum, tables)
+    tables.check_cap(datum, 696729600)
+    rng = random.Random(8)
+    directions = [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(40)]
+    simple = [tuple(int(i == j) for i in range(8)) for j in range(8)]
+    start = time.process_time()
+    for v in directions + [(-1,) * 8]:
+        p = root_data.ParabolicSet(datum, frozenset(r for r in datum.roots if oracles.dot(v, r) >= 0))
+        w, y = standard_position(p)
+        assert act(w, p) == standard_parabolic(datum, y), v
+        assert len(w.word) == sum(1 for r in datum.positive_roots if r not in p.members), v
+        assert inverse(datum, inverse(datum, w)) == w, v
+        assert root_data.element_of_word(datum, w.word) == w, v
+        for j, alpha in enumerate(simple):
+            image = w.apply(alpha)
+            assert image == tuple(row[j] for row in w.matrix)
+            assert act(w, root_data.ParabolicSet(datum, frozenset([alpha]))).members == {image}
+    assert (len(w.word), y) == (120, frozenset())
+    assert time.process_time() - start < 5
 
 
 def test_levi_unipotent_partition_and_opposite():
