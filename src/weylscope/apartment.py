@@ -451,24 +451,26 @@ class StratumApartment(NamedTuple):
         std = [Fraction(0)] * datum.rank
         for pos, i in enumerate(self.active):
             std[i] = Fraction(y[pos])
-        back = root_data.inverse(datum, self.conjugator)
-        return root_data.act_on_dual(datum, back, tuple(std))
+        # <w^{-1}·std, χ> = <std, w·χ>, read on the simple roots χ = α_j.
+        images = root_data.simple_images(datum, self.conjugator.word)
+        return tuple(linalg.dot(std, image) for image in images)
 
 
 def stratum_apartment(
     ctx: ApartmentContext, q: ParabolicSet
 ) -> StratumApartment:
     """Residual datum = Cartan submatrix over the active components; the
-    extraction roots are the conjugated simple roots of the active part,
-    which vanish on the stratum span and so descend to residual classes.
-    q must index a stratum of the context, as its stratum cone does."""
+    extraction roots are the conjugated simple roots w^{-1}·α_i of the
+    active part, for the standard position (w, Y) of q, which vanish on
+    the stratum span and so descend to residual classes.  q must index a
+    stratum of the context, as its stratum cone does."""
     _cone_of(ctx, q)
     w, _, components, _ = type_geometry._relevance(q, ctx.type_label)
     datum = ctx.datum
     active = tuple(sorted(components))
     sub = [[datum.cartan[i][j] for j in active] for i in active]
     residual = root_data.build_from_cartan(sub)
-    columns = tuple(zip(*root_data.inverse(datum, w).matrix))
+    columns = root_data.simple_images(datum, w.word[::-1])
     extraction = tuple(columns[i] for i in active)
     return StratumApartment(
         parent=q,
@@ -558,10 +560,11 @@ def stabilizer_profile(
 
 def levi_projection(datum: RootDatum, u: Sequence, q: ParabolicSet) -> Vector:
     """Coordinates of u in the apartment of the Levi quotient of q: pairings
-    with the conjugated simple roots of the Levi label.  The kernel is the
-    span of the Weyl cone of q (the annihilator of the Levi roots)."""
+    with the conjugated simple roots w^{-1}·α_i of the Levi label Y, for
+    the standard position (w, Y) of q.  The kernel is the span of the Weyl
+    cone of q (the annihilator of the Levi roots)."""
     _check_length(datum.rank, "u", u)
     w, y = root_data.standard_position(q)
-    columns = tuple(zip(*root_data.inverse(datum, w).matrix))
+    columns = root_data.simple_images(datum, w.word[::-1])
     uu = linalg.vec(u)
     return tuple(Fraction(linalg.dot(uu, columns[i])) for i in sorted(y))

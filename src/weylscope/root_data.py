@@ -14,11 +14,13 @@ orbit is W/W_Y, so `orbits_of` walks the minimal coset representatives
 W^Y, once per label asked for, and keeps each one's root permutation and
 inverse: cones of P_Y carry to the rest of the orbit through them.  W acts
 through the root-index permutations of the simple reflections, computed
-once per datum: `act` reads a root set through those of w's letters,
-`standard_position` descends on root indices, each step adding one
-positive root, so the element it finds has the least length any solution
-can have, and an element is named by its ShortLex-least word, taking the
-least descent at each step.  |W| is read off the heights of the positive
+once per datum, and an element is its ShortLex-least word alone, named by
+taking the least descent at each step: `act` reads a root set through the
+permutations of w's letters, `simple_images` the roots w·α_j, or
+w^{-1}·α_j from the word read backwards, which any linear action of w
+pairs against, and `standard_position` descends on root indices, each
+step adding one positive root, so the element it finds has the least
+length any solution can have.  |W| is read off the heights of the positive
 roots, so the cap on |W| is checked without listing W.
 
 Relevancy for a type t is read off the Dynkin diagram too: whether a type
@@ -82,30 +84,13 @@ def resolve_enum_cap() -> int:
     return value
 
 
-def _mat_vec(m: IntMatrix, v: Sequence[int]) -> IntVector:
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
-
-
-def _times_reflection(m: IntMatrix, j: int, cartan: IntMatrix) -> IntMatrix:
-    """m·s_j: column k becomes column k minus cartan[j][k] times column j."""
-    c = cartan[j]
-    return tuple(tuple([a - row[j] * b for a, b in zip(row, c)]) if row[j] else row for row in m)
-
-
-def _identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 class WeylElement(NamedTuple):
-    """A Weyl group element: ShortLex-least reduced word plus its action
-    matrix on the character lattice (column j is the root w·α_j); it moves
-    root sets through the simple-reflection permutations of its letters."""
+    """A Weyl group element, held as its ShortLex-least reduced word alone:
+    it moves roots through the simple-reflection permutations of its
+    letters, and simple_images reads off them the roots w·α_j and
+    w^{-1}·α_j that any linear action of w pairs against."""
 
     word: Tuple[int, ...]
-    matrix: IntMatrix
-
-    def apply(self, chi: Sequence[int]) -> IntVector:
-        return _mat_vec(self.matrix, chi)
 
 
 class _Record:
@@ -393,7 +378,8 @@ class DatumTables:
         self.datum = datum
         self.root_index: Dict[IntVector, int] = {r: i for i, r in enumerate(datum.roots)}
         self.simple: Tuple[int, ...] = tuple(
-            self.root_index[a] for a in _identity_matrix(datum.rank)
+            self.root_index[tuple(int(i == j) for i in range(datum.rank))]
+            for j in range(datum.rank)
         )
         self.reflections: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(
@@ -486,7 +472,7 @@ def weyl_order(datum: RootDatum) -> int:
 
 
 def identity_element(datum: RootDatum) -> WeylElement:
-    return WeylElement(word=(), matrix=_identity_matrix(datum.rank))
+    return WeylElement(word=())
 
 
 def _images(tables: DatumTables, word: Sequence[int], indices: Iterable[int]) -> List[int]:
@@ -500,13 +486,19 @@ def _images(tables: DatumTables, word: Sequence[int], indices: Iterable[int]) ->
     return images
 
 
+def simple_images(datum: RootDatum, word: Sequence[int]) -> Tuple[IntVector, ...]:
+    """The roots s_{word[0]}···s_{word[-1]}·α_j, j = 1, ..., rank: w·α_j
+    for the word of w, and w^{-1}·α_j for that word read backwards."""
+    tables = DatumTables.of(datum)
+    return tuple([datum.roots[k] for k in _images(tables, word, tables.simple)])
+
+
 def _element(datum: RootDatum, word: Sequence[int]) -> WeylElement:
     """The element w = s_{word[0]}···s_{word[-1]} of any word for it, named
     by its ShortLex-least word.  The letters' permutations carry the simple
-    roots to the roots w·α_j, the columns of its matrix, and w^{-1}·α_j.
-    The least left descent of w is the least i with w^{-1}·α_i < 0, and
-    w = s_i·(s_i·w), where (s_i·w)^{-1}·α_k is w^{-1}·α_k less
-    cartan[i][k]·w^{-1}·α_i."""
+    roots to the roots w^{-1}·α_j.  The least left descent of w is the
+    least i with w^{-1}·α_i < 0, and w = s_i·(s_i·w), where
+    (s_i·w)^{-1}·α_k is w^{-1}·α_k less cartan[i][k]·w^{-1}·α_i."""
     tables = DatumTables.of(datum).within_cap(datum)
     roots, cartan = datum.roots, datum.cartan
     cols = [roots[k] for k in _images(tables, word[::-1], tables.simple)]
@@ -521,27 +513,17 @@ def _element(datum: RootDatum, word: Sequence[int]) -> WeylElement:
         for k, a in enumerate(cartan[i]):
             if a:
                 cols[k] = tuple([x - a * y for x, y in zip(cols[k], ci)])
-    matrix = tuple(zip(*[roots[k] for k in _images(tables, word, tables.simple)]))
-    return WeylElement(word=tuple(named), matrix=matrix)
-
-
-def inverse(datum: RootDatum, a: WeylElement) -> WeylElement:
-    """a^{-1}: the word of a read backwards, named."""
-    return _element(datum, a.word[::-1])
+    return WeylElement(word=tuple(named))
 
 
 def element_of_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
     """s_{word[0]}···s_{word[-1]}, by 0-based index, named once by its
-    ShortLex-least word."""
-    return _element(datum, tuple(word))
-
-
-def act_on_dual(datum: RootDatum, w: WeylElement, u: Sequence) -> Tuple:
-    """Dual action on V: <w·u, chi> = <u, w^{-1}·chi>."""
-    inv = inverse(datum, w).matrix
-    return tuple(
-        sum(u[k] * inv[k][j] for k in range(datum.rank)) for j in range(datum.rank)
-    )
+    ShortLex-least word; a letter outside 0..rank-1 is a ValidationError."""
+    word = tuple(word)
+    for i in word:
+        if not isinstance(i, int) or not 0 <= i < datum.rank:
+            raise ValidationError(f"word letter {i!r} out of range for rank {datum.rank}")
+    return _element(datum, word)
 
 
 def _root_in_span(root: IntVector, indices: TypeLabel) -> bool:
@@ -700,7 +682,7 @@ def _coset_search(tables: DatumTables, y: TypeLabel, built: Dict[IntVector, tupl
         for v, (perm, s_j, inv, j) in edges.items():
             element = built.get(v)
             if element is None:
-                inv_v = WeylElement(inv.word + (j,), _times_reflection(inv.matrix, j, datum.cartan))
+                inv_v = WeylElement(inv.word + (j,))
                 element = built[v] = (tuple([s_j[i] for i in perm]), inv_v)
             nxt[v] = element
         older, level = level, nxt

@@ -12,19 +12,19 @@ span of its type cone.
 The Weyl fan and every stratifying prefan are W-stable, and their cones are
 built one W-orbit at a time (ConeOrbits): the cone of w·P_Y is that of the
 standard parabolic P_Y with every functional, a root, moved by the root
-permutation of w, and its rays are those of the standard cone times
-M(w^{-1}).  So only one cone per orbit is described from its roots, and
+permutation of w, and its rays are those of the standard cone moved by w,
+read as their pairings with the roots w^{-1}·α_j that the permutation
+names.  So only one cone per orbit is described from its roots, and
 only that one goes through the double description; the prefan carries the
 moved rays of every cone, and certifying it reads them."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from . import linalg, polyfan, root_data
 from .polyfan import Cone, Prefan
 from .root_data import (
-    IntMatrix,
     IntVector,
     Orbit,
     ParabolicSet,
@@ -33,6 +33,7 @@ from .root_data import (
     WeylElement,
     _check_type,
     _components,
+    _images,
     _label_relevance,
 )
 
@@ -111,15 +112,16 @@ def relevance_report(q: ParabolicSet, t: TypeLabel) -> RelevanceReport:
     datum = q.datum
     t = _check_type(datum, t)
     w, y, active, forced = _relevance(q, t)
-    subsystem = root_data.DatumTables.of(datum).subsystem_positive_roots(active)
-    w_inv = root_data.inverse(datum, w)
+    tables = root_data.DatumTables.of(datum)
+    subsystem = [tables.root_index[b] for b in tables.subsystem_positive_roots(active)]
+    span = sorted([datum.roots[k] for k in _images(tables, w.word[::-1], subsystem)])
     return RelevanceReport(
         query=q,
         type_label=t,
         is_relevant=forced <= y,
         minimal_relevant=root_data.companion(q, y | forced),
         active_components=active,
-        span_equalities=tuple(sorted(w_inv.apply(b) for b in subsystem)),
+        span_equalities=tuple(span),
     )
 
 
@@ -144,10 +146,14 @@ def rt_decomposition(q: ParabolicSet, t: TypeLabel) -> RtDecomposition:
     active components, where (w, Y) is the standard position of q; so a
     root b vanishes on it iff w·b is supported on the active components."""
     w, _, active, _ = _relevance(q, t)
+    datum = q.datum
+    tables = root_data.DatumTables.of(datum)
+    levi = sorted(root_data.levi_roots(q))
+    images = _images(tables, w.word, [tables.root_index[b] for b in levi])
     vanishing: List[IntVector] = []
     nonvanishing: List[IntVector] = []
-    for b in sorted(root_data.levi_roots(q)):
-        if all(c == 0 or i in active for i, c in enumerate(w.apply(b))):
+    for b, k in zip(levi, images):
+        if all(c == 0 or i in active for i, c in enumerate(datum.roots[k])):
             vanishing.append(b)
         else:
             nonvanishing.append(b)
@@ -184,11 +190,6 @@ def lineality_space(datum: RootDatum, t: TypeLabel) -> Tuple[IntVector, ...]:
 # cones by W-orbit
 
 
-def _row_times(v: Sequence[int], m: IntMatrix) -> IntVector:
-    """The row vector v times the matrix m."""
-    return tuple(sum(a * b for a, b in zip(v, col)) for col in zip(*m))
-
-
 class ConeOrbits(NamedTuple):
     """One cone per parabolic of some whole W-orbits, in the order of
     root_data.parabolics_of, as a prefan that carries the generators of
@@ -215,41 +216,48 @@ def _cone_orbits(
 
     The images w·φ of the standard cone's functionals cut out the image,
     and as every φ is a root, w·φ is read off the root permutation of w.
-    u lies in C(P_Y) iff u·M(w^{-1}) lies in C(w·P_Y), so the rays of
-    C(w·P_Y) are v·M(w^{-1}) for the rays v of C(P_Y), still primitive
-    since M(w^{-1}) is unimodular, and the dimension is that of C(P_Y).
-    They need no reduction modulo the lineality either.  A Weyl cone has
-    none; a type-t cone has the coordinate axes of the components inside
-    t, the same canonical basis for every cone, and the double description
-    reduces a ray modulo it by zeroing those coordinates.  M(w^{-1}) acts
-    component by component, so the moved rays keep them zero.
+    u lies in C(P_Y) iff w·u lies in C(w·P_Y), and the coordinates of w·u
+    are its pairings <u, w^{-1}·α_j>, where w^{-1}·α_j is the root the
+    permutation of w sends to α_j.  So the rays of C(w·P_Y) are the w·v
+    for the rays v of C(P_Y), still primitive since w acts unimodularly,
+    and the dimension is that of C(P_Y).  They need no reduction modulo
+    the lineality either.  A Weyl cone has none; a type-t cone has the
+    coordinate axes of the components inside t, the same canonical basis
+    for every cone, and the double description reduces a ray modulo it by
+    zeroing those coordinates.  w acts component by component, so the
+    moved rays keep them zero.
 
-    The same standard ray meets the same w^{-1} in many orbits, so each
-    product is computed once per call, with the element keyed by its
-    word."""
+    The same standard ray meets the same w in many orbits, so each image
+    is computed once per call, and the roots w^{-1}·α_j once per element,
+    keyed by the word of w^{-1}."""
     cones: List[Cone] = []
     pairs: List[Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]] = []
     dims: List[int] = []
     moved: Dict[Tuple[IntVector, int], IntVector] = {}
-    element_ids: Dict[Tuple[int, ...], int] = {}
+    elements: Dict[Tuple[int, ...], Tuple[int, List[IntVector]]] = {}
     for orbit in orbits:
         std = standard_cone(orbit.standard)
         lin, rays = polyfan._double_description(std)
         d = linalg.rank(lin + rays)
         datum = orbit.standard.datum
-        index = root_data.DatumTables.of(datum).root_index
+        tables = root_data.DatumTables.of(datum)
+        index = tables.root_index
         ineqs = [index[f] for f in std.ineqs]
         eqs = [index[f] for f in std.eqs]
         for perm, inv in zip(orbit.permutations, orbit.inverses):
             moved_ineqs = sorted([datum.roots[perm[i]] for i in ineqs])
             moved_eqs = sorted([datum.roots[perm[i]] for i in eqs])
             cones.append(Cone(std.space_dim, tuple(moved_ineqs), tuple(moved_eqs)))
-            key = element_ids.setdefault(inv.word, len(element_ids))
+            element = elements.get(inv.word)
+            if element is None:
+                columns = [datum.roots[perm.index(a)] for a in tables.simple]
+                element = elements[inv.word] = (len(elements), columns)
+            key, columns = element
             images = []
             for v in rays:
                 image = moved.get((v, key))
                 if image is None:
-                    image = moved[v, key] = _row_times(v, inv.matrix)
+                    image = moved[v, key] = tuple([linalg.dot(v, c) for c in columns])
                 images.append(image)
             pairs.append((lin, tuple(sorted(images))))
             dims.append(d)

@@ -241,8 +241,9 @@ def scanned_companion(p, label):
     """w^{-1}·P_label for the scanned standard position (w, Y) of p: the
     roots r whose image under the action matrix of w lies in P_label."""
     w, _ = scanned_standard_position(p)
+    m = matrix_element(p.datum, w.word)
     std = _standard_members(p.datum, frozenset(label))
-    return root_data.ParabolicSet(p.datum, frozenset(r for r in p.datum.roots if w.apply(r) in std))
+    return root_data.ParabolicSet(p.datum, frozenset(r for r in p.datum.roots if m.apply(r) in std))
 
 
 def reflection_matrix(datum, i: int) -> Tuple[IntVector, ...]:
@@ -254,10 +255,41 @@ def reflection_matrix(datum, i: int) -> Tuple[IntVector, ...]:
     )
 
 
+class MatrixElement(NamedTuple):
+    """A Weyl element as the matrix oracles hold it: a word for it and its
+    action matrix on the character lattice, whose column j is w·α_j."""
+
+    word: Tuple[int, ...]
+    matrix: Tuple[IntVector, ...]
+
+    def apply(self, chi: Sequence[int]) -> IntVector:
+        return tuple(sum(a * b for a, b in zip(row, chi)) for row in self.matrix)
+
+
+def columns(m) -> Tuple[IntVector, ...]:
+    """The columns of a matrix: w·α_1, ..., w·α_r for the matrix of w."""
+    return tuple(zip(*m))
+
+
+def matrix_element(datum, word) -> MatrixElement:
+    """s_{word[0]}···s_{word[-1]} with its matrix, the product of the
+    reflection matrices of the letters."""
+    m = tuple(tuple(int(i == j) for j in range(datum.rank)) for i in range(datum.rank))
+    for i in word:
+        s_i = reflection_matrix(datum, i)
+        m = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*s_i)) for row in m)
+    return MatrixElement(tuple(word), m)
+
+
 def compose(datum, a, b):
     """a∘b (a applied after b), named by the library from the concatenated
     words."""
     return root_data.element_of_word(datum, a.word + b.word)
+
+
+def inverse(datum, a):
+    """a^{-1}: the word of a read backwards, named by the library."""
+    return root_data.element_of_word(datum, a.word[::-1])
 
 
 def weyl_fan(datum):
@@ -266,19 +298,18 @@ def weyl_fan(datum):
 
 
 def matrix_permutation(datum, w) -> Tuple[int, ...]:
-    """The permutation w induces on root indices, by its action matrix on
-    each root: what the Weyl enumeration's composed permutations replace."""
+    """The permutation w induces on root indices, by the action matrix of
+    its word on each root: what the Weyl enumeration's composed
+    permutations replace."""
     index = {r: i for i, r in enumerate(datum.roots)}
-    return tuple(
-        index[tuple(sum(a * b for a, b in zip(row, r)) for row in w.matrix)]
-        for r in datum.roots
-    )
+    m = matrix_element(datum, w.word)
+    return tuple(index[m.apply(r)] for r in datum.roots)
 
 
 def matrix_weyl_group(datum, cap: int):
     """(elements, permutations, inverse) of W by the matrix breadth-first
     search that root_data ran before it keyed elements by root indices:
-    elements are WeylElements in ShortLex order, permutations[k] is that of
+    elements are MatrixElements in ShortLex order, permutations[k] is that of
     elements[k] (perm(w·s_j) = perm(w) read through perm(s_j)), and inverse
     maps each matrix to the inverse element.  Each step multiplies the
     matrix of w by that of s_j, and the inverse's matrix by s_j on the left;
@@ -305,7 +336,7 @@ def matrix_weyl_group(datum, cap: int):
         )
         for j in range(rank)
     ]
-    ident = root_data.WeylElement(
+    ident = MatrixElement(
         word=(), matrix=tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
     )
     seen = {ident.matrix: ident}
@@ -320,7 +351,7 @@ def matrix_weyl_group(datum, cap: int):
                 mat = times_reflection(w.matrix, j)
                 if mat in seen:
                     continue
-                elem = root_data.WeylElement(word=w.word + (j,), matrix=mat)
+                elem = MatrixElement(word=w.word + (j,), matrix=mat)
                 seen[mat] = elem
                 inv_of[mat] = reflection_times(j, inv_of[w.matrix])
                 perm_of[mat] = tuple(perm_of[w.matrix][i] for i in s_j)

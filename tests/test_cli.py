@@ -788,6 +788,29 @@ _PINNED_REPORTS = {
     ("prefan", "--datum", "A4", "--type", "a1"): (
         "9896b34c10c764efaac415dcb4104ba3d5b16b4d86f5742a695767f4d738085c"
     ),
+    # Reports that read w^{-1}·α_j or w·α_j of a standard position,
+    # recorded while a Weyl element still carried its matrix: residual
+    # coordinates of limits (apartment.stratum_apartment), the span
+    # equalities of a type cone, and the filtered levels of a stratum point
+    # (type_geometry.rt_decomposition).
+    ("limit", "--datum", "F4", "--type", "a1,a3", "--u0=1,2,3,4", "--v=1,-2,0,1"): (
+        "a8accfa98d0061cdebd9ae2b838c143640f8c74ace0f78e9cc423479bf551cd6"
+    ),
+    ("limit", "--datum", "B4", "--type", "a2", "--u0=3,-1,2,5", "--v=1,0,-2,1"): (
+        "fbfeaf293ac6261b55df29598ac3f2b9191817ec2f75bd174d5b7a8e14553d5c"
+    ),
+    (
+        "limit", "--datum", "D5", "--cap", "2000", "--type", "a1,a2",
+        "--u0=1,-2,3,0,4", "--v=1,0,-1,0,2",
+    ): "fe0ac27566a0f9648540b99ef7a2c89251691e6491597f96206ba177833fd813",
+    (
+        "cone", "--datum", "F4", "--type", "a1", "--label", "a2,a3",
+        "--word", "1,2,3,4,3,2", "--kind", "type",
+    ): "76d4ff073cc0214c059b6d3380de2e845edbd1a4a67ee14c8dec38a1df32cd20",
+    (
+        "stabilizer", "--datum", "B3", "--type", "a1", "--stratum", "a2",
+        "--word", "1,2", "--residual=1,-2,3",
+    ): "f9937f9a9dd1dc230d19821a6d2b5cfbdb152a1fd1061bae8b41b8613ab86ecb",
 }
 
 

@@ -19,7 +19,6 @@ from weylscope.root_data import (
     all_parabolics,
     build_from_cartan,
     build_named,
-    inverse,
     is_osculatory,
     levi_roots,
     parabolics_of,
@@ -53,16 +52,14 @@ def test_weyl_words_are_shortlex_minimal_and_act_correctly():
     datum = build_named("B2")
     seen = set()
     for w in weyl_elements(datum):
-        assert w.matrix not in seen
-        seen.add(w.matrix)
-        # the stored word reproduces the stored matrix
+        matrix = oracles.matrix_element(datum, w.word).matrix
+        assert matrix not in seen
+        seen.add(matrix)
+        # the stored word, composed letter by letter, has the matrix of w
         mat = root_data.identity_element(datum)
         for i in w.word:
-            step = root_data.WeylElement(
-                word=(i,), matrix=oracles.reflection_matrix(datum, i)
-            )
-            mat = oracles.compose(datum, mat, step)
-        assert mat.matrix == w.matrix
+            mat = oracles.compose(datum, mat, root_data.WeylElement(word=(i,)))
+        assert root_data.simple_images(datum, mat.word) == oracles.columns(matrix)
         assert mat.word <= w.word  # compose canonicalizes to ShortLex least
 
 
@@ -71,14 +68,25 @@ def test_weyl_action_permutes_roots():
         datum = build_named(name)
         roots = set(datum.roots)
         for w in weyl_elements(datum):
-            assert {w.apply(r) for r in roots} == roots
+            m = oracles.matrix_element(datum, w.word)
+            assert {m.apply(r) for r in roots} == roots
 
 
 def test_inverse_composes_to_identity():
     datum = build_named("A3")
     for w in weyl_elements(datum):
-        back = inverse(datum, w)
+        back = oracles.inverse(datum, w)
         assert oracles.compose(datum, w, back).word == ()
+
+
+def test_element_of_word_refuses_a_letter_out_of_range():
+    """A letter is a 0-based simple-root index: -1 is not read as the last
+    one, and the rank itself is no letter either."""
+    datum = build_named("A2")
+    for letter in (-1, 2, 5):
+        with pytest.raises(ValidationError, match=rf"^word letter {letter} out of range for rank 2$"):
+            root_data.element_of_word(datum, (0, letter))
+    assert root_data.element_of_word(datum, (1, 0, 1)).word == (0, 1, 0)
 
 
 def test_enumeration_cap(monkeypatch):
@@ -182,7 +190,8 @@ def test_enumeration_stores_the_permutation_of_every_element(monkeypatch, name):
     assert list(orbit.permutations) == [oracles.matrix_permutation(datum, w) for w in elements]
     borel = standard_parabolic(datum, ())
     for w in elements:
-        assert act(w, borel).members == {w.apply(r) for r in borel.members}
+        m = oracles.matrix_element(datum, w.word)
+        assert act(w, borel).members == {m.apply(r) for r in borel.members}
 
 
 _KEYED = ("A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4")
@@ -190,18 +199,32 @@ _KEYED = ("A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "
 
 @pytest.mark.parametrize("name", _KEYED)
 def test_root_index_enumeration_matches_the_matrix_search(monkeypatch, name):
-    """The search on root-index keys gives the elements, words, matrices,
+    """The search on root-index keys gives the elements, words,
     permutations and inverses of the matrix breadth-first search, and
-    compose names each element as it does."""
+    compose names each element as it does.  The matrices agree too: the
+    simple-root images of each word, read forwards and backwards, are the
+    columns of the search's matrices of w and w^{-1}, and the permutation
+    of w carries α_j to column j of its matrix."""
     datum = build_named(name)
     monkeypatch.delitem(root_data._TABLES, datum, raising=False)
     got = weyl_elements(datum)
     elements, permutations, inverses = oracles.matrix_weyl_group(datum, cap=1152)
-    assert [(w.word, w.matrix) for w in got] == [(w.word, w.matrix) for w in elements]
+    assert [w.word for w in got] == [w.word for w in elements]
+    assert [root_data.simple_images(datum, w.word) for w in got] == [
+        oracles.columns(w.matrix) for w in elements
+    ]
+    assert [root_data.simple_images(datum, w.word[::-1]) for w in got] == [
+        oracles.columns(inverses[w.matrix].matrix) for w in elements
+    ]
     assert list(root_data.orbits_of(datum, [frozenset()])[0].permutations) == permutations
-    assert {w.matrix: inverse(datum, w) for w in got} == inverses
+    simple = root_data.DatumTables.of(datum).simple
+    for perm, w in zip(permutations, elements):
+        assert tuple(datum.roots[perm[a]] for a in simple) == oracles.columns(w.matrix)
+    assert [oracles.inverse(datum, w).word for w in got] == [
+        inverses[w.matrix].word for w in elements
+    ]
     one = root_data.identity_element(datum)
-    assert [oracles.compose(datum, one, w) for w in got] == list(elements)
+    assert [oracles.compose(datum, one, w).word for w in got] == [w.word for w in elements]
 
 
 def test_root_index_enumeration_stops_where_the_matrix_search_does(monkeypatch):
@@ -238,7 +261,8 @@ _NAMED = (
 def test_orbits_match_the_filter_of_the_matrix_search(monkeypatch, name):
     """Every orbit of the coset search, on every label, is W filtered by
     descents as the matrix breadth-first search lists it: the parabolics in
-    order, the root permutations, and the inverses by word and matrix.
+    order, the root permutations, and the inverses by word and by matrix,
+    whose columns are the simple-root images of the word.
     B5, C5 and D5 are above the default cap and pass an explicit one."""
     datum = build_named(name)
     order = oracles.weyl_order(datum)
@@ -251,7 +275,10 @@ def test_orbits_match_the_filter_of_the_matrix_search(monkeypatch, name):
         assert orbit.label == y
         assert [(q.members, orbit.label) for q in orbit] == parabolics, sorted(y)
         assert list(orbit.permutations) == permutations, sorted(y)
-        assert list(orbit.inverses) == inverses, sorted(y)
+        assert [w.word for w in orbit.inverses] == [w.word for w in inverses], sorted(y)
+        assert [root_data.simple_images(datum, w.word) for w in orbit.inverses] == [
+            oracles.columns(w.matrix) for w in inverses
+        ], sorted(y)
 
 
 def _block_diagonal(blocks):
@@ -305,13 +332,16 @@ def test_compose_inverse_and_standard_position_match_the_oracles(monkeypatch, na
     moved = {}
     for w in elements:
         p = moved[w] = root_data.ParabolicSet(datum=datum, members=act(w, borel).members)
-        assert standard_position(p) == (inverses[w.matrix], frozenset())
-        assert inverse(datum, w) == inverses[w.matrix]
-        assert root_data.element_of_word(datum, w.word) == w
+        back = root_data.WeylElement(inverses[w.matrix].word)
+        assert standard_position(p) == (back, frozenset())
+        assert oracles.inverse(datum, w) == back
+        assert root_data.element_of_word(datum, w.word).word == w.word
         for j in range(datum.rank):
-            s_j = root_data.WeylElement(word=(j,), matrix=oracles.reflection_matrix(datum, j))
-            assert oracles.compose(datum, w, s_j) == element_of[_times(w.matrix, s_j.matrix)]
-            assert oracles.compose(datum, s_j, w) == element_of[_times(s_j.matrix, w.matrix)]
+            s_j = oracles.MatrixElement(word=(j,), matrix=oracles.reflection_matrix(datum, j))
+            right = element_of[_times(w.matrix, s_j.matrix)]
+            left = element_of[_times(s_j.matrix, w.matrix)]
+            assert oracles.compose(datum, w, s_j).word == right.word
+            assert oracles.compose(datum, s_j, w).word == left.word
     for w in random.Random(name).sample(elements, min(48, len(elements))):
         assert oracles.scanned_standard_position(moved[w]) == standard_position(moved[w])
 
@@ -456,7 +486,8 @@ def test_e8_standard_positions_agree_with_action_length_and_names(monkeypatch):
     is the longest element, the standard position (w, Y) moves P_v onto
     P_Y, w has one letter per positive root outside P_v, inverting twice
     and naming the word give w back, and the permutations carry each simple
-    root to the column of the matrix of w."""
+    root to the column of the matrix of w, and of w^{-1} when the word is
+    read backwards."""
     datum = _e8()
     tables = root_data.DatumTables(datum)
     monkeypatch.setitem(root_data._TABLES, datum, tables)
@@ -465,19 +496,24 @@ def test_e8_standard_positions_agree_with_action_length_and_names(monkeypatch):
     directions = [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(40)]
     simple = [tuple(int(i == j) for i in range(8)) for j in range(8)]
     start = time.process_time()
+    moved = []
     for v in directions + [(-1,) * 8]:
         p = root_data.ParabolicSet(datum, frozenset(r for r in datum.roots if oracles.dot(v, r) >= 0))
         w, y = standard_position(p)
         assert act(w, p) == standard_parabolic(datum, y), v
         assert len(w.word) == sum(1 for r in datum.positive_roots if r not in p.members), v
-        assert inverse(datum, inverse(datum, w)) == w, v
+        assert oracles.inverse(datum, oracles.inverse(datum, w)) == w, v
         assert root_data.element_of_word(datum, w.word) == w, v
-        for j, alpha in enumerate(simple):
-            image = w.apply(alpha)
-            assert image == tuple(row[j] for row in w.matrix)
+        images = root_data.simple_images(datum, w.word)
+        for alpha, image in zip(simple, images):
             assert act(w, root_data.ParabolicSet(datum, frozenset([alpha]))).members == {image}
+        moved.append((w, images, root_data.simple_images(datum, w.word[::-1])))
     assert (len(w.word), y) == (120, frozenset())
     assert time.process_time() - start < 5
+    # The matrix products, outside the timed loop.
+    for w, images, back in moved:
+        assert images == oracles.columns(oracles.matrix_element(datum, w.word).matrix)
+        assert back == oracles.columns(oracles.matrix_element(datum, w.word[::-1]).matrix)
 
 
 def test_levi_unipotent_partition_and_opposite():
@@ -532,17 +568,20 @@ def test_companion_of_every_label(name):
             assert p == oracles.scanned_companion(q, t), (q.members, t)
 
 
-def test_act_on_dual_pairs_against_inverse_action():
+def test_dual_action_pairs_against_inverse_action():
+    """w·u for a dual vector u has coordinates <u, w^{-1}·α_j>, the simple
+    images of the word of w read backwards, and pairs with χ as u pairs
+    with w^{-1}·χ, read off the matrix of w^{-1}."""
     datum = build_named("B2")
     rng = random.Random(23)
     for w in weyl_elements(datum):
-        back = inverse(datum, w)
+        columns = root_data.simple_images(datum, w.word[::-1])
+        back = oracles.matrix_element(datum, oracles.inverse(datum, w).word)
         for _ in range(5):
             u = tuple(rng.randint(-4, 4) for _ in range(datum.rank))
             chi = tuple(rng.randint(-3, 3) for _ in range(datum.rank))
-            lhs = oracles.dot(root_data.act_on_dual(datum, w, u), chi)
-            rhs = oracles.dot(u, back.apply(chi))
-            assert lhs == rhs
+            moved = tuple(oracles.dot(u, c) for c in columns)
+            assert oracles.dot(moved, chi) == oracles.dot(u, back.apply(chi))
 
 
 def test_standard_parabolic_members():
@@ -571,7 +610,7 @@ def test_tables_are_safe_to_share_between_threads():
         try:
             start.wait(timeout=30)
             elements = weyl_elements(datum)
-            inverses = tuple(inverse(datum, w) for w in elements)
+            inverses = tuple(oracles.inverse(datum, w) for w in elements)
             descended = tuple(
                 standard_position(act(w, standard_parabolic(datum, y)))
                 for y in oracles.all_type_labels(datum.rank)
